@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import Axis, fidelity, make_polarized_state
 from .entanglement import aee_report, geometric_measure
-from .floquet import Boundary, FloquetSpec, Model, apply_floquet, build_dense
+from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
-from .spectral import detect_period, quasi_energies
+from .spectral import detect_period, floquet_spectrum
 
 MEASURES = ("aee", "geom", "qfi", "spectrum")
 SUMMARY_PERIOD_CAP = 200
@@ -178,7 +178,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
             violated = ";".join(str(k) for k, _, flag in q.bound_table if flag)
             rows["qfi"].append([str(n), _fmt(q.f_q), str(q.depth), violated])
     if "spectrum" in rows:
-        spectrum = quasi_energies(build_dense(spec))
+        spectrum = floquet_spectrum(spec)
         rows["spectrum"] = [
             [_fmt(center), str(count)] for center, count in spectrum.clusters
         ]

@@ -14,6 +14,14 @@ Everything is matrix-free: one period costs O(L * 2^L) via per-site
 rotations plus a diagonal phase in the x basis (H_xx and H_x are both
 diagonal there). Dense matrices are produced only by ``build_dense``,
 which feeds the spectral module.
+
+Symmetry sectors. Both operators commute with the site reflection
+i <-> L+1-i (basis index j <-> its bit reversal), for either boundary and
+either factorization. U_0 also commutes with the Z parity prod(s^z_i),
+which commutes with H_xx and H_z; U_x does not, because the parity
+anticommutes with s^x and s^y and so flips the sign of H_x and H_y.
+``MODEL_SYMMETRIES`` records this, and ``build_dense`` can build the
+operator one sector block at a time (``FloquetSpec.sectors``).
 """
 
 from __future__ import annotations
@@ -32,7 +40,12 @@ from .core import StateVector, apply_matrix_at_site
 KICK_ANGLE = np.pi / 4
 
 DENSE_MAX_SITES = 12
+# Largest weight ||U B||_F^2 - ||B^H U B||_F^2 a sector block may leak. The
+# two norms agree to ~1e-13 at 2^12 columns, far below any real leak (a
+# broken symmetry leaks weight of order the sector dimension).
+LEAK_TOLERANCE = 1e-9
 
+_HALF = 1 / np.sqrt(2)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # exp(-i*(pi/4)*sigma_y) and exp(-i*(pi/4)*sigma_x)
 _KICK_Y = np.array(
@@ -50,6 +63,21 @@ class Model(enum.Enum):
 
     U0 = "U0"
     UX = "Ux"
+
+
+class Symmetry(enum.Enum):
+    """A Z2 symmetry that splits the Hilbert space into sectors."""
+
+    REFLECTION = "R"  # site i <-> L+1-i
+    Z_PARITY = "P"  # prod_i sigma^z_i
+
+
+# Symmetries each period operator commutes with, for any boundary and
+# factorization (see the module docstring for why U_x has no Z parity).
+MODEL_SYMMETRIES = {
+    Model.U0: (Symmetry.REFLECTION, Symmetry.Z_PARITY),
+    Model.UX: (Symmetry.REFLECTION,),
+}
 
 
 class Boundary(enum.Enum):
@@ -86,23 +114,106 @@ class FloquetSpec:
             out.append((L, 1))
         return out
 
+    def sectors(self) -> tuple[Sector, ...]:
+        """The symmetry sectors of this operator (``MODEL_SYMMETRIES``)."""
+        return symmetry_sectors(self.num_sites, MODEL_SYMMETRIES[self.model])
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """Orthonormal basis B of one symmetry sector of an L-site chain.
+
+    Column k of B is weight[0, k] e_{index[0, k]} + weight[1, k] e_{index[1, k]}:
+    either a basis state e_j (weights 1, 0 and index[1, k] = j) or a
+    mirror pair (e_j +- e_Rj)/sqrt(2). ``charges`` holds the eigenvalue
+    of each symmetry on the sector.
+    """
+
+    num_sites: int
+    charges: tuple[tuple[Symmetry, int], ...]
+    index: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.index.shape[1]
+
+    @property
+    def label(self) -> str:
+        return " ".join(sym.value + "+-"[charge < 0] for sym, charge in self.charges)
+
+    def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Dense (2^L, stop - start) array of basis columns start..stop-1."""
+        index, weight = self.index[:, start:stop], self.weight[:, start:stop]
+        cols = np.zeros((2 ** self.num_sites, index.shape[1]), dtype=complex)
+        k = np.arange(index.shape[1])
+        cols[index[0], k] = weight[0]
+        cols[index[1], k] += weight[1]
+        return cols
+
+    def project(self, amps: np.ndarray) -> np.ndarray:
+        """B^H amps for a (2^L, batch) array: gathers two rows per column of B."""
+        w0, w1 = self.weight[:, :, None]
+        return w0 * amps[self.index[0]] + w1 * amps[self.index[1]]
+
+
+@lru_cache(maxsize=None)
+def symmetry_sectors(
+    num_sites: int, symmetries: tuple[Symmetry, ...]
+) -> tuple[Sector, ...]:
+    """Nonempty sectors of the given symmetries; their dimensions sum to 2^L."""
+    spins = _spin_values(num_sites)
+    idx = np.arange(2 ** num_sites)
+    reflect = Symmetry.REFLECTION in symmetries
+    # Bit reversal: the bit of site s moves to the place of site L+1-s.
+    bits = (1 - spins) // 2
+    mirror = (bits << np.arange(num_sites)[:, None]).sum(axis=0) if reflect else idx
+    parity = spins.prod(axis=0)
+    out = []
+    for p in (+1, -1) if Symmetry.Z_PARITY in symmetries else (None,):
+        keep = np.ones(idx.size, dtype=bool) if p is None else parity == p
+        fixed = idx[keep & (mirror == idx)]
+        low = idx[keep & (idx < mirror)]
+        for r in (+1, -1) if reflect else (+1,):
+            # Mirror-symmetric states span R = +1 alone; each mirror pair
+            # (e_j +- e_Rj)/sqrt(2) gives one state to each reflection sector.
+            own = fixed if r > 0 else fixed[:0]
+            ones, halves = np.ones(own.size), np.full(low.size, _HALF)
+            index = np.array([np.r_[own, low], np.r_[own, mirror[low]]])
+            weight = np.array([np.r_[ones, halves], np.r_[0 * ones, r * halves]])
+            charges = ((Symmetry.Z_PARITY, p),) if p is not None else ()
+            charges += ((Symmetry.REFLECTION, r),) if reflect else ()
+            if index.shape[1]:
+                out.append(Sector(num_sites, charges, index, weight))
+    return tuple(out)
+
+
+def check_unitary(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a complex array, after checking it is square and unitary."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
+    return mat
+
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense 2^L x 2^L unitary, validated on construction."""
+    """Dense unitary of an L-site chain, validated on construction: the whole
+    2^L x 2^L operator, or its square block on ``sector``."""
 
     num_sites: int
     matrix: np.ndarray = field(repr=False)
+    sector: Sector | None = None
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = 2 ** self.num_sites
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
-        if dev > 1e-10:
-            raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
-        object.__setattr__(self, "matrix", mat)
+        d = 2 ** self.num_sites if self.sector is None else self.sector.dim
+        shape = np.shape(self.matrix)
+        if shape != (d, d):
+            raise ValueError(f"expected a {d}x{d} matrix, got shape {shape}")
+        object.__setattr__(self, "matrix", check_unitary(self.matrix))
 
 
 @lru_cache(maxsize=None)
@@ -186,13 +297,23 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
     return StateVector(state.num_sites, amps)
 
 
-def build_dense(spec: FloquetSpec, chunk: int = 512) -> UnitaryMatrix:
-    """Dense matrix whose column j is one period applied to basis state j."""
+def build_dense(
+    spec: FloquetSpec, chunk: int = 512, sector: Sector | None = None
+) -> UnitaryMatrix:
+    """Dense matrix whose column j is one period applied to basis state j.
+
+    With ``sector`` it is the block B^H U B on that sector's basis B: one
+    period runs on the columns of B and the rows are gathered back onto B.
+    The block holds all of U B only if U leaves the sector invariant, so
+    the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish.
+    """
     L = spec.num_sites
     if L > DENSE_MAX_SITES:
         raise ValueError(
             f"dense construction is capped at {DENSE_MAX_SITES} sites, got {L}"
         )
+    if sector is not None:
+        return _build_block(spec, sector, chunk)
     d = 2 ** L
     out = np.empty((d, d), dtype=complex)
     for start in range(0, d, chunk):
@@ -201,6 +322,28 @@ def build_dense(spec: FloquetSpec, chunk: int = 512) -> UnitaryMatrix:
         cols[np.arange(start, stop), np.arange(stop - start)] = 1.0
         out[:, start:stop] = _one_period(spec, cols)
     return UnitaryMatrix(L, out)
+
+
+def _build_block(spec: FloquetSpec, sector: Sector, chunk: int) -> UnitaryMatrix:
+    if sector.num_sites != spec.num_sites:
+        raise ValueError(
+            f"sector is for {sector.num_sites} sites but spec has {spec.num_sites}"
+        )
+    d = sector.dim
+    out = np.empty((d, d), dtype=complex)
+    leak = 0.0
+    for start in range(0, d, chunk):
+        stop = min(start + chunk, d)
+        image = _one_period(spec, sector.columns(start, stop))
+        block = sector.project(image)
+        out[:, start:stop] = block
+        leak += np.vdot(image, image).real - np.vdot(block, block).real
+    if leak > LEAK_TOLERANCE:
+        raise ValueError(
+            f"sector {sector.label} is not invariant under {spec.model.value}: "
+            f"leaked weight {leak:.3e}"
+        )
+    return UnitaryMatrix(spec.num_sites, out, sector)
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,29 @@ the phases theta_k in (-pi, pi] are the quasi-energies. This module
 extracts them, clusters degeneracies, detects a common level spacing, and
 finds stroboscopic periods (smallest n with U^n proportional to the
 identity) directly from the spectrum.
+
+``floquet_spectrum`` diagonalizes one symmetry-sector block at a time
+(``floquet.MODEL_SYMMETRIES``): reflection and Z parity for U_0, four
+blocks of about 2^L/4; reflection only for U_x, whose x field and y kick
+anticommute with Z parity, two blocks of about 2^L/2. Each block is
+checked for unitarity and leakage. The Schur step costs O(d^3) per block
+of dimension d: about 1/16 of the whole-matrix cost for U_0, 1/4 for U_x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .floquet import FloquetSpec, UnitaryMatrix, build_dense
+from .floquet import FloquetSpec, UnitaryMatrix, build_dense, check_unitary
 
 CLUSTER_TOLERANCE = 1e-7
+# Cluster centers closer to zero than this are rounding noise of a level
+# at exactly zero, and are reported as 0.0.
+ZERO_SNAP = 1e-12
 SPACING_TOLERANCE = 1e-6
 PERIOD_TOLERANCE = 1e-7
 
@@ -64,18 +75,6 @@ class PeriodReport:
     tolerance: float
 
 
-def _as_unitary_array(u: UnitaryMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(u, UnitaryMatrix):
-        return u.matrix
-    mat = np.asarray(u, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
-    return mat
-
-
 def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Group sorted phases into clusters, merging across the +-pi seam."""
     groups: list[list[float]] = [[float(thetas[0])]]
@@ -94,20 +93,42 @@ def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]
         center = float(np.mean(g))
         if center <= -np.pi + tol / 2:
             center += 2 * np.pi
+        if abs(center) < ZERO_SNAP:
+            center = 0.0
         clusters.append((center, len(g)))
     return sorted(clusters)
 
 
 def quasi_energies(
-    u: UnitaryMatrix | np.ndarray, cluster_tolerance: float = CLUSTER_TOLERANCE
+    u: UnitaryMatrix | np.ndarray | Sequence[UnitaryMatrix | np.ndarray],
+    cluster_tolerance: float = CLUSTER_TOLERANCE,
 ) -> QuasiSpectrum:
     """Quasi-energies theta_k = -arg(lambda_k) in (-pi, pi], sorted ascending.
 
-    Eigenvalues come from a complex Schur decomposition; because the input
-    is normal its Schur form is diagonal and the Schur basis is an
-    orthonormal eigenbasis. Residuals ||U v - lambda v|| are enforced.
+    ``u`` is one matrix or the sequence of diagonal blocks of one operator;
+    the phases of all blocks are pooled before sorting and clustering.
+    Eigenvalues come from a complex Schur decomposition per block; because
+    each block is normal its Schur form is diagonal and the Schur basis is
+    an orthonormal eigenbasis. Residuals ||U v - lambda v|| are enforced.
     """
-    mat = _as_unitary_array(u)
+    blocks = u if isinstance(u, (list, tuple)) and all(map(_is_block, u)) else [u]
+    thetas = np.sort(np.concatenate([
+        _block_thetas(b.matrix if isinstance(b, UnitaryMatrix) else check_unitary(b))
+        for b in blocks
+    ]))
+    return QuasiSpectrum(
+        thetas=thetas,
+        cluster_tolerance=cluster_tolerance,
+        clusters=_cluster_circular(thetas, cluster_tolerance),
+    )
+
+
+def _is_block(b: object) -> bool:
+    # a nested list of numbers is one matrix, not a sequence of blocks
+    return isinstance(b, UnitaryMatrix) or np.ndim(b) == 2
+
+
+def _block_thetas(mat: np.ndarray) -> np.ndarray:
     t, z = scipy.linalg.schur(mat, output="complex")
     lam = np.diag(t)
     residuals = np.linalg.norm(mat @ z - z * lam[None, :], axis=0)
@@ -116,12 +137,16 @@ def quasi_energies(
         raise ValueError(f"eigenpair residual {worst:.3e} exceeds 1e-9")
     thetas = -np.angle(lam)
     thetas[thetas <= -np.pi + 1e-15] += 2 * np.pi
-    thetas = np.sort(thetas)
-    return QuasiSpectrum(
-        thetas=thetas,
-        cluster_tolerance=cluster_tolerance,
-        clusters=_cluster_circular(thetas, cluster_tolerance),
-    )
+    return thetas
+
+
+def floquet_spectrum(
+    spec: FloquetSpec, cluster_tolerance: float = CLUSTER_TOLERANCE
+) -> QuasiSpectrum:
+    """Quasi-energies of the operator built from ``spec`` (L <= 12), one
+    symmetry-sector block at a time."""
+    blocks = [build_dense(spec, sector=sector) for sector in spec.sectors()]
+    return quasi_energies(blocks, cluster_tolerance)
 
 
 def degeneracy_histogram(spectrum: QuasiSpectrum) -> list[tuple[float, int]]:
@@ -208,5 +233,5 @@ def detect_period(
     spec: FloquetSpec, max_n: int, tol: float = PERIOD_TOLERANCE
 ) -> PeriodReport:
     """Period detection for a Floquet operator built from ``spec`` (L <= 12)."""
-    spectrum = quasi_energies(build_dense(spec))
+    spectrum = floquet_spectrum(spec)
     return detect_period_from_thetas(spectrum.thetas, max_n, tol)

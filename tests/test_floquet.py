@@ -52,6 +52,12 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError):
             UnitaryMatrix(2, np.eye(2))
 
+    def test_sector_block_has_the_sector_dimension(self):
+        sector = FloquetSpec(Model.U0, 3).sectors()[0]
+        assert UnitaryMatrix(3, np.eye(sector.dim), sector).matrix.shape == (3, 3)
+        with pytest.raises(ValueError):
+            UnitaryMatrix(3, np.eye(8), sector)
+
 
 class TestAgainstExponentialOracle:
     @pytest.mark.parametrize("num_sites", [2, 3, 4, 6, 8])

@@ -1,13 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
-from kicked_ising.floquet import Boundary, FloquetSpec, Model, build_dense
+from kicked_ising.floquet import (
+    Boundary,
+    Factorization,
+    FloquetSpec,
+    Model,
+    Symmetry,
+    build_dense,
+    symmetry_sectors,
+)
 from kicked_ising.spectral import (
     QuasiSpectrum,
     degeneracy_histogram,
     detect_period,
     detect_period_from_thetas,
     detect_spacing,
+    floquet_spectrum,
     quasi_energies,
 )
 
@@ -19,6 +30,16 @@ def ladder(centers, counts):
         cluster_tolerance=1e-7,
         clusters=list(zip([float(c) for c in centers], counts)),
     )
+
+
+def on_circle(angles):
+    # compare phases on the circle; the 0.1 shift keeps the wrap seam away
+    # from the pi/4 lattice the quasi-energies live on
+    return np.sort((np.asarray(angles) - 0.1) % (2 * np.pi))
+
+
+def circle_distance(a, b):
+    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))
 
 
 class TestQuasiEnergies:
@@ -59,13 +80,71 @@ class TestQuasiEnergies:
         u = build_dense(FloquetSpec(Model.UX, 3)).matrix
         base = quasi_energies(u).thetas
         powered = quasi_energies(np.linalg.matrix_power(u, n)).thetas
+        np.testing.assert_allclose(on_circle(powered), on_circle(n * base), atol=1e-9)
 
-        def canon(angles):
-            # compare on the circle; the 0.1 shift keeps the wrap seam away
-            # from the pi/4 lattice the quasi-energies live on
-            return np.sort((np.asarray(angles) - 0.1) % (2 * np.pi))
+    def test_center_at_zero_is_snapped(self):
+        # rounding noise around a level at zero prints as 0, never as a
+        # tiny number or as -0
+        for noise in ([3e-15, -7e-15, -1e-13], [0.0, 0.0, 0.0]):
+            u = np.diag(np.exp(1j * np.array([1.0, *noise])))
+            spectrum = quasi_energies(u)
+            assert spectrum.clusters == [(-1.0, 1), (0.0, 3)]
+            assert math.copysign(1.0, spectrum.clusters[1][0]) == 1.0
 
-        np.testing.assert_allclose(canon(powered), canon(n * base), atol=1e-9)
+    def test_blocks_pool_into_one_spectrum(self):
+        a = np.diag(np.exp(1j * np.array([0.3, -1.2])))
+        b = np.diag(np.exp(1j * np.array([0.3])))
+        spectrum = quasi_energies([a, b])
+        np.testing.assert_allclose(spectrum.thetas, [-0.3, -0.3, 1.2], atol=1e-12)
+        assert [m for _, m in spectrum.clusters] == [2, 1]
+        # a nested list of numbers is still one matrix
+        np.testing.assert_allclose(quasi_energies([[0, 1], [1, 0]]).thetas, [0, np.pi])
+
+
+SECTOR_SPECS = [
+    (Model.U0, Boundary.OPEN, Factorization.COMBINED),
+    (Model.U0, Boundary.CLOSED, Factorization.COMBINED),
+    (Model.UX, Boundary.OPEN, Factorization.COMBINED),
+    (Model.UX, Boundary.CLOSED, Factorization.COMBINED),
+    (Model.UX, Boundary.OPEN, Factorization.SPLIT),
+]
+
+
+class TestSymmetrySectors:
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    @pytest.mark.parametrize("model, boundary, factorization", SECTOR_SPECS)
+    def test_sector_path_matches_dense(self, model, boundary, factorization, num_sites):
+        spec = FloquetSpec(model, num_sites, boundary, factorization)
+        dense = quasi_energies(build_dense(spec))
+        blocked = floquet_spectrum(spec)
+        assert circle_distance(on_circle(blocked.thetas), on_circle(dense.thetas)).max() < 1e-12
+        assert [m for _, m in blocked.clusters] == [m for _, m in dense.clusters]
+        centers = [c for c, _ in blocked.clusters]
+        assert circle_distance(centers, [c for c, _ in dense.clusters]).max() < 1e-12
+
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    def test_sectors_split_the_space_orthonormally(self, model, num_sites):
+        sectors = FloquetSpec(model, num_sites).sectors()
+        assert sum(s.dim for s in sectors) == 2**num_sites
+        assert all(s.dim > 0 for s in sectors)
+        assert len({s.label for s in sectors}) == len(sectors)
+        basis = np.hstack([s.columns() for s in sectors])
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**num_sites), atol=1e-14)
+        for s in sectors:
+            np.testing.assert_allclose(s.project(basis[:, :3]), s.columns().T @ basis[:, :3])
+
+    def test_sector_dimensions_at_ten_sites(self):
+        dims = [s.dim for s in FloquetSpec(Model.U0, 10).sectors()]
+        assert dims == [272, 240, 256, 256]
+        assert [s.dim for s in FloquetSpec(Model.UX, 10).sectors()] == [528, 496]
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_ux_leaks_out_of_parity_sectors(self, boundary):
+        spec = FloquetSpec(Model.UX, 6, boundary)
+        wrong = symmetry_sectors(6, (Symmetry.REFLECTION, Symmetry.Z_PARITY))
+        with pytest.raises(ValueError, match="not invariant"):
+            build_dense(spec, sector=wrong[0])
 
 
 class TestSpacing:
