@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+from .core import DENSE_MAX_SITES
 from .experiment import (
     MEASURES,
     ExperimentConfig,
@@ -21,14 +24,31 @@ from .experiment import (
     run_trajectory,
 )
 
-_DEFAULTS = {
-    "boundary": "open",
-    "initial": "z+",
-    "periods": "0",
-    "measures": "aee",
-    "seed": "0",
-    "out": "runs",
+
+def _split(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+class _Key(NamedTuple):
+    """One setting, given as a flag or as a config-file key."""
+
+    field: str  # the ExperimentConfig field it sets; that field holds the default
+    help: str
+    parse: Callable[[str], object] = str
+    grid: bool = False  # ``summary`` takes a comma list and scans every value
+
+
+_KEYS = {
+    "model": _Key("model", "U0 or Ux", grid=True),
+    "size": _Key("num_sites", f"number of sites, 2..{DENSE_MAX_SITES}", int, grid=True),
+    "boundary": _Key("boundary", "open or closed", grid=True),
+    "initial": _Key("initial_axis", "initial product axis, e.g. z+, y-", grid=True),
+    "periods": _Key("n_max", "number of Floquet periods", int),
+    "measures": _Key("measures", "comma list from: " + ", ".join(MEASURES), _split),
+    "seed": _Key("seed", "optimizer seed (64-bit integer)", int),
+    "out": _Key("out_dir", "output directory"),
 }
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -46,46 +66,44 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
-    """Defaults, then the config file, then explicit flags."""
-    settings = dict(_DEFAULTS)
+    """The config file, then explicit flags. Unset keys are left out, so the
+    ExperimentConfig defaults apply."""
+    settings: dict[str, str] = {}
     if args.config is not None:
-        file_settings = parse_config_file(Path(args.config))
-        unknown = sorted(set(file_settings) - {
-            "model", "size", "boundary", "initial", "periods",
-            "measures", "seed", "out",
-        })
+        settings = parse_config_file(Path(args.config))
+        unknown = sorted(set(settings) - set(_KEYS))
         if unknown:
             raise ValueError(f"{args.config}: unknown keys {unknown}")
-        settings.update(file_settings)
-    for key in ("model", "size", "boundary", "initial", "periods",
-                "measures", "seed", "out"):
-        value = getattr(args, key, None)
+    for key, spec in _KEYS.items():
+        value = getattr(args, key)
         if value is not None:
-            settings[key] = str(value)
-    for required in ("model", "size"):
-        if required not in settings:
-            raise ValueError(f"{required} is required (flag --{required} or config)")
+            settings[key] = value
+        elif key not in settings and _FIELD_DEFAULTS[spec.field] is MISSING:
+            raise ValueError(f"{key} is required (flag --{key} or config)")
     return settings
 
 
-def _int(settings: dict[str, str], key: str) -> int:
+def _parse(key: str, text: str):
     try:
-        return int(settings[key])
-    except ValueError:
-        raise ValueError(f"{key}: expected an integer, got {settings[key]!r}") from None
+        return _KEYS[key].parse(text)
+    except ValueError:  # only the integer keys can fail to parse
+        raise ValueError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _single_config(settings: dict[str, str], measures: tuple[str, ...]) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=settings["model"],
-        num_sites=_int(settings, "size"),
-        boundary=settings["boundary"],
-        initial_axis=settings["initial"],
-        n_max=_int(settings, "periods"),
-        measures=measures,
-        seed=_int(settings, "seed"),
-        out_dir=Path(settings["out"]),
-    )
+def _setting(settings: dict[str, str], key: str):
+    """The parsed value of ``key``, or its ExperimentConfig default if unset."""
+    if key not in settings:
+        return _FIELD_DEFAULTS[_KEYS[key].field]
+    return _parse(key, settings[key])
+
+
+def _single_config(settings: dict[str, str], **fixed) -> ExperimentConfig:
+    values = {
+        spec.field: _parse(key, settings[key])
+        for key, spec in _KEYS.items()
+        if key in settings
+    }
+    return ExperimentConfig(**{**values, **fixed})
 
 
 def _report(files: dict[str, Path]) -> None:
@@ -94,35 +112,33 @@ def _report(files: dict[str, Path]) -> None:
 
 
 def _cmd_spectrum(settings: dict[str, str]) -> int:
-    config = _single_config(settings, ("spectrum",))
-    _report(run_experiment(config))
+    _report(run_experiment(_single_config(settings, measures=("spectrum",))))
     return 0
 
 
 def _cmd_evolve(settings: dict[str, str]) -> int:
-    config = _single_config(settings, ("aee",))
-    _report(run_trajectory(config))
+    _report(run_trajectory(_single_config(settings, measures=("aee",))))
     return 0
 
 
 def _cmd_measure(settings: dict[str, str]) -> int:
-    measures = tuple(m.strip() for m in settings["measures"].split(",") if m.strip())
-    config = _single_config(settings, measures)
-    _report(run_experiment(config))
+    _report(run_experiment(_single_config(settings)))
     return 0
 
 
 def _cmd_summary(settings: dict[str, str]) -> int:
-    def split(key: str) -> list[str]:
-        return [v.strip() for v in settings[key].split(",") if v.strip()]
+    def grid(key: str) -> list:
+        if key not in settings:
+            return [_setting(settings, key)]
+        return [_parse(key, v) for v in _split(settings[key])]
 
     rows, path = generate_summary(
-        models=split("model"),
-        sizes=[int(v) for v in split("size")],
-        boundaries=split("boundary"),
-        axes=split("initial"),
-        out_dir=Path(settings["out"]),
-        seed=_int(settings, "seed"),
+        models=grid("model"),
+        sizes=grid("size"),
+        boundaries=grid("boundary"),
+        axes=grid("initial"),
+        out_dir=_setting(settings, "out"),
+        seed=_setting(settings, "seed"),
     )
     for row in rows:
         peaks = ",".join(str(n) for n in row.peak_depth_periods)
@@ -157,18 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in descriptions.items():
         p = sub.add_parser(name, help=help_text)
-        lists = name == "summary"
-        suffix = " (comma list allowed)" if lists else ""
-        p.add_argument("--model", help=f"U0 or Ux{suffix}")
-        p.add_argument("--size", help=f"number of sites, 2..12{suffix}")
-        p.add_argument("--boundary", help=f"open or closed{suffix}")
-        p.add_argument("--initial", help=f"initial product axis, e.g. z+, y-{suffix}")
-        p.add_argument("--periods", help="number of Floquet periods")
-        p.add_argument(
-            "--measures", help="comma list from: " + ", ".join(MEASURES)
-        )
-        p.add_argument("--seed", help="optimizer seed (64-bit integer)")
-        p.add_argument("--out", help="output directory")
+        for key, spec in _KEYS.items():
+            lists = spec.grid and name == "summary"
+            suffix = " (comma list allowed)" if lists else ""
+            p.add_argument(f"--{key}", help=spec.help + suffix)
         p.add_argument("--config", help="key=value settings file")
     return parser
 

@@ -15,7 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
+# Size limits, in sites. A state vector holds 2^L amplitudes; a dense
+# operator holds 4^L entries and is built only for spectra, so runs that may
+# ask for a spectrum stop there too; the factorization equivalence check
+# builds and compares two dense operators.
 MAX_SITES = 14
+DENSE_MAX_SITES = 12
+EQUIVALENCE_MAX_SITES = 10
+
+
+def _check_num_sites(num_sites: int) -> None:
+    if not 1 <= num_sites <= MAX_SITES:
+        raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {num_sites}")
+
 
 _EIGENVECTORS = {
     ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
@@ -78,8 +90,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_sites <= MAX_SITES:
-            raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {self.num_sites}")
+        _check_num_sites(self.num_sites)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.num_sites,):
             raise ValueError(
@@ -103,8 +114,7 @@ class DensityMatrix:
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_sites <= MAX_SITES:
-            raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {self.num_sites}")
+        _check_num_sites(self.num_sites)
         rho = np.asarray(self.elements, dtype=complex)
         d = 2 ** self.num_sites
         if rho.shape != (d, d):
@@ -128,8 +138,7 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
 
 def make_polarized_state(num_sites: int, axis: Axis) -> StateVector:
     """Product state with every site in the chosen sigma^alpha eigenstate."""
-    if not 1 <= num_sites <= MAX_SITES:
-        raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {num_sites}")
+    _check_num_sites(num_sites)
     return StateVector(num_sites, _kron_power(axis.eigenvector(), num_sites))
 
 
@@ -141,8 +150,7 @@ def make_ghz(num_sites: int, axis: Axis) -> StateVector:
     """
     if num_sites < 2:
         raise ValueError(f"GHZ state needs at least 2 sites, got {num_sites}")
-    if num_sites > MAX_SITES:
-        raise ValueError(f"num_sites must be at most {MAX_SITES}, got {num_sites}")
+    _check_num_sites(num_sites)
     plus = _kron_power(Axis(axis.letter, +1).eigenvector(), num_sites)
     minus = _kron_power(Axis(axis.letter, -1).eigenvector(), num_sites)
     return StateVector(num_sites, (plus + minus) / np.sqrt(2))
@@ -152,8 +160,7 @@ def make_psi_o(num_sites: int) -> StateVector:
     """Product of two z-basis GHZ blocks on sites 1..L/2 and L/2+1..L."""
     if num_sites % 2 != 0 or num_sites < 4:
         raise ValueError(f"num_sites must be even and >= 4, got {num_sites}")
-    if num_sites > MAX_SITES:
-        raise ValueError(f"num_sites must be at most {MAX_SITES}, got {num_sites}")
+    _check_num_sites(num_sites)
     half = num_sites // 2
     block = np.zeros(2 ** half, dtype=complex)
     block[0] = block[-1] = 1 / np.sqrt(2)

@@ -10,13 +10,15 @@ not depend on which other measures are enabled.
 from __future__ import annotations
 
 import csv
+import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Axis, fidelity, make_polarized_state
+from . import entanglement, qfi
+from .core import DENSE_MAX_SITES, Axis, fidelity, make_polarized_state
 from .entanglement import aee_report, geometric_measure
 from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
@@ -70,19 +72,21 @@ class ExperimentConfig:
     measures: tuple[str, ...] = ("aee",)
     seed: int = 0
     out_dir: Path = Path("runs")
-    geom_restarts: int = 64
-    geom_max_iter: int = 500
-    qfi_restarts: int = 32
-    qfi_max_iter: int = 300
-    tol: float = 1e-12
+    geom_restarts: int = entanglement.DEFAULT_RESTARTS
+    geom_max_iter: int = entanglement.DEFAULT_MAX_ITER
+    qfi_restarts: int = qfi.DEFAULT_RESTARTS
+    qfi_max_iter: int = qfi.DEFAULT_MAX_ITER
+    tol: float = qfi.DEFAULT_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _coerce_enum(self.model, Model))
         object.__setattr__(self, "boundary", _coerce_enum(self.boundary, Boundary))
         if not isinstance(self.initial_axis, Axis):
             object.__setattr__(self, "initial_axis", Axis.parse(str(self.initial_axis)))
-        if not 2 <= self.num_sites <= 12:
-            raise ValueError(f"num_sites: must be in 2..12, got {self.num_sites}")
+        if not 2 <= self.num_sites <= DENSE_MAX_SITES:
+            raise ValueError(
+                f"num_sites: must be in 2..{DENSE_MAX_SITES}, got {self.num_sites}"
+            )
         if self.n_max < 0:
             raise ValueError(f"n_max: must be >= 0, got {self.n_max}")
         measures = tuple(self.measures)
@@ -91,6 +95,9 @@ class ExperimentConfig:
         unknown = sorted(set(measures) - set(MEASURES))
         if unknown:
             raise ValueError(f"measures: unknown {unknown}, choose from {MEASURES}")
+        repeated = sorted({m for m in measures if measures.count(m) > 1})
+        if repeated:
+            raise ValueError(f"measures: {repeated} listed more than once")
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -102,29 +109,22 @@ def _manifest_doc(config: ExperimentConfig) -> dict:
     from . import __version__
 
     return {
-        "config": {
-            "model": config.model.value,
-            "num_sites": config.num_sites,
-            "boundary": config.boundary.value,
-            "initial_axis": str(config.initial_axis),
-            "n_max": config.n_max,
-            "measures": list(config.measures),
-            "seed": config.seed,
-            "out_dir": str(config.out_dir),
-            "geom_restarts": config.geom_restarts,
-            "geom_max_iter": config.geom_max_iter,
-            "qfi_restarts": config.qfi_restarts,
-            "qfi_max_iter": config.qfi_max_iter,
-            "tol": config.tol,
-        },
+        "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "version": __version__,
         "seed": config.seed,
     }
 
 
+def _json_text(value) -> str:
+    """Manifest form of the config values json cannot encode: enums by
+    value, axes and paths as text."""
+    return value.value if isinstance(value, enum.Enum) else str(value)
+
+
 def _write_manifest(config: ExperimentConfig, out: Path) -> Path:
     path = out / "manifest.json"
-    path.write_text(json.dumps(_manifest_doc(config), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_manifest_doc(config), indent=2, sort_keys=True, default=_json_text)
+    path.write_text(text + "\n")
     return path
 
 
@@ -236,41 +236,29 @@ class SummaryRow:
 
 
 def generate_summary(
-    models,
-    sizes,
-    boundaries,
-    axes,
-    out_dir: Path,
-    seed: int = 0,
-    qfi_restarts: int = 32,
-    qfi_max_iter: int = 300,
-    tol: float = 1e-12,
+    models, sizes, boundaries, axes, out_dir: Path, seed: int = 0
 ) -> tuple[list[SummaryRow], Path]:
     """Scan every (model, size, boundary, axis) cell.
 
     Each cell evolves over one detected projective period (capped at
     SUMMARY_PERIOD_CAP periods when none is found) and records the peak
-    certified entanglement depth and every period attaining it.
+    certified entanglement depth and every period attaining it. Every
+    cell is validated before anything is computed or written.
     """
+    try:
+        configs = [
+            ExperimentConfig(model, num_sites, boundary, axis, seed=seed)
+            for model in models
+            for num_sites in sizes
+            for boundary in boundaries
+            for axis in axes
+        ]
+    except ValueError as exc:
+        # A bad size is reported under this function's argument name.
+        raise ValueError(str(exc).replace("num_sites:", "sizes:", 1)) from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[SummaryRow] = []
-    for model in models:
-        model = _coerce_enum(model, Model)
-        for num_sites in sizes:
-            if not 2 <= num_sites <= 12:
-                raise ValueError(f"sizes: must be in 2..12, got {num_sites}")
-            for boundary in boundaries:
-                boundary = _coerce_enum(boundary, Boundary)
-                for axis in axes:
-                    if not isinstance(axis, Axis):
-                        axis = Axis.parse(str(axis))
-                    rows.append(
-                        _summary_cell(
-                            model, num_sites, boundary, axis,
-                            seed, qfi_restarts, qfi_max_iter, tol,
-                        )
-                    )
+    rows = [_summary_cell(config) for config in configs]
     path = out_dir / "summary.csv"
     _write_csv(
         path,
@@ -298,45 +286,36 @@ def generate_summary(
     return rows, path
 
 
-def _summary_cell(
-    model: Model,
-    num_sites: int,
-    boundary: Boundary,
-    axis: Axis,
-    seed: int,
-    qfi_restarts: int,
-    qfi_max_iter: int,
-    tol: float,
-) -> SummaryRow:
-    spec = FloquetSpec(model, num_sites, boundary)
+def _summary_cell(config: ExperimentConfig) -> SummaryRow:
+    spec = config.floquet_spec()
     report = detect_period(spec, SUMMARY_PERIOD_CAP)
     window = report.period if report.period is not None else SUMMARY_PERIOD_CAP
-    state = make_polarized_state(num_sites, axis)
+    state = make_polarized_state(config.num_sites, config.initial_axis)
     depths = []
     for n in range(window):
         if n > 0:
             state = apply_floquet(spec, state, 1)
         q = maximize_qfi(
             state,
-            restarts=qfi_restarts,
-            max_iter=qfi_max_iter,
-            tol=tol,
-            seed=_derive_seed(seed, "qfi", n),
+            restarts=config.qfi_restarts,
+            max_iter=config.qfi_max_iter,
+            tol=config.tol,
+            seed=_derive_seed(config.seed, "qfi", n),
         )
         depths.append(q.depth)
     peak = max(depths)
     peaks = tuple(n for n, d in enumerate(depths) if d == peak)
     if peak == 1:
         notes = "no bound violated; depth 1 is a floor, not a separability proof"
-    elif 2 * peak < num_sites:
+    elif 2 * peak < config.num_sites:
         notes = "peak depth below half the chain"
     else:
         notes = ""
     return SummaryRow(
-        model=model,
-        num_sites=num_sites,
-        boundary=boundary,
-        initial_axis=axis,
+        model=config.model,
+        num_sites=config.num_sites,
+        boundary=config.boundary,
+        initial_axis=config.initial_axis,
         peak_depth=peak,
         peak_depth_periods=peaks,
         detected_projective_period=report.period,

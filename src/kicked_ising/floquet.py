@@ -32,14 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector, apply_matrix_at_site
+from .core import DENSE_MAX_SITES, EQUIVALENCE_MAX_SITES, StateVector, apply_matrix_at_site
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
 # exponential in both protocols.
 KICK_ANGLE = np.pi / 4
 
-DENSE_MAX_SITES = 12
 # Largest weight ||U B||_F^2 - ||B^H U B||_F^2 a sector block may leak. The
 # two norms agree to ~1e-13 at 2^12 columns, far below any real leak (a
 # broken symmetry leaks weight of order the sector dimension).
@@ -363,8 +362,10 @@ def check_factorization_equivalence(
     e^{i*phi} on the split form and the optimal phase is reported;
     otherwise the raw distance with phase 1 is returned.
     """
-    if num_sites > 10:
-        raise ValueError(f"equivalence check is capped at 10 sites, got {num_sites}")
+    if num_sites > EQUIVALENCE_MAX_SITES:
+        raise ValueError(
+            f"equivalence check is capped at {EQUIVALENCE_MAX_SITES} sites, got {num_sites}"
+        )
     u1 = build_dense(FloquetSpec(Model.UX, num_sites, boundary, Factorization.COMBINED))
     u3 = build_dense(FloquetSpec(Model.UX, num_sites, boundary, Factorization.SPLIT))
     phase = complex(1.0)

@@ -149,11 +149,6 @@ def floquet_spectrum(
     return quasi_energies(blocks, cluster_tolerance)
 
 
-def degeneracy_histogram(spectrum: QuasiSpectrum) -> list[tuple[float, int]]:
-    """(theta_center, count) pairs sorted by theta; counts sum to 2^L."""
-    return list(spectrum.clusters)
-
-
 def _real_gcd(a: float, b: float, tol: float) -> float:
     """Greatest common divisor of two positive reals up to ``tol``."""
     a, b = abs(a), abs(b)

@@ -154,6 +154,13 @@ class TestErrors:
             "periods",
         )
 
+    def test_bad_integer_in_summary_list(self, tmp_path, capsys):
+        self.check_error(
+            capsys,
+            ["summary", "--model", "U0", "--size", "4,x", "--out", str(tmp_path)],
+            "size: expected an integer, got 'x'",
+        )
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("model = U0\nsize = 4\njunk = 1\n")

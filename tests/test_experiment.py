@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kicked_ising import __version__
 from kicked_ising.core import Axis
 from kicked_ising.experiment import (
     ExperimentConfig,
@@ -45,6 +46,10 @@ class TestConfig:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError, match="measures"):
             ExperimentConfig(model=Model.U0, num_sites=4, measures=("bogus",))
+
+    def test_rejects_repeated_measures(self):
+        with pytest.raises(ValueError, match="measures"):
+            ExperimentConfig(model=Model.U0, num_sites=4, measures=("aee", "qfi", "aee"))
 
     def test_rejects_empty_measures(self):
         with pytest.raises(ValueError, match="measures"):
@@ -155,6 +160,47 @@ class TestRunExperiment:
         assert list(doc) == sorted(doc)
         assert not any("time" in key.lower() or "date" in key.lower() for key in doc)
 
+    def test_manifest_records_every_field(self, tmp_path):
+        config = ExperimentConfig(
+            model="Ux",
+            num_sites=5,
+            boundary="closed",
+            initial_axis="x-",
+            measures=("qfi", "aee"),
+            seed=11,
+            out_dir=tmp_path,
+            geom_restarts=8,
+            geom_max_iter=50,
+            qfi_restarts=4,
+            qfi_max_iter=40,
+            tol=1e-9,
+        )
+        files = run_experiment(config)
+        assert files["manifest"].read_text() == (
+            "{\n"
+            '  "config": {\n'
+            '    "boundary": "closed",\n'
+            '    "geom_max_iter": 50,\n'
+            '    "geom_restarts": 8,\n'
+            '    "initial_axis": "x-",\n'
+            '    "measures": [\n'
+            '      "qfi",\n'
+            '      "aee"\n'
+            "    ],\n"
+            '    "model": "Ux",\n'
+            '    "n_max": 0,\n'
+            '    "num_sites": 5,\n'
+            f'    "out_dir": {json.dumps(str(tmp_path))},\n'
+            '    "qfi_max_iter": 40,\n'
+            '    "qfi_restarts": 4,\n'
+            '    "seed": 11,\n'
+            '    "tol": 1e-09\n'
+            "  },\n"
+            '  "seed": 11,\n'
+            f'  "version": "{__version__}"\n'
+            "}\n"
+        )
+
 
 class TestRunTrajectory:
     def test_exact_revival(self, tmp_path):
@@ -197,5 +243,7 @@ class TestSummary:
         assert table[0]["projective_period"] == "16"
 
     def test_rejects_out_of_range_size(self, tmp_path):
+        out = tmp_path / "sweep"
         with pytest.raises(ValueError, match="sizes"):
-            generate_summary(["U0"], [13], ["open"], ["z+"], out_dir=tmp_path)
+            generate_summary(["U0"], [4, 13], ["open"], ["z+"], out_dir=out)
+        assert not out.exists()

@@ -14,7 +14,6 @@ from kicked_ising.floquet import (
 )
 from kicked_ising.spectral import (
     QuasiSpectrum,
-    degeneracy_histogram,
     detect_period,
     detect_period_from_thetas,
     detect_spacing,
@@ -73,7 +72,6 @@ class TestQuasiEnergies:
     def test_multiplicities_sum_to_dimension(self, model):
         spectrum = quasi_energies(build_dense(FloquetSpec(model, 4)))
         assert sum(m for _, m in spectrum.clusters) == 16
-        assert degeneracy_histogram(spectrum) == spectrum.clusters
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matrix_power_shifts_spectrum(self, n):
