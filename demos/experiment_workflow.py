@@ -20,31 +20,32 @@ from pathlib import Path
 
 from kicked_ising import ExperimentConfig, Model, generate_summary, run_experiment
 
-out = Path(tempfile.mkdtemp(prefix="kicked_ising_demo_"))
+with tempfile.TemporaryDirectory(prefix="kicked_ising_demo_") as tmp:
+    out = Path(tmp)
 
-config = ExperimentConfig(
-    model=Model.U0,
-    num_sites=6,
-    initial_axis="y+",
-    n_max=6,
-    measures=("aee", "geom", "qfi"),
-    seed=1,
-    out_dir=out / "run",
-)
-files = run_experiment(config)
-print("single run wrote:")
-for name in sorted(files):
-    print(f"  {files[name]}")
+    config = ExperimentConfig(
+        model=Model.U0,
+        num_sites=6,
+        initial_axis="y+",
+        n_max=6,
+        measures=("aee", "geom", "qfi"),
+        seed=1,
+        out_dir=out / "run",
+    )
+    files = run_experiment(config)
+    print("single run wrote:")
+    for name in sorted(files):
+        print(f"  {files[name]}")
 
-print("\nqfi.csv:")
-print(files["qfi"].read_text())
+    print("\nqfi.csv:")
+    print(files["qfi"].read_text())
 
-rows, path = generate_summary(
-    models=["U0"],
-    sizes=[4, 6],
-    boundaries=["open"],
-    axes=["y+"],
-    out_dir=out / "sweep",
-)
-print("sweep table:")
-print(path.read_text())
+    rows, path = generate_summary(
+        models=["U0"],
+        sizes=[4, 6],
+        boundaries=["open"],
+        axes=["y+"],
+        out_dir=out / "sweep",
+    )
+    print("sweep table:")
+    print(path.read_text())

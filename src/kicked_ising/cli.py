@@ -34,19 +34,30 @@ class _Key(NamedTuple):
 
     field: str  # the ExperimentConfig field it sets; that field holds the default
     help: str
+    commands: tuple[str, ...]  # the subcommands that read it
     parse: Callable[[str], object] = str
     grid: bool = False  # ``summary`` takes a comma list and scans every value
 
 
+_ALL_COMMANDS = ("spectrum", "evolve", "measure", "summary")
 _KEYS = {
-    "model": _Key("model", "U0 or Ux", grid=True),
-    "size": _Key("num_sites", f"number of sites, 2..{DENSE_MAX_SITES}", int, grid=True),
-    "boundary": _Key("boundary", "open or closed", grid=True),
-    "initial": _Key("initial_axis", "initial product axis, e.g. z+, y-", grid=True),
-    "periods": _Key("n_max", "number of Floquet periods", int),
-    "measures": _Key("measures", "comma list from: " + ", ".join(MEASURES), _split),
-    "seed": _Key("seed", "optimizer seed (64-bit integer)", int),
-    "out": _Key("out_dir", "output directory"),
+    "model": _Key("model", "U0 or Ux", _ALL_COMMANDS, grid=True),
+    "size": _Key(
+        "num_sites", f"number of sites, 2..{DENSE_MAX_SITES}", _ALL_COMMANDS, int, grid=True
+    ),
+    "boundary": _Key("boundary", "open or closed", _ALL_COMMANDS, grid=True),
+    "initial": _Key(
+        "initial_axis",
+        "initial product axis, e.g. z+, y-",
+        ("evolve", "measure", "summary"),
+        grid=True,
+    ),
+    "periods": _Key("n_max", "number of Floquet periods", ("evolve", "measure"), int),
+    "measures": _Key(
+        "measures", "comma list from: " + ", ".join(MEASURES), ("measure",), _split
+    ),
+    "seed": _Key("seed", "optimizer seed (64-bit integer)", _ALL_COMMANDS, int),
+    "out": _Key("out_dir", "output directory", _ALL_COMMANDS),
 }
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
@@ -66,19 +77,20 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
-    """The config file, then explicit flags. Unset keys are left out, so the
-    ExperimentConfig defaults apply."""
+    """The config file, then explicit flags, over the keys the subcommand
+    reads. Unset keys are left out, so the ExperimentConfig defaults apply."""
+    keys = [key for key, spec in _KEYS.items() if args.command in spec.commands]
     settings: dict[str, str] = {}
     if args.config is not None:
         settings = parse_config_file(Path(args.config))
-        unknown = sorted(set(settings) - set(_KEYS))
+        unknown = sorted(set(settings) - set(keys))
         if unknown:
-            raise ValueError(f"{args.config}: unknown keys {unknown}")
-    for key, spec in _KEYS.items():
+            raise ValueError(f"{args.config}: unknown keys {unknown} for {args.command}")
+    for key in keys:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-        elif key not in settings and _FIELD_DEFAULTS[spec.field] is MISSING:
+        elif key not in settings and _FIELD_DEFAULTS[_KEYS[key].field] is MISSING:
             raise ValueError(f"{key} is required (flag --{key} or config)")
     return settings
 
@@ -112,21 +124,25 @@ def _report(files: dict[str, Path]) -> None:
 
 
 def _cmd_spectrum(settings: dict[str, str]) -> int:
+    """write the quasi-energy histogram of the operator"""
     _report(run_experiment(_single_config(settings, measures=("spectrum",))))
     return 0
 
 
 def _cmd_evolve(settings: dict[str, str]) -> int:
+    """evolve and record the overlap with the initial state"""
     _report(run_trajectory(_single_config(settings, measures=("aee",))))
     return 0
 
 
 def _cmd_measure(settings: dict[str, str]) -> int:
+    """record per-period entanglement measures"""
     _report(run_experiment(_single_config(settings)))
     return 0
 
 
 def _cmd_summary(settings: dict[str, str]) -> int:
+    """peak certified depth per (model, size, boundary, initial)"""
     def grid(key: str) -> list:
         if key not in settings:
             return [_setting(settings, key)]
@@ -165,15 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         "entanglement measures, depth summaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "spectrum": "write the quasi-energy histogram of the operator",
-        "evolve": "evolve and record the overlap with the initial state",
-        "measure": "record per-period entanglement measures",
-        "summary": "peak certified depth per (model, size, boundary, initial)",
-    }
-    for name, help_text in descriptions.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         for key, spec in _KEYS.items():
+            if name not in spec.commands:
+                continue
             lists = spec.grid and name == "summary"
             suffix = " (comma list allowed)" if lists else ""
             p.add_argument(f"--{key}", help=spec.help + suffix)

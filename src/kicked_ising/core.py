@@ -23,6 +23,10 @@ MAX_SITES = 14
 DENSE_MAX_SITES = 12
 EQUIVALENCE_MAX_SITES = 10
 
+# Convergence tolerance of both optimizers (geometric measure and QFI): a
+# restart has converged once one sweep raises its objective by less.
+DEFAULT_TOL = 1e-12
+
 
 def _check_num_sites(num_sites: int) -> None:
     if not 1 <= num_sites <= MAX_SITES:
@@ -183,11 +187,16 @@ def apply_matrix_at_site(
     return np.ascontiguousarray(out).reshape(shape)
 
 
+def pauli_rotation(letter: str, angle: float) -> np.ndarray:
+    """The 2x2 matrix exp(-i * angle * sigma^letter)."""
+    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * PAULI[letter]
+
+
 def apply_site_rotation(
     state: StateVector, site: int, axis: Axis, angle: float
 ) -> StateVector:
     """Apply exp(-i * angle * sigma^alpha) at one site."""
-    rot = np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * axis.pauli()
+    rot = pauli_rotation(axis.letter, angle)
     amps = apply_matrix_at_site(state.amplitudes, state.num_sites, site, rot)
     return StateVector(state.num_sites, amps)
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DensityMatrix, StateVector, partial_trace
+from .core import DEFAULT_TOL, DensityMatrix, StateVector, partial_trace
 
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
-DEFAULT_TOL = 1e-12
 
 
 def entropy(rho: DensityMatrix | np.ndarray) -> float:

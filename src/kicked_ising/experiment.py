@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entanglement, qfi
-from .core import DENSE_MAX_SITES, Axis, fidelity, make_polarized_state
+from .core import DENSE_MAX_SITES, DEFAULT_TOL, Axis, fidelity, make_polarized_state
 from .entanglement import aee_report, geometric_measure
 from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
@@ -76,7 +76,7 @@ class ExperimentConfig:
     geom_max_iter: int = entanglement.DEFAULT_MAX_ITER
     qfi_restarts: int = qfi.DEFAULT_RESTARTS
     qfi_max_iter: int = qfi.DEFAULT_MAX_ITER
-    tol: float = qfi.DEFAULT_TOL
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _coerce_enum(self.model, Model))
@@ -139,8 +139,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Evolve for n = 0..n_max, appending one row per period per measure.
 
     The spectrum, when requested, is written once (it belongs to the
-    operator, not to a period). Returns measure name -> file path, plus
-    the manifest under the key "manifest".
+    operator, not to a period); asked for alone, nothing is evolved.
+    Returns measure name -> file path, plus the manifest under the key
+    "manifest".
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -148,7 +149,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     state = make_polarized_state(config.num_sites, config.initial_axis)
 
     rows: dict[str, list[list[str]]] = {m: [] for m in config.measures}
-    for n in range(config.n_max + 1):
+    per_period = set(rows) != {"spectrum"}
+    for n in range(config.n_max + 1 if per_period else 0):
         if n > 0:
             state = apply_floquet(spec, state, 1)
         if "aee" in rows:

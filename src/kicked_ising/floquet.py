@@ -10,10 +10,12 @@ H_a = sum(sa_i) the uniform fields:
 Operator products act right to left, so each period starts with the kick.
 U_x also admits an exactly equivalent split form E[H_xx] . E[H_z] . E[H_x].
 
-Everything is matrix-free: one period costs O(L * 2^L) via per-site
-rotations plus a diagonal phase in the x basis (H_xx and H_x are both
-diagonal there). Dense matrices are produced only by ``build_dense``,
-which feeds the spectral module.
+Everything is matrix-free: each protocol is one "period program", a
+list of layers that are either a 2x2 rotation at every site or a diagonal
+phase (H_xx and H_x are both diagonal in the x basis, H_z in the z
+basis), so one period costs O(L * 2^L). The same loop runs the program on
+state vectors and on the basis columns of ``build_dense``, which feeds
+the spectral module.
 
 Symmetry sectors. Both operators commute with the site reflection
 i <-> L+1-i (basis index j <-> its bit reversal), for either boundary and
@@ -32,7 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DENSE_MAX_SITES, EQUIVALENCE_MAX_SITES, StateVector, apply_matrix_at_site
+from .core import (
+    DENSE_MAX_SITES,
+    EQUIVALENCE_MAX_SITES,
+    StateVector,
+    apply_matrix_at_site,
+    pauli_rotation,
+)
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
@@ -46,15 +54,6 @@ LEAK_TOLERANCE = 1e-9
 
 _HALF = 1 / np.sqrt(2)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-# exp(-i*(pi/4)*sigma_y) and exp(-i*(pi/4)*sigma_x)
-_KICK_Y = np.array(
-    [[np.cos(KICK_ANGLE), -np.sin(KICK_ANGLE)], [np.sin(KICK_ANGLE), np.cos(KICK_ANGLE)]],
-    dtype=complex,
-)
-_KICK_X = np.array(
-    [[np.cos(KICK_ANGLE), -1j * np.sin(KICK_ANGLE)], [-1j * np.sin(KICK_ANGLE), np.cos(KICK_ANGLE)]],
-    dtype=complex,
-)
 
 
 class Model(enum.Enum):
@@ -224,62 +223,45 @@ def _spin_values(num_sites: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_phase(
-    num_sites: int, closed: bool, with_bonds: bool, with_field: bool
-) -> np.ndarray:
-    """Diagonal of exp(-i*KICK_ANGLE*(sum_bonds s_i s_j + sum_i s_i)) terms.
+def _period_program(spec: FloquetSpec) -> tuple[np.ndarray, ...]:
+    """One period as layers, in the order they act.
 
-    The s_i are the +-1 spin values of the basis the caller is currently in;
-    the table itself is basis-agnostic.
+    A 2x2 layer is applied at every site; a 2^L layer is a diagonal phase
+    exp(-i*KICK_ANGLE*E) that multiplies the amplitudes, with E the Ising
+    energy sum over ``spec.bonds()`` and/or the field sum(s_i) of the
+    current basis (z, or x between two Hadamard layers).
     """
-    s = _spin_values(num_sites)
-    energy = np.zeros(2 ** num_sites, dtype=np.int64)
-    if with_bonds:
-        for a in range(num_sites - 1):
-            energy += s[a] * s[a + 1]
-        if closed:
-            energy += s[num_sites - 1] * s[0]
-    if with_field:
-        energy += s.sum(axis=0)
-    phases = np.exp(-1j * KICK_ANGLE * energy)
-    phases.setflags(write=False)
-    return phases
+    s = _spin_values(spec.num_sites)
+    ising = sum(s[i - 1] * s[j - 1] for i, j in spec.bonds())
+    field = s.sum(axis=0)
 
+    def phase(energy: np.ndarray) -> np.ndarray:
+        table = np.exp(-1j * KICK_ANGLE * energy)
+        table.setflags(write=False)
+        return table
 
-def _all_sites(amps: np.ndarray, num_sites: int, matrix: np.ndarray) -> np.ndarray:
-    for site in range(1, num_sites + 1):
-        amps = apply_matrix_at_site(amps, num_sites, site, matrix)
-    return amps
-
-
-def _scale_rows(amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    if amps.ndim == 1:
-        return amps * phases
-    return amps * phases[:, None]
+    if spec.model is Model.U0:
+        # z kick first (diagonal in the z basis), then the Ising phase in x.
+        return (phase(field), _HADAMARD, phase(ising), _HADAMARD)
+    if spec.factorization is Factorization.COMBINED:
+        # y kick first, then one combined Ising+field phase in the x basis.
+        kick = pauli_rotation("y", KICK_ANGLE)
+        return (kick, _HADAMARD, phase(ising + field), _HADAMARD)
+    # Split form: x rotation, then z kick, then the bare Ising phase.
+    kick = pauli_rotation("x", KICK_ANGLE)
+    return (kick, phase(field), _HADAMARD, phase(ising), _HADAMARD)
 
 
 def _one_period(spec: FloquetSpec, amps: np.ndarray) -> np.ndarray:
     """Advance a (2^L,) or (2^L, batch) amplitude array by one period."""
     L = spec.num_sites
-    closed = spec.boundary is Boundary.CLOSED
-    if spec.model is Model.U0:
-        # z kick first (diagonal in the z basis), then the Ising phase in x.
-        amps = _scale_rows(amps, _diagonal_phase(L, closed, False, True))
-        amps = _all_sites(amps, L, _HADAMARD)
-        amps = _scale_rows(amps, _diagonal_phase(L, closed, True, False))
-        return _all_sites(amps, L, _HADAMARD)
-    if spec.factorization is Factorization.COMBINED:
-        # y kick first, then one combined Ising+field phase in the x basis.
-        amps = _all_sites(amps, L, _KICK_Y)
-        amps = _all_sites(amps, L, _HADAMARD)
-        amps = _scale_rows(amps, _diagonal_phase(L, closed, True, True))
-        return _all_sites(amps, L, _HADAMARD)
-    # Split form: x rotation, then z kick, then the bare Ising phase.
-    amps = _all_sites(amps, L, _KICK_X)
-    amps = _scale_rows(amps, _diagonal_phase(L, closed, False, True))
-    amps = _all_sites(amps, L, _HADAMARD)
-    amps = _scale_rows(amps, _diagonal_phase(L, closed, True, False))
-    return _all_sites(amps, L, _HADAMARD)
+    for layer in _period_program(spec):
+        if layer.ndim == 1:
+            amps = amps * (layer if amps.ndim == 1 else layer[:, None])
+        else:
+            for site in range(1, L + 1):
+                amps = apply_matrix_at_site(amps, L, site, layer)
+    return amps
 
 
 def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
@@ -311,29 +293,18 @@ def build_dense(
         raise ValueError(
             f"dense construction is capped at {DENSE_MAX_SITES} sites, got {L}"
         )
-    if sector is not None:
-        return _build_block(spec, sector, chunk)
-    d = 2 ** L
-    out = np.empty((d, d), dtype=complex)
-    for start in range(0, d, chunk):
-        stop = min(start + chunk, d)
-        cols = np.zeros((d, stop - start), dtype=complex)
-        cols[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        out[:, start:stop] = _one_period(spec, cols)
-    return UnitaryMatrix(L, out)
-
-
-def _build_block(spec: FloquetSpec, sector: Sector, chunk: int) -> UnitaryMatrix:
-    if sector.num_sites != spec.num_sites:
-        raise ValueError(
-            f"sector is for {sector.num_sites} sites but spec has {spec.num_sites}"
-        )
-    d = sector.dim
+    basis = symmetry_sectors(L, ())[0] if sector is None else sector
+    if basis.num_sites != L:
+        raise ValueError(f"sector is for {basis.num_sites} sites but spec has {L}")
+    d = basis.dim
     out = np.empty((d, d), dtype=complex)
     leak = 0.0
     for start in range(0, d, chunk):
         stop = min(start + chunk, d)
-        image = _one_period(spec, sector.columns(start, stop))
+        image = _one_period(spec, basis.columns(start, stop))
+        if sector is None:
+            out[:, start:stop] = image
+            continue
         block = sector.project(image)
         out[:, start:stop] = block
         leak += np.vdot(image, image).real - np.vdot(block, block).real
@@ -342,7 +313,7 @@ def _build_block(spec: FloquetSpec, sector: Sector, chunk: int) -> UnitaryMatrix
             f"sector {sector.label} is not invariant under {spec.model.value}: "
             f"leaked weight {leak:.3e}"
         )
-    return UnitaryMatrix(spec.num_sites, out, sector)
+    return UnitaryMatrix(L, out, sector)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -23,7 +24,6 @@ from .core import (
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-12
 DEFAULT_SLACK = 1e-8
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)

@@ -1,10 +1,13 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kicked_ising.cli import main, parse_config_file
+from kicked_ising.cli import build_parser, main, parse_config_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def first_line(path: Path) -> str:
@@ -170,12 +173,74 @@ class TestErrors:
             "unknown keys",
         )
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["spectrum", "--measures", "bogus"],
+            ["summary", "--periods", "soon", "--measures", "bogus"],
+        ],
+    )
+    def test_flag_the_subcommand_ignores(self, tmp_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main([*extra, "--model", "U0", "--size", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra[1:])}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_key_the_subcommand_ignores(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = U0\nsize = 4\nperiods = 3000\n")
+        self.check_error(
+            capsys,
+            ["spectrum", "--config", str(path), "--out", str(tmp_path / "out")],
+            "unknown keys ['periods'] for spectrum",
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         self.check_error(
             capsys,
             ["spectrum", "--config", str(tmp_path / "absent.cfg")],
             "absent.cfg",
         )
+
+
+ALL_FLAGS = "model size boundary initial periods measures seed out config".split()
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("spectrum", "model size boundary seed out config"),
+            ("evolve", "model size boundary initial periods seed out config"),
+            ("measure", " ".join(ALL_FLAGS)),
+            ("summary", "model size boundary initial seed out config"),
+        ],
+    )
+    def test_flags_per_subcommand(self, command, flags):
+        parser = build_parser()
+        for flag in ALL_FLAGS:
+            argv = [command, f"--{flag}", "v"]
+            if flag in flags.split():
+                assert getattr(parser.parse_args(argv), flag) == "v"
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+    def test_parser_takes_every_benchmark_argv(self, monkeypatch):
+        # perfbench runs these argv with its own --seed and --out appended
+        bench = ROOT / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)
+        spec.loader.exec_module(run)
+        workloads = [*run.WORKLOADS.values(), *run.SMOKE.values()]
+        assert {w.command for w in workloads} == {"spectrum", "evolve", "measure", "summary"}
+        for workload in workloads:
+            build_parser().parse_args([*workload.argv, "--seed", "0", "--out", "x"])
 
 
 class TestModuleEntryPoint:

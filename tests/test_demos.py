@@ -11,7 +11,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    # a temp dir of its own, so a demo that leaves files behind is caught
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
@@ -24,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert not any(tmpdir.iterdir())

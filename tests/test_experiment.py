@@ -1,12 +1,14 @@
 import csv
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kicked_ising import __version__
-from kicked_ising.core import Axis
+from kicked_ising import __version__, experiment
+from kicked_ising.core import DEFAULT_TOL, Axis
+from kicked_ising.entanglement import geometric_measure
 from kicked_ising.experiment import (
     ExperimentConfig,
     generate_summary,
@@ -14,6 +16,7 @@ from kicked_ising.experiment import (
     run_trajectory,
 )
 from kicked_ising.floquet import Boundary, Model
+from kicked_ising.qfi import maximize_qfi
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -59,6 +62,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(model="U9", num_sites=4)
 
+    def test_optimizers_share_one_tolerance(self):
+        assert ExperimentConfig(model=Model.U0, num_sites=4).tol is DEFAULT_TOL
+        for optimizer in (geometric_measure, maximize_qfi):
+            assert inspect.signature(optimizer).parameters["tol"].default is DEFAULT_TOL
+
 
 class TestRunExperiment:
     def test_initial_product_state_rows(self, tmp_path):
@@ -95,6 +103,26 @@ class TestRunExperiment:
         assert len(read_rows(files["qfi"])) == 4
         spectrum = read_rows(files["spectrum"])
         assert sum(int(r["multiplicity"]) for r in spectrum) == 16
+
+    @pytest.mark.parametrize(
+        "measures, calls", [(("spectrum",), 0), (("aee", "spectrum"), 3)]
+    )
+    def test_evolves_only_for_per_period_measures(
+        self, tmp_path, monkeypatch, measures, calls
+    ):
+        periods = []
+        real = experiment.apply_floquet
+
+        def counting(spec, state, n):
+            periods.append(n)
+            return real(spec, state, n)
+
+        monkeypatch.setattr(experiment, "apply_floquet", counting)
+        config = ExperimentConfig(
+            model=Model.U0, num_sites=4, n_max=3, measures=measures, out_dir=tmp_path
+        )
+        run_experiment(config)
+        assert periods == [1] * calls
 
     def test_kicked_transverse_chain_reaches_ghz(self, tmp_path):
         config = ExperimentConfig(

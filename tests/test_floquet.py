@@ -13,6 +13,7 @@ from kicked_ising.floquet import (
     KICK_ANGLE,
     Model,
     UnitaryMatrix,
+    _period_program,
     apply_floquet,
     build_dense,
     check_factorization_equivalence,
@@ -103,6 +104,36 @@ class TestAgainstExponentialOracle:
 
             oracle = expo(hxx) @ expo(hx) @ expo(hy)
             assert np.abs(build_dense(spec).matrix - oracle).max() < 1e-12
+
+
+class TestPeriodProgram:
+    SPECS = [
+        FloquetSpec(model, num_sites, boundary)
+        for model in (Model.U0, Model.UX)
+        for boundary in (Boundary.OPEN, Boundary.CLOSED)
+        for num_sites in range(2, 7)
+    ] + [
+        FloquetSpec(Model.UX, num_sites, boundary, Factorization.SPLIT)
+        for boundary in (Boundary.OPEN, Boundary.CLOSED)
+        for num_sites in range(2, 7)
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=lambda s: f"{s.model.value}-{s.factorization.value}-"
+        f"{s.boundary.value}-{s.num_sites}"
+    )
+    def test_layers_multiply_out_to_the_oracle(self, spec):
+        # a 2x2 layer acts on every site, a vector layer is a diagonal phase
+        product = np.eye(2**spec.num_sites, dtype=complex)
+        for layer in _period_program(spec):
+            if layer.ndim == 1:
+                dense = np.diag(layer)
+            else:
+                dense = np.array([[1.0]])
+                for _ in range(spec.num_sites):
+                    dense = np.kron(dense, layer)
+            product = dense @ product
+        assert np.abs(product - dense_floquet_oracle(spec)).max() < 1e-12
 
 
 class TestKernelProperties:
