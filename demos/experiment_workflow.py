@@ -4,8 +4,10 @@ From configuration to CSV tables
 
 The experiment layer wraps the library in reproducible file-based runs:
 a configuration (from Python, a key=value file, or the command line)
-produces one CSV per requested measure plus a manifest echoing every
-setting. Identical configurations produce byte-identical files.
+produces one CSV per requested measure plus a manifest of the settings
+the run reads, the package version and the seed. The summary sweep
+writes its table only, with no manifest. Identical configurations
+produce byte-identical files.
 
 The same run is available from the shell as
 

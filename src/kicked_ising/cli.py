@@ -131,7 +131,7 @@ def _cmd_spectrum(settings: dict[str, str]) -> int:
 
 def _cmd_evolve(settings: dict[str, str]) -> int:
     """evolve and record the overlap with the initial state"""
-    _report(run_trajectory(_single_config(settings, measures=("aee",))))
+    _report(run_trajectory(_single_config(settings)))
     return 0
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from . import entanglement, qfi
-from .core import DENSE_MAX_SITES, DEFAULT_TOL, Axis, fidelity, make_polarized_state
+from .core import DENSE_MAX_SITES, Axis, fidelity, make_polarized_state
 from .entanglement import aee_report, geometric_measure
 from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
@@ -72,11 +72,6 @@ class ExperimentConfig:
     measures: tuple[str, ...] = ("aee",)
     seed: int = 0
     out_dir: Path = Path("runs")
-    geom_restarts: int = entanglement.DEFAULT_RESTARTS
-    geom_max_iter: int = entanglement.DEFAULT_MAX_ITER
-    qfi_restarts: int = qfi.DEFAULT_RESTARTS
-    qfi_max_iter: int = qfi.DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _coerce_enum(self.model, Model))
@@ -105,14 +100,14 @@ class ExperimentConfig:
         return FloquetSpec(self.model, self.num_sites, self.boundary)
 
 
-def _manifest_doc(config: ExperimentConfig) -> dict:
-    from . import __version__
-
-    return {
-        "config": {f.name: getattr(config, f.name) for f in fields(config)},
-        "version": __version__,
-        "seed": config.seed,
-    }
+def _states(config: ExperimentConfig):
+    """(n, state) for n = 0..n_max: the polarized chain, then one period a step."""
+    spec = config.floquet_spec()
+    state = make_polarized_state(config.num_sites, config.initial_axis)
+    yield 0, state
+    for n in range(1, config.n_max + 1):
+        state = apply_floquet(spec, state, 1)
+        yield n, state
 
 
 def _json_text(value) -> str:
@@ -121,10 +116,17 @@ def _json_text(value) -> str:
     return value.value if isinstance(value, enum.Enum) else str(value)
 
 
-def _write_manifest(config: ExperimentConfig, out: Path) -> Path:
+def _write_manifest(config: ExperimentConfig, out: Path, unread: tuple[str, ...]) -> Path:
+    """manifest.json: the config fields the run reads (all but ``unread``),
+    the package version and the seed."""
+    from . import __version__
+
+    settings = {
+        f.name: getattr(config, f.name) for f in fields(config) if f.name not in unread
+    }
+    doc = {"config": settings, "version": __version__, "seed": config.seed}
     path = out / "manifest.json"
-    text = json.dumps(_manifest_doc(config), indent=2, sort_keys=True, default=_json_text)
-    path.write_text(text + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_text) + "\n")
     return path
 
 
@@ -145,42 +147,25 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    spec = config.floquet_spec()
-    state = make_polarized_state(config.num_sites, config.initial_axis)
-
     rows: dict[str, list[list[str]]] = {m: [] for m in config.measures}
     per_period = set(rows) != {"spectrum"}
-    for n in range(config.n_max + 1 if per_period else 0):
-        if n > 0:
-            state = apply_floquet(spec, state, 1)
+    for n, state in _states(config) if per_period else ():
         if "aee" in rows:
             report = aee_report(state)
             for l in sorted(report.per_l):
                 s, s_norm, _ = report.per_l[l]
                 rows["aee"].append([str(n), str(l), _fmt(s), _fmt(s_norm)])
         if "geom" in rows:
-            g = geometric_measure(
-                state,
-                restarts=config.geom_restarts,
-                max_iter=config.geom_max_iter,
-                tol=config.tol,
-                seed=_derive_seed(config.seed, "geom", n),
-            )
+            g = geometric_measure(state, seed=_derive_seed(config.seed, "geom", n))
             rows["geom"].append(
                 [str(n), _fmt(g.lambda_), _fmt(g.e_g), str(g.converged).lower()]
             )
         if "qfi" in rows:
-            q = maximize_qfi(
-                state,
-                restarts=config.qfi_restarts,
-                max_iter=config.qfi_max_iter,
-                tol=config.tol,
-                seed=_derive_seed(config.seed, "qfi", n),
-            )
+            q = maximize_qfi(state, seed=_derive_seed(config.seed, "qfi", n))
             violated = ";".join(str(k) for k, _, flag in q.bound_table if flag)
             rows["qfi"].append([str(n), _fmt(q.f_q), str(q.depth), violated])
     if "spectrum" in rows:
-        spectrum = floquet_spectrum(spec)
+        spectrum = floquet_spectrum(config.floquet_spec())
         rows["spectrum"] = [
             [_fmt(center), str(count)] for center, count in spectrum.clusters
         ]
@@ -190,7 +175,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         path = out / f"{measure}.csv"
         _write_csv(path, _HEADERS[measure], rows[measure])
         files[measure] = path
-    files["manifest"] = _write_manifest(config, out)
+    unread = () if per_period else ("initial_axis", "n_max")
+    files["manifest"] = _write_manifest(config, out, unread)
     return files
 
 
@@ -199,12 +185,11 @@ def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
     dump of the final amplitudes. Ignores config.measures."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    spec = config.floquet_spec()
-    initial = make_polarized_state(config.num_sites, config.initial_axis)
+    states = _states(config)
+    _, initial = next(states)
     state = initial
     rows = [["0", _fmt(1.0)]]
-    for n in range(1, config.n_max + 1):
-        state = apply_floquet(spec, state, 1)
+    for n, state in states:
         rows.append([str(n), _fmt(fidelity(initial, state))])
     trajectory = out / "trajectory.csv"
     _write_csv(trajectory, ["n", "fidelity"], rows)
@@ -218,7 +203,7 @@ def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
         ],
     )
     files = {"trajectory": trajectory, "final_state": final}
-    files["manifest"] = _write_manifest(config, out)
+    files["manifest"] = _write_manifest(config, out, unread=("measures",))
     return files
 
 
@@ -247,14 +232,12 @@ def generate_summary(
     certified entanglement depth and every period attaining it. Every
     cell is validated before anything is computed or written.
     """
+    grid = {"models": models, "sizes": sizes, "boundaries": boundaries, "axes": axes}
+    for name, values in grid.items():
+        if len(values) == 0:
+            raise ValueError(f"{name}: at least one value is required")
     try:
-        configs = [
-            ExperimentConfig(model, num_sites, boundary, axis, seed=seed)
-            for model in models
-            for num_sites in sizes
-            for boundary in boundaries
-            for axis in axes
-        ]
+        configs = [ExperimentConfig(*cell, seed=seed) for cell in product(*grid.values())]
     except ValueError as exc:
         # A bad size is reported under this function's argument name.
         raise ValueError(str(exc).replace("num_sites:", "sizes:", 1)) from None
@@ -289,22 +272,12 @@ def generate_summary(
 
 
 def _summary_cell(config: ExperimentConfig) -> SummaryRow:
-    spec = config.floquet_spec()
-    report = detect_period(spec, SUMMARY_PERIOD_CAP)
+    report = detect_period(config.floquet_spec(), SUMMARY_PERIOD_CAP)
     window = report.period if report.period is not None else SUMMARY_PERIOD_CAP
-    state = make_polarized_state(config.num_sites, config.initial_axis)
-    depths = []
-    for n in range(window):
-        if n > 0:
-            state = apply_floquet(spec, state, 1)
-        q = maximize_qfi(
-            state,
-            restarts=config.qfi_restarts,
-            max_iter=config.qfi_max_iter,
-            tol=config.tol,
-            seed=_derive_seed(config.seed, "qfi", n),
-        )
-        depths.append(q.depth)
+    depths = [
+        maximize_qfi(state, seed=_derive_seed(config.seed, "qfi", n)).depth
+        for n, state in _states(replace(config, n_max=window - 1))
+    ]
     peak = max(depths)
     peaks = tuple(n for n, d in enumerate(depths) if d == peak)
     if peak == 1:

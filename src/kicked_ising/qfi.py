@@ -138,16 +138,21 @@ def producibility_bound(num_sites: int, k: int) -> int:
     return full * k * k + rest * rest
 
 
+def _certify(f_q: float, num_sites: int, slack: float) -> tuple[list, int]:
+    """The bound table (k, kappa(k), violated) for k = 1..L and the depth
+    it certifies. f_q violates kappa(k) when it exceeds it by more than
+    ``slack``; the depth is 1 + the largest violated k, 1 when none is."""
+    if f_q < 0:
+        raise ValueError(f"QFI must be nonnegative, got {f_q}")
+    kappas = [(k, producibility_bound(num_sites, k)) for k in range(1, num_sites + 1)]
+    table = [(k, kappa, f_q > kappa + slack) for k, kappa in kappas]
+    return table, 1 + max((k for k, _, violated in table if violated), default=0)
+
+
 def entanglement_depth(f_q: float, num_sites: int, slack: float = DEFAULT_SLACK) -> int:
     """1 + the largest k whose bound kappa(k) is exceeded by more than
     ``slack``; 1 when no bound is violated. Equality does not violate."""
-    if f_q < 0:
-        raise ValueError(f"QFI must be nonnegative, got {f_q}")
-    depth = 1
-    for k in range(1, num_sites + 1):
-        if f_q > producibility_bound(num_sites, k) + slack:
-            depth = k + 1
-    return depth
+    return _certify(f_q, num_sites, slack)[1]
 
 
 def _max_quadratic_on_sphere(
@@ -272,15 +277,11 @@ def maximize_qfi(
     pool = np.flatnonzero(converged) if np.any(converged) else np.arange(restarts)
     best = int(pool[np.argmax(objective[pool])])
     f_q = float(objective[best])
-    direction = DirectionField(n_hats=dirs[best])
-    table = [
-        (k, producibility_bound(num_sites, k), f_q > producibility_bound(num_sites, k) + slack)
-        for k in range(1, num_sites + 1)
-    ]
+    table, depth = _certify(f_q, num_sites, slack)
     return QfiResult(
         f_q=f_q,
-        direction=direction,
-        depth=entanglement_depth(f_q, num_sites, slack),
+        direction=DirectionField(n_hats=dirs[best]),
+        depth=depth,
         bound_table=table,
         converged=bool(converged[best]),
     )

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +63,25 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "U0 L=4 open y+: peak depth 4 at n={4,5,12,13}" in out
         assert first_line(tmp_path / "summary.csv").startswith("model,size,boundary")
+
+    def test_manifests_record_the_settings_each_run_reads(self, tmp_path):
+        common = ["--model", "U0", "--size", "4", "--seed", "17"]
+        runs = {
+            "spectrum": [],
+            "evolve": ["--initial", "y+", "--periods", "2"],
+            "measure": ["--initial", "y+", "--periods", "2", "--measures", "aee,qfi"],
+        }
+        read = {
+            "spectrum": "boundary measures model num_sites out_dir seed",
+            "evolve": "boundary initial_axis model n_max num_sites out_dir seed",
+            "measure": "boundary initial_axis measures model n_max num_sites out_dir seed",
+        }
+        for command, extra in runs.items():
+            out = tmp_path / command
+            assert main([command, *common, *extra, "--out", str(out)]) == 0
+            doc = json.loads((out / "manifest.json").read_text())
+            assert sorted(doc["config"]) == read[command].split(), command
+            assert doc["seed"] == 17, command
 
 
 class TestConfigFile:
@@ -164,6 +185,18 @@ class TestErrors:
             "size: expected an integer, got 'x'",
         )
 
+    @pytest.mark.parametrize(
+        "key, name", [("model", "models"), ("size", "sizes"),
+                      ("boundary", "boundaries"), ("initial", "axes")]
+    )
+    def test_empty_summary_list(self, tmp_path, capsys, key, name):
+        out = tmp_path / "out"
+        argv = ["summary", "--model", "U0", "--size", "4", "--out", str(out)]
+        self.check_error(
+            capsys, [*argv, f"--{key}", ","], f"{name}: at least one value is required"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("model = U0\nsize = 4\njunk = 1\n")
@@ -245,11 +278,16 @@ class TestParser:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
         result = subprocess.run(
             [
                 sys.executable, "-m", "kicked_ising", "spectrum",
                 "--model", "U0", "--size", "2", "--out", str(tmp_path),
             ],
+            env=env,
             capture_output=True,
             text=True,
         )

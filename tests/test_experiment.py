@@ -24,6 +24,19 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
+def count_periods(monkeypatch) -> list[int]:
+    """Record the period count of every experiment.apply_floquet call."""
+    periods = []
+    real = experiment.apply_floquet
+
+    def counting(spec, state, n):
+        periods.append(n)
+        return real(spec, state, n)
+
+    monkeypatch.setattr(experiment, "apply_floquet", counting)
+    return periods
+
+
 class TestConfig:
     def test_string_coercion(self):
         config = ExperimentConfig(
@@ -63,7 +76,6 @@ class TestConfig:
             ExperimentConfig(model="U9", num_sites=4)
 
     def test_optimizers_share_one_tolerance(self):
-        assert ExperimentConfig(model=Model.U0, num_sites=4).tol is DEFAULT_TOL
         for optimizer in (geometric_measure, maximize_qfi):
             assert inspect.signature(optimizer).parameters["tol"].default is DEFAULT_TOL
 
@@ -110,14 +122,7 @@ class TestRunExperiment:
     def test_evolves_only_for_per_period_measures(
         self, tmp_path, monkeypatch, measures, calls
     ):
-        periods = []
-        real = experiment.apply_floquet
-
-        def counting(spec, state, n):
-            periods.append(n)
-            return real(spec, state, n)
-
-        monkeypatch.setattr(experiment, "apply_floquet", counting)
+        periods = count_periods(monkeypatch)
         config = ExperimentConfig(
             model=Model.U0, num_sites=4, n_max=3, measures=measures, out_dir=tmp_path
         )
@@ -194,35 +199,26 @@ class TestRunExperiment:
             num_sites=5,
             boundary="closed",
             initial_axis="x-",
+            n_max=2,
             measures=("qfi", "aee"),
             seed=11,
             out_dir=tmp_path,
-            geom_restarts=8,
-            geom_max_iter=50,
-            qfi_restarts=4,
-            qfi_max_iter=40,
-            tol=1e-9,
         )
         files = run_experiment(config)
         assert files["manifest"].read_text() == (
             "{\n"
             '  "config": {\n'
             '    "boundary": "closed",\n'
-            '    "geom_max_iter": 50,\n'
-            '    "geom_restarts": 8,\n'
             '    "initial_axis": "x-",\n'
             '    "measures": [\n'
             '      "qfi",\n'
             '      "aee"\n'
             "    ],\n"
             '    "model": "Ux",\n'
-            '    "n_max": 0,\n'
+            '    "n_max": 2,\n'
             '    "num_sites": 5,\n'
             f'    "out_dir": {json.dumps(str(tmp_path))},\n'
-            '    "qfi_max_iter": 40,\n'
-            '    "qfi_restarts": 4,\n'
-            '    "seed": 11,\n'
-            '    "tol": 1e-09\n'
+            '    "seed": 11\n'
             "  },\n"
             '  "seed": 11,\n'
             f'  "version": "{__version__}"\n'
@@ -250,6 +246,12 @@ class TestRunTrajectory:
         target[0] = 1.0
         assert np.linalg.norm(amps - target) < 1e-8
 
+    def test_one_period_per_step(self, tmp_path, monkeypatch):
+        periods = count_periods(monkeypatch)
+        config = ExperimentConfig(model=Model.UX, num_sites=4, n_max=3, out_dir=tmp_path)
+        run_trajectory(config)
+        assert periods == [1, 1, 1]
+
 
 class TestSummary:
     def test_single_cell(self, tmp_path):
@@ -269,6 +271,12 @@ class TestSummary:
         assert table[0]["peak_depth"] == "4"
         assert table[0]["peak_depth_periods"] == "4;5;12;13"
         assert table[0]["projective_period"] == "16"
+
+    def test_one_period_per_step(self, tmp_path, monkeypatch):
+        periods = count_periods(monkeypatch)
+        rows, _ = generate_summary(["U0"], [4], ["open"], ["y+"], out_dir=tmp_path)
+        window = rows[0].detected_projective_period
+        assert periods == [1] * (window - 1)
 
     def test_rejects_out_of_range_size(self, tmp_path):
         out = tmp_path / "sweep"
