@@ -112,7 +112,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Reduced state of l sites: Hermitian, unit-trace, PSD 2^l x 2^l matrix."""
+    """Reduced state of l sites: Hermitian, unit-trace, PSD 2^l x 2^l matrix.
+
+    ``elements`` may also be a (C, 2^l, 2^l) stack of such matrices, one per
+    subset; each check then holds for every matrix and runs once over the
+    whole stack.
+    """
 
     num_sites: int
     elements: np.ndarray = field(repr=False)
@@ -121,13 +126,16 @@ class DensityMatrix:
         _check_num_sites(self.num_sites)
         rho = np.asarray(self.elements, dtype=complex)
         d = 2 ** self.num_sites
-        if rho.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {rho.shape}")
-        if np.abs(rho - rho.conj().T).max() > 1e-12:
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+            raise ValueError(
+                f"expected a {d}x{d} matrix or a stack of them, got shape {rho.shape}"
+            )
+        if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+        tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
+        worst = complex(tr[np.abs(tr - 1.0).argmax()])
+        if abs(worst - 1.0) > 1e-12:
+            raise ValueError(f"density matrix trace is {worst!r}, expected 1")
         if float(np.linalg.eigvalsh(rho).min()) < -1e-10:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "elements", rho)
@@ -201,23 +209,43 @@ def apply_site_rotation(
     return StateVector(state.num_sites, amps)
 
 
-def partial_trace(state: StateVector, kept_sites: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on ``kept_sites`` (1-based, strictly increasing)."""
-    kept = list(kept_sites)
+def _bit_table(n: int) -> np.ndarray:
+    """(2^n, n) binary digits of 0..2^n-1, most significant first."""
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def partial_trace(
+    state: StateVector, kept_sites: Sequence[int] | np.ndarray
+) -> DensityMatrix:
+    """Reduced density matrix on ``kept_sites`` (1-based, strictly increasing).
+
+    ``kept_sites`` may also be a (C, l) array of such subsets; the result
+    then holds the (C, 2^l, 2^l) stack of their reduced matrices, computed
+    by one gather of the amplitudes and one batched product.
+    """
+    kept = np.asarray(kept_sites)
     L = state.num_sites
-    if not kept:
+    if kept.size == 0:
         raise ValueError("kept_sites must be nonempty")
-    if any(not 1 <= s <= L for s in kept):
-        raise ValueError(f"kept_sites must lie in [1, {L}], got {kept}")
-    if any(b <= a for a, b in zip(kept, kept[1:])):
-        raise ValueError(f"kept_sites must be strictly increasing, got {kept}")
-    kept0 = [s - 1 for s in kept]
-    rest = [q for q in range(L) if q not in kept0]
-    tensor = state.amplitudes.reshape((2,) * L)
-    mat = np.transpose(tensor, kept0 + rest).reshape(2 ** len(kept0), -1)
-    rho = mat @ mat.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(len(kept0), rho)
+    if kept.ndim not in (1, 2) or kept.dtype.kind not in "iu":
+        raise ValueError(f"kept_sites must be site numbers, got {kept.tolist()}")
+    subsets = np.atleast_2d(kept)
+    if ((subsets < 1) | (subsets > L)).any():
+        raise ValueError(f"kept_sites must lie in [1, {L}], got {kept.tolist()}")
+    if (np.diff(subsets, axis=1) <= 0).any():
+        raise ValueError(f"kept_sites must be strictly increasing, got {kept.tolist()}")
+    count, l = subsets.shape
+    rest_mask = np.ones((count, L), dtype=bool)
+    np.put_along_axis(rest_mask, subsets - 1, False, axis=1)
+    rest = np.nonzero(rest_mask)[1].reshape(count, L - l) + 1
+    # row a, column b of subset c's matrix is the amplitude whose kept sites
+    # spell a and whose other sites spell b, both most significant first
+    rows = _bit_table(l) @ (1 << (L - subsets)).T
+    cols = _bit_table(L - l) @ (1 << (L - rest)).T
+    mats = state.amplitudes[rows.T[:, :, None] + cols.T[:, None, :]]
+    rho = mats @ mats.conj().swapaxes(-1, -2)
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    return DensityMatrix(l, rho if kept.ndim == 2 else rho[0])
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -23,19 +23,29 @@ DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
 
 
-def entropy(rho: DensityMatrix | np.ndarray) -> float:
+def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy -sum(p log2 p) in bits, with 0 log 0 = 0.
 
-    Eigenvalues in [-1e-8, 0) are treated as rounding noise and clamped
-    to 0; anything below -1e-8 is rejected as non-physical.
+    A stack of matrices gives one entropy per matrix; a single matrix gives
+    a float. Eigenvalues in [-1e-8, 0) are treated as rounding noise and
+    clamped to 0; anything below -1e-8 is rejected as non-physical.
     """
     mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
     evals = np.linalg.eigvalsh(mat)
     low = float(evals.min())
     if low < -1e-8:
         raise ValueError(f"density matrix has eigenvalue {low:.3e} < -1e-8")
-    evals = evals[evals > 0.0]
-    return float(-(evals * np.log2(evals)).sum())
+    positive = evals > 0.0
+    terms = np.where(positive, evals * np.log2(np.where(positive, evals, 1.0)), 0.0)
+    values = -terms.sum(axis=-1)
+    return float(values) if values.ndim == 0 else values
+
+
+def _subsets(num_sites: int, l: int) -> np.ndarray:
+    """(C(L, l), l) array of all size-l site subsets, in combinations order."""
+    return np.array(
+        list(itertools.combinations(range(1, num_sites + 1), l)), dtype=int
+    ).reshape(-1, l)
 
 
 @dataclass(frozen=True)
@@ -52,17 +62,22 @@ class AeeReport:
 
 
 def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
-    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l)."""
+    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l).
+
+    A pure state has S(A) = S(complement of A), so every subset is reduced
+    on its smaller side, in one batched call. Complements of the size-l
+    subsets in combinations order are the size-(L-l) subsets in reverse
+    combinations order.
+    """
     num_sites = state.num_sites
     if not 1 <= l <= num_sites - 1:
         raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
-    total = 0.0
-    count = 0
-    for subset in itertools.combinations(range(1, num_sites + 1), l):
-        total += entropy(partial_trace(state, subset))
-        count += 1
-    assert count == math.comb(num_sites, l)
-    mean = total / count
+    values = entropy(partial_trace(state, _subsets(num_sites, min(l, num_sites - l))))
+    if l > num_sites - l:
+        values = values[::-1]
+    assert values.size == math.comb(num_sites, l)
+    # a running total from 0.0, in combinations order
+    mean = float(np.cumsum(np.concatenate(([0.0], values)))[-1]) / values.size
     return mean, mean / l
 
 
@@ -85,10 +100,10 @@ def min_bipartition_entropy(state: StateVector) -> float:
         raise ValueError("bipartitions need at least 2 sites")
     best = float("inf")
     for l in range(1, num_sites // 2 + 1):
-        for subset in itertools.combinations(range(1, num_sites + 1), l):
-            if 2 * l == num_sites and subset[0] != 1:
-                continue
-            best = min(best, entropy(partial_trace(state, subset)))
+        subsets = _subsets(num_sites, l)
+        if 2 * l == num_sites:
+            subsets = subsets[subsets[:, 0] == 1]
+        best = min(best, float(entropy(partial_trace(state, subsets)).min()))
     return best
 
 
@@ -102,15 +117,16 @@ def detect_bell_pairs(
     chain. None when the state has no such structure.
     """
     num_sites = state.num_sites
-    pairs = []
-    for i, j in itertools.combinations(range(1, num_sites + 1), 2):
-        if entropy(partial_trace(state, (i, j))) < tol:
-            if entropy(partial_trace(state, (i,))) > 1 - tol:
-                pairs.append((i, j))
-    covered = [s for p in pairs for s in p]
+    if num_sites < 2:
+        return None
+    pairs = _subsets(num_sites, 2)
+    site_entropy = entropy(partial_trace(state, _subsets(num_sites, 1)))
+    pure = entropy(partial_trace(state, pairs)) < tol
+    pairs = pairs[pure & (site_entropy[pairs[:, 0] - 1] > 1 - tol)]
+    covered = pairs.ravel().tolist()
     if len(covered) != num_sites or len(set(covered)) != num_sites:
         return None
-    return sorted(pairs)
+    return [tuple(pair) for pair in pairs.tolist()]
 
 
 @dataclass(frozen=True)
@@ -120,7 +136,8 @@ class GeometricResult:
     ``lambda_`` is the achieved max overlap, ``e_g = 1 - lambda_**2``,
     ``product_state`` the winning single-site vectors (site order), and
     ``lambda_history`` the winning restart's per-sweep overlap sequence
-    (non-decreasing by construction of the exact local updates).
+    (non-decreasing by construction of the exact local updates, and
+    constant from the sweep at which the restart converged).
     """
 
     lambda_: float
@@ -161,10 +178,13 @@ def geometric_measure(
     normalized contraction of psi with the other sites' current vectors.
     Each update can only increase the overlap, so the per-restart overlap
     sequence is monotone; a decrease beyond rounding noise is a bug and
-    raises. Restarts run batched; the best one is returned.
+    raises. Restarts run batched, and a restart leaves the batch once one
+    sweep raises its overlap by less than ``tol``; the best one is returned.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     num_sites = state.num_sites
     psi = state.amplitudes
     rng = np.random.default_rng(seed)
@@ -176,29 +196,31 @@ def geometric_measure(
     sweeps = 0
     for sweep in range(max_iter):
         sweeps = sweep + 1
-        prefixed = np.broadcast_to(psi, (restarts, psi.size))
+        active = np.flatnonzero(converged_at < 0)
+        batch = active.size
+        local = phis[:, active]
+        prefixed = np.broadcast_to(psi, (batch, psi.size))
         for site in range(num_sites):
             env = prefixed
             for other in range(num_sites - 1, site, -1):
                 env = np.einsum(
-                    "rab,rb->ra", env.reshape(restarts, -1, 2), phis[other].conj()
+                    "rab,rb->ra", env.reshape(batch, -1, 2), local[other].conj()
                 )
             norms = np.linalg.norm(env, axis=1)
             ok = norms > 1e-300
-            phis[site] = np.where(
-                ok[:, None], env / np.maximum(norms, 1e-300)[:, None], phis[site]
+            local[site] = np.where(
+                ok[:, None], env / np.maximum(norms, 1e-300)[:, None], local[site]
             )
             prefixed = np.einsum(
-                "rac,ra->rc", prefixed.reshape(restarts, 2, -1), phis[site].conj()
+                "rac,ra->rc", prefixed.reshape(batch, 2, -1), local[site].conj()
             )
+        phis[:, active] = local
         new_lam = prefixed[:, 0].real
-        if np.any(new_lam < lam - 1e-9):
+        if np.any(new_lam < lam[active] - 1e-9):
             raise AssertionError("overlap decreased during an exact local update")
-        delta = new_lam - lam
-        lam = new_lam
+        converged_at[active[new_lam - lam[active] < tol]] = sweeps
+        lam[active] = new_lam
         history.append(lam.copy())
-        newly = (delta < tol) & (converged_at < 0)
-        converged_at[newly] = sweeps
         if np.all(converged_at >= 0):
             break
 

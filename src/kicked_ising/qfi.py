@@ -244,6 +244,8 @@ def maximize_qfi(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     num_sites = state.num_sites
     cov = covariance_matrix(state)
     gamma = cov.gamma

@@ -74,6 +74,23 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+            (np.eye(2), "trace"),
+            (np.diag([1.5, -0.5]), "negative"),
+        ],
+    )
+    def test_one_bad_matrix_in_a_stack(self, bad, message):
+        stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(1, stack)
+
+    def test_accepts_a_stack(self):
+        stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert DensityMatrix(1, stack).elements.shape == (2, 2, 2)
+
 
 class TestConstructors:
     def test_polarized_z_plus(self):
@@ -237,9 +254,21 @@ class TestPartialTrace:
 
     def test_rejects_bad_subsets(self):
         state = make_polarized_state(3, Axis.parse("z+"))
-        for bad in ((), (0,), (4,), (2, 2), (3, 1)):
+        for bad in ((), (0,), (4,), (2, 2), (3, 1), [[1, 2], [2, 1]], [[1], [4]]):
             with pytest.raises(ValueError):
                 partial_trace(state, bad)
+
+    def test_stack_of_subsets(self):
+        rng = np.random.default_rng(7)
+        psi = StateVector(4, random_state(rng, 4))
+        subsets = np.array([[1, 3], [2, 4], [1, 2]])
+        stack = partial_trace(psi, subsets)
+        assert stack.num_sites == 2
+        assert stack.elements.shape == (3, 4, 4)
+        for rho, subset in zip(stack.elements, subsets):
+            np.testing.assert_allclose(
+                rho, partial_trace(psi, tuple(subset)).elements, atol=1e-15
+            )
 
     def test_complement_entropy_symmetry(self):
         # pure-state Schmidt symmetry: both halves of any cut have the

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from kicked_ising.entanglement import (
     geometric_measure,
     min_bipartition_entropy,
 )
-from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
+from kicked_ising.floquet import Boundary, FloquetSpec, Model, apply_floquet
 
 from oracles import (
     broken_pair_aee,
@@ -68,6 +70,46 @@ class TestEntropy:
                 s_keep = entropy(partial_trace(psi, keep))
                 s_rest = entropy(partial_trace(psi, rest))
                 assert abs(s_keep - s_rest) < 1e-9
+
+
+def evolved_from_y(model: Model, boundary: Boundary, num_sites: int) -> StateVector:
+    spec = FloquetSpec(model, num_sites, boundary)
+    return apply_floquet(spec, make_polarized_state(num_sites, Axis.parse("y+")), 3)
+
+
+EVOLVED_CASES = [
+    (model, boundary, num_sites)
+    for model in Model
+    for boundary in Boundary
+    for num_sites in range(2, 11)
+]
+
+
+class TestStackedPath:
+    @pytest.mark.parametrize("model, boundary, num_sites", EVOLVED_CASES)
+    def test_stack_matches_one_subset_at_a_time(self, model, boundary, num_sites):
+        state = evolved_from_y(model, boundary, num_sites)
+        for l in range(1, num_sites // 2 + 1):
+            subsets = list(itertools.combinations(range(1, num_sites + 1), l))
+            stacked = entropy(partial_trace(state, np.array(subsets)))
+            one_by_one = [entropy(partial_trace(state, s)) for s in subsets]
+            np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model, boundary, num_sites", EVOLVED_CASES)
+    def test_size_and_complement_size_agree(self, model, boundary, num_sites):
+        state = evolved_from_y(model, boundary, num_sites)
+        for l in range(1, num_sites):
+            s, _ = average_entanglement_entropy(state, l)
+            s_rest, _ = average_entanglement_entropy(state, num_sites - l)
+            assert abs(s - s_rest) < 1e-12
+
+    def test_single_matrix_gives_a_float(self):
+        assert isinstance(entropy(np.eye(2) / 2), float)
+        assert entropy(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])).shape == (2,)
+
+    def test_rejects_significant_negatives_anywhere_in_a_stack(self):
+        with pytest.raises(ValueError):
+            entropy(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
 
 
 class TestAverageEntropy:
@@ -235,3 +277,35 @@ class TestGeometricMeasure:
     def test_rejects_bad_restarts(self):
         with pytest.raises(ValueError):
             geometric_measure(W3, restarts=0)
+
+    def test_rejects_bad_max_iter(self):
+        # with no sweep the overlap stayed 0, so a product state read E_g = 1
+        with pytest.raises(ValueError, match="max_iter"):
+            geometric_measure(make_polarized_state(4, Axis.parse("z+")), max_iter=0)
+
+    def test_ghz_build_up_is_pinned(self):
+        # sweeps, convergence and overlaps of the U0 L=8 build-up from y+
+        # at seed 0, as computed when every restart swept until the last
+        # one converged; frozen restarts must not change them
+        expected = [
+            (2, "1"),
+            (2, "1"),
+            (500, "0.25"),
+            (232, "0.25"),
+            (80, "0.181277312263"),
+            (445, "0.181277312263"),
+            (399, "0.25"),
+            (138, "0.25"),
+            (4, "0.707106781187"),
+        ]
+        spec = FloquetSpec(Model.U0, 8)
+        state = make_polarized_state(8, Axis.parse("y+"))
+        for n, (sweeps, lam) in enumerate(expected):
+            if n:
+                state = apply_floquet(spec, state, 1)
+            result = geometric_measure(state, seed=0)
+            assert (result.sweeps, result.converged, "%.12g" % result.lambda_) == (
+                sweeps,
+                True,
+                lam,
+            ), f"n={n}"

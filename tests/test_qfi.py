@@ -221,3 +221,7 @@ class TestMaximizeQfi:
     def test_rejects_bad_restarts(self):
         with pytest.raises(ValueError):
             maximize_qfi(make_ghz(2, Axis.parse("z")), restarts=0)
+
+    def test_rejects_bad_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            maximize_qfi(make_ghz(2, Axis.parse("z")), max_iter=0)
