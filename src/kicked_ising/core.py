@@ -116,11 +116,13 @@ class DensityMatrix:
 
     ``elements`` may also be a (C, 2^l, 2^l) stack of such matrices, one per
     subset; each check then holds for every matrix and runs once over the
-    whole stack.
+    whole stack. ``eigenvalues`` keeps the ascending spectrum (one row per
+    matrix of a stack) that the PSD check computed.
     """
 
     num_sites: int
     elements: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_num_sites(self.num_sites)
@@ -136,9 +138,11 @@ class DensityMatrix:
         worst = complex(tr[np.abs(tr - 1.0).argmax()])
         if abs(worst - 1.0) > 1e-12:
             raise ValueError(f"density matrix trace is {worst!r}, expected 1")
-        if float(np.linalg.eigvalsh(rho).min()) < -1e-10:
+        evals = np.linalg.eigvalsh(rho)
+        if float(evals.min()) < -1e-10:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "elements", rho)
+        object.__setattr__(self, "eigenvalues", evals)
 
 
 def _kron_power(v: np.ndarray, n: int) -> np.ndarray:

@@ -28,10 +28,10 @@ def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
 
     A stack of matrices gives one entropy per matrix; a single matrix gives
     a float. Eigenvalues in [-1e-8, 0) are treated as rounding noise and
-    clamped to 0; anything below -1e-8 is rejected as non-physical.
+    clamped to 0; anything below -1e-8 is rejected as non-physical. A
+    ``DensityMatrix`` brings the eigenvalues its PSD check computed.
     """
-    mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    evals = np.linalg.eigvalsh(mat)
+    evals = rho.eigenvalues if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(rho)
     low = float(evals.min())
     if low < -1e-8:
         raise ValueError(f"density matrix has eigenvalue {low:.3e} < -1e-8")
@@ -199,21 +199,20 @@ def geometric_measure(
         active = np.flatnonzero(converged_at < 0)
         batch = active.size
         local = phis[:, active]
-        prefixed = np.broadcast_to(psi, (batch, psi.size))
+        # suffix[k] = conj(phi_k) x ... x conj(phi_L) of the old vectors, suffix[L] = 1
+        suffix = [np.ones((batch, 1), dtype=complex)] * (num_sites + 1)
+        for site in range(num_sites - 1, 0, -1):
+            outer = local[site].conj()[:, :, None] * suffix[site + 1][:, None, :]
+            suffix[site] = outer.reshape(batch, -1)
+        # psi contracted with the new conj(phi) of the sites already updated
+        prefixed = psi[None, :]
         for site in range(num_sites):
-            env = prefixed
-            for other in range(num_sites - 1, site, -1):
-                env = np.einsum(
-                    "rab,rb->ra", env.reshape(batch, -1, 2), local[other].conj()
-                )
-            norms = np.linalg.norm(env, axis=1)
+            left = prefixed.reshape(-1, 2, 2 ** (num_sites - site - 1))
+            env = (left @ suffix[site + 1][:, :, None])[:, :, 0]
+            norms = np.sqrt((env.real**2 + env.imag**2).sum(axis=1, keepdims=True))
             ok = norms > 1e-300
-            local[site] = np.where(
-                ok[:, None], env / np.maximum(norms, 1e-300)[:, None], local[site]
-            )
-            prefixed = np.einsum(
-                "rac,ra->rc", prefixed.reshape(batch, 2, -1), local[site].conj()
-            )
+            local[site] = np.where(ok, env / np.maximum(norms, 1e-300), local[site])
+            prefixed = (local[site].conj()[:, None, :] @ left)[:, 0]
         phis[:, active] = local
         new_lam = prefixed[:, 0].real
         if np.any(new_lam < lam[active] - 1e-9):

@@ -91,7 +91,8 @@ class QfiResult:
     """Maximized QFI with its certifying data.
 
     ``bound_table`` lists (k, kappa(k), violated) for k = 1..L; ``depth``
-    is 1 + the largest violated k (1 when none is violated).
+    is 1 + the largest violated k (1 when none is violated); ``sweeps`` is
+    the number of ascent sweeps run.
     """
 
     f_q: float
@@ -99,6 +100,7 @@ class QfiResult:
     depth: int
     bound_table: list[tuple[int, int, bool]]
     converged: bool
+    sweeps: int
 
 
 def covariance_matrix(state: StateVector) -> CovarianceMatrix:
@@ -185,6 +187,9 @@ def _max_quadratic_on_sphere(
             mid = 0.5 * (lo + hi)
             g = ((beta / (mid[:, None] - w[None, :])) ** 2).sum(axis=1)
             go_right = g > 1.0
+            # a step depends on (lo, hi) alone, so one that moves no row is a fixed point
+            if not np.where(go_right, mid != lo, mid != hi).any():
+                break
             lo = np.where(go_right, mid, lo)
             hi = np.where(go_right, hi, mid)
         lam = 0.5 * (lo + hi)
@@ -261,7 +266,7 @@ def maximize_qfi(
     flat = dirs.reshape(restarts, 3 * num_sites)
     objective = np.einsum("ri,ij,rj->r", flat, gamma, flat)
     converged = np.zeros(restarts, dtype=bool)
-    for _ in range(max_iter):
+    for sweeps in range(1, max_iter + 1):
         for i, (a_block, w, v) in enumerate(blocks):
             cols = slice(3 * i, 3 * i + 3)
             b = flat @ gamma[:, cols] - flat[:, cols] @ a_block
@@ -286,4 +291,5 @@ def maximize_qfi(
         depth=depth,
         bound_table=table,
         converged=bool(converged[best]),
+        sweeps=sweeps,
     )

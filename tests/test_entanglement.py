@@ -53,6 +53,17 @@ class TestEntropy:
         rho = partial_trace(make_ghz(3, Axis.parse("z")), (2,))
         assert entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
+    def test_density_matrix_reuses_its_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        rho = partial_trace(StateVector(6, random_state(rng, 6)), [[1, 2, 3], [2, 4, 6]])
+        expected = entropy(rho.elements)
+
+        def no_second_decomposition(_):
+            raise AssertionError("entropy decomposed a DensityMatrix again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_second_decomposition)
+        assert np.array_equal(entropy(rho), expected)
+
     def test_rounding_negatives_are_clamped(self):
         assert entropy(np.diag([1.0, -1e-11])) == 0.0
 
@@ -246,6 +257,22 @@ class TestGeometricMeasure:
             folded = np.tensordot(phi.conj(), folded, axes=(0, 0)).reshape(2, -1)
         amp = result.product_state[-1].conj() @ folded.ravel()
         assert abs(amp) == pytest.approx(result.lambda_, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "model, boundary, num_sites",
+        [(Model.UX, Boundary.CLOSED, 10), (Model.U0, Boundary.OPEN, 12)],
+    )
+    def test_larger_chains_reproduce_lambda(self, model, boundary, num_sites):
+        # the site vectors contracted one at a time from site 1, the most
+        # significant bit, give back the overlap the optimizer reports
+        spec = FloquetSpec(model, num_sites, boundary)
+        state = apply_floquet(spec, make_polarized_state(num_sites, Axis.parse("y+")), 3)
+        result = geometric_measure(state)
+        folded = state.amplitudes
+        for phi in result.product_state:
+            folded = phi.conj() @ folded.reshape(2, -1)
+        assert abs(folded[0]) == pytest.approx(result.lambda_, abs=1e-12)
+        assert result.lambda_ >= np.abs(state.amplitudes).max()
 
     def test_largest_amplitude_lower_bound(self):
         rng = np.random.default_rng(22)

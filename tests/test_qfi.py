@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from kicked_ising.core import Axis, StateVector, make_ghz, make_polarized_state, make_psi_o
+from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
 from kicked_ising.qfi import (
     CovarianceMatrix,
     DirectionField,
@@ -225,3 +228,41 @@ class TestMaximizeQfi:
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             maximize_qfi(make_ghz(2, Axis.parse("z")), max_iter=0)
+
+    def test_counts_its_sweeps(self):
+        rng = np.random.default_rng(37)
+        state = StateVector(4, random_state(rng, 4))
+        full = maximize_qfi(state, restarts=8)
+        assert full.converged and full.sweeps > 2
+        capped = maximize_qfi(state, restarts=8, max_iter=full.sweeps - 1)
+        assert capped.sweeps == full.sweeps - 1
+
+    def test_ghz_build_up_is_pinned(self):
+        # f_q, depth, convergence and the winning direction's bytes for the
+        # U0 L=8 build-up from y+ at seed 0, as computed when the secular
+        # bisection always ran its 120 steps; stopping at its fixed point
+        # must not change a bit
+        expected = [
+            ("7.9999999999999982", 1, "0c229490da7f1e45e179fa6e8dbebf2fb311e40a3a5c13a11f278a6eee41b7a1"),
+            ("7.9999999999999858", 1, "168133011faeac7a287df9633bd10c896809f31b8c4ac61c9a88f91d39c5b7ca"),
+            ("11.999999999999917", 2, "4d5918a383c565eadee45ca12bb84efda9890a6406c85cb381df9cbf809e4b17"),
+            ("7.9999999999999121", 1, "253b30abd091cadd2e293c0635a7e5a7db2efae2e4b6a7e6cef7e3832605ce8a"),
+            ("7.9999999999998934", 1, "903712bcde2848915ec37a9d1998ee716149cd2dde4206f0f3fd59d42bd173c0"),
+            ("7.9999999999998845", 1, "81f3d45af4d38bbda1f230a10d2b120396008a351c45efc3a0a61d5d7e9de0f4"),
+            ("11.99999999999978", 2, "44d3e2499351eb6ebb5cf108e1293cac39c0cf4cb4f074ec1274243262dcf444"),
+            ("7.999999999999841", 1, "ba1e71b63ef7c76035c575023368de677be86e9c9c1eae4e144dcef6f8a3635a"),
+            ("63.999999999998309", 8, "35d6c241e80dacdc8593d5a3b35ba2c158883fdf769112bde0e7f0d8e2b0f17b"),
+        ]
+        spec = FloquetSpec(Model.U0, 8)
+        state = make_polarized_state(8, Axis.parse("y+"))
+        for n, (f_q, depth, digest) in enumerate(expected):
+            if n:
+                state = apply_floquet(spec, state, 1)
+            result = maximize_qfi(state, seed=0)
+            direction = hashlib.sha256(result.direction.n_hats.tobytes()).hexdigest()
+            assert ("%.17g" % result.f_q, result.depth, result.converged, direction) == (
+                f_q,
+                depth,
+                True,
+                digest,
+            ), f"n={n}"
