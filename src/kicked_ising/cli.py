@@ -56,7 +56,7 @@ _KEYS = {
     "measures": _Key(
         "measures", "comma list from: " + ", ".join(MEASURES), ("measure",), _split
     ),
-    "seed": _Key("seed", "optimizer seed (64-bit integer)", _ALL_COMMANDS, int),
+    "seed": _Key("seed", "optimizer seed, 0..2**64-1", _ALL_COMMANDS, int),
     "out": _Key("out_dir", "output directory", _ALL_COMMANDS),
 }
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}

@@ -41,7 +41,7 @@ def _fmt(x: float) -> str:
 
 
 def _derive_seed(base: int, measure: str, n: int) -> int:
-    seq = np.random.SeedSequence([base % 2**63, _MEASURE_INDEX[measure], n])
+    seq = np.random.SeedSequence([base, _MEASURE_INDEX[measure], n])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -84,6 +84,12 @@ class ExperimentConfig:
             )
         if self.n_max < 0:
             raise ValueError(f"n_max: must be >= 0, got {self.n_max}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed: must be in 0..2**64-1, got {self.seed}")
+        if isinstance(self.measures, str):
+            raise ValueError(
+                f"measures: expected a sequence of names, got the string {self.measures!r}"
+            )
         measures = tuple(self.measures)
         if not measures:
             raise ValueError("measures: at least one measure is required")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .floquet import FloquetSpec, UnitaryMatrix, build_dense, check_unitary
 
@@ -129,6 +128,8 @@ def _is_block(b: object) -> bool:
 
 
 def _block_thetas(mat: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # ~0.3 s of import that only a Schur needs, kept off start-up
+
     t, z = scipy.linalg.schur(mat, output="complex")
     lam = np.diag(t)
     residuals = np.linalg.norm(mat @ z - z * lam[None, :], axis=0)

@@ -178,6 +178,15 @@ class TestErrors:
             "periods",
         )
 
+    @pytest.mark.parametrize("command", ["measure", "summary"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, command, seed):
+        self.check_error(
+            capsys,
+            [command, "--model", "U0", "--size", "4", "--seed", seed, "--out", str(tmp_path)],
+            f"seed: must be in 0..2**64-1, got {seed}",
+        )
+
     def test_bad_integer_in_summary_list(self, tmp_path, capsys):
         self.check_error(
             capsys,
@@ -276,20 +285,46 @@ class TestParser:
             build_parser().parse_args([*workload.argv, "--seed", "0", "--out", "x"])
 
 
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``src`` on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+
+
+# Fresh interpreter: this test process already holds scipy (tests/oracles.py).
+_NUMPY_ONLY_SCRIPT = """
+import sys
+from pathlib import Path
+
+import kicked_ising
+from kicked_ising.cli import main
+
+out = Path(sys.argv[1])
+common = ["--model", "U0", "--size", "4"]
+assert main(["measure", *common, "--periods", "2", "--measures", "aee,geom,qfi",
+             "--out", str(out / "measure")]) == 0
+assert main(["evolve", *common, "--out", str(out / "evolve")]) == 0
+assert "scipy" not in sys.modules, "measure or evolve imported scipy"
+assert main(["spectrum", *common, "--out", str(out / "spectrum")]) == 0
+"""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "kicked_ising", "spectrum",
-                "--model", "U0", "--size", "2", "--out", str(tmp_path),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
+        result = run_python(
+            ["-m", "kicked_ising", "spectrum", "--model", "U0", "--size", "2",
+             "--out", str(tmp_path)]
         )
         assert result.returncode == 0
         assert (tmp_path / "spectrum.csv").exists()
+
+    def test_measure_and_evolve_run_without_scipy(self, tmp_path):
+        result = run_python(["-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)])
+        assert result.returncode == 0, result.stderr
+        for name in ("measure/qfi.csv", "evolve/trajectory.csv", "spectrum/spectrum.csv"):
+            assert (tmp_path / name).exists(), name

@@ -62,6 +62,9 @@ class TestConfig:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError, match="measures"):
             ExperimentConfig(model=Model.U0, num_sites=4, measures=("bogus",))
+        # a bare string is one name, not the sequence of its letters
+        with pytest.raises(ValueError, match="measures: expected a sequence of names"):
+            ExperimentConfig(model=Model.U0, num_sites=4, measures="aee")
 
     def test_rejects_repeated_measures(self):
         with pytest.raises(ValueError, match="measures"):
@@ -70,6 +73,23 @@ class TestConfig:
     def test_rejects_empty_measures(self):
         with pytest.raises(ValueError, match="measures"):
             ExperimentConfig(model=Model.U0, num_sites=4, measures=())
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed: must be in 0\.\.2\*\*64-1"):
+            ExperimentConfig(model=Model.U0, num_sites=4, seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert ExperimentConfig(model=Model.U0, num_sites=4, seed=seed).seed == seed
+
+    def test_derived_seeds_do_not_wrap_at_2_63(self):
+        derive = experiment._derive_seed
+        assert derive(0, "geom", 3) != derive(2**63, "geom", 3)
+        assert derive(2**63 - 1, "qfi", 5) != derive(2**64 - 1, "qfi", 5)
+        # below 2**63 the derived seeds, and so every CSV, are as before
+        assert derive(0, "geom", 3) == 10553451911785522164
+        assert derive(2**63 - 1, "qfi", 5) == 11202370302291052754
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
