@@ -61,18 +61,19 @@ class AeeReport:
     per_l: dict[int, tuple[float, float, int]]
 
 
-def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
-    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l).
+def _size_entropies(state: StateVector, k: int) -> np.ndarray:
+    """Entropies of all size-k subsets (k <= L/2) in combinations order,
+    from one batched reduction."""
+    return entropy(partial_trace(state, _subsets(state.num_sites, k)))
 
-    A pure state has S(A) = S(complement of A), so every subset is reduced
-    on its smaller side, in one batched call. Complements of the size-l
+
+def _average(values: np.ndarray, l: int, num_sites: int) -> tuple[float, float]:
+    """(S(l), S(l)/l) from the entropies of the smaller side's subsets.
+
+    A pure state has S(A) = S(complement of A). Complements of the size-l
     subsets in combinations order are the size-(L-l) subsets in reverse
     combinations order.
     """
-    num_sites = state.num_sites
-    if not 1 <= l <= num_sites - 1:
-        raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
-    values = entropy(partial_trace(state, _subsets(num_sites, min(l, num_sites - l))))
     if l > num_sites - l:
         values = values[::-1]
     assert values.size == math.comb(num_sites, l)
@@ -81,12 +82,37 @@ def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, flo
     return mean, mean / l
 
 
+def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
+    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l).
+
+    Every subset is reduced on its smaller side, in one batched call.
+    """
+    num_sites = state.num_sites
+    if not 1 <= l <= num_sites - 1:
+        raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
+    return _average(_size_entropies(state, min(l, num_sites - l)), l, num_sites)
+
+
 def aee_report(state: StateVector) -> AeeReport:
+    """The AEE at every l; sizes l and L - l share one reduction."""
+    num_sites = state.num_sites
+    by_size: dict[int, np.ndarray] = {}
     per_l = {}
-    for l in range(1, state.num_sites):
-        s, s_norm = average_entanglement_entropy(state, l)
-        per_l[l] = (s, s_norm, math.comb(state.num_sites, l))
-    return AeeReport(num_sites=state.num_sites, per_l=per_l)
+    for l in range(1, num_sites):
+        k = min(l, num_sites - l)
+        if k not in by_size:
+            by_size[k] = _size_entropies(state, k)
+        s, s_norm = _average(by_size[k], l, num_sites)
+        per_l[l] = (s, s_norm, math.comb(num_sites, l))
+    return AeeReport(num_sites=num_sites, per_l=per_l)
+
+
+def _cuts(num_sites: int, l: int) -> np.ndarray:
+    """Size-l subsets, one per bipartition: at l = L/2 only those holding site 1."""
+    subsets = _subsets(num_sites, l)
+    if 2 * l == num_sites:
+        subsets = subsets[subsets[:, 0] == 1]
+    return subsets
 
 
 def min_bipartition_entropy(state: StateVector) -> float:
@@ -100,10 +126,7 @@ def min_bipartition_entropy(state: StateVector) -> float:
         raise ValueError("bipartitions need at least 2 sites")
     best = float("inf")
     for l in range(1, num_sites // 2 + 1):
-        subsets = _subsets(num_sites, l)
-        if 2 * l == num_sites:
-            subsets = subsets[subsets[:, 0] == 1]
-        best = min(best, float(entropy(partial_trace(state, subsets)).min()))
+        best = min(best, float(entropy(partial_trace(state, _cuts(num_sites, l))).min()))
     return best
 
 
@@ -138,6 +161,9 @@ class GeometricResult:
     ``lambda_history`` the winning restart's per-sweep overlap sequence
     (non-decreasing by construction of the exact local updates, and
     constant from the sweep at which the restart converged).
+    ``certified`` is true when the ascent stopped because a balanced cut's
+    largest Schmidt coefficient, an upper bound on every product overlap,
+    is within ``tol`` of ``lambda_``.
     """
 
     lambda_: float
@@ -145,6 +171,7 @@ class GeometricResult:
     product_state: list[np.ndarray] = field(repr=False)
     restarts_used: int
     converged: bool
+    certified: bool
     sweeps: int
     lambda_history: np.ndarray = field(repr=False)
 
@@ -165,6 +192,15 @@ def _initial_product_batch(
     return phis
 
 
+def _balanced_cut_tops(state: StateVector):
+    """Yield the largest eigenvalue of each balanced cut's reduced state
+    (the squared largest Schmidt coefficient), 32 cuts per reduction, so a
+    scan that finds a witness early reduces few cuts."""
+    cuts = _cuts(state.num_sites, state.num_sites // 2)
+    for start in range(0, len(cuts), 32):
+        yield partial_trace(state, cuts[start : start + 32]).eigenvalues[:, -1]
+
+
 def geometric_measure(
     state: StateVector,
     restarts: int = DEFAULT_RESTARTS,
@@ -180,6 +216,16 @@ def geometric_measure(
     sequence is monotone; a decrease beyond rounding noise is a bug and
     raises. Restarts run batched, and a restart leaves the batch once one
     sweep raises its overlap by less than ``tol``; the best one is returned.
+
+    No product overlap exceeds the largest Schmidt coefficient of any cut.
+    So while some restarts still sweep, each rise of the best converged
+    overlap lambda_c is tested against the balanced cuts (floor(L/2) sites),
+    scanned in chunks: the first cut whose top reduced eigenvalue is at most
+    (lambda_c + tol)^2 proves lambda_c is the maximum within ``tol``, and the
+    ascent stops with the best converged restart as the winner. A balanced
+    cut's top eigenvalue is at least 2^-floor(L/2), so no cut is reduced
+    while (lambda_c + tol)^2 * 2^floor(L/2) < 1. An overlap above an
+    examined cut's coefficient is a bug and raises.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -194,6 +240,11 @@ def geometric_measure(
     history: list[np.ndarray] = []
     converged_at = np.full(restarts, -1)
     sweeps = 0
+    half = num_sites // 2
+    tops = _balanced_cut_tops(state)
+    witness = math.inf  # smallest top eigenvalue of the cuts examined so far
+    tested = -math.inf  # lambda_c at the last certificate test
+    certified = False
     for sweep in range(max_iter):
         sweeps = sweep + 1
         active = np.flatnonzero(converged_at < 0)
@@ -220,10 +271,28 @@ def geometric_measure(
         converged_at[active[new_lam - lam[active] < tol]] = sweeps
         lam[active] = new_lam
         history.append(lam.copy())
-        if np.all(converged_at >= 0):
+        done = converged_at >= 0
+        if done.all():
+            break
+        lam_c = float(lam[done].max()) if done.any() else -math.inf
+        if lam_c <= tested:
+            continue
+        tested = lam_c
+        bound = (lam_c + tol) ** 2
+        if half == 0 or bound * 2**half < 1:
+            continue
+        while witness > bound:
+            top = next(tops, None)
+            if top is None:
+                break
+            witness = min(witness, float(top.min()))
+        if lam.max() > math.sqrt(witness) + 1e-9:
+            raise AssertionError("overlap exceeds a cut's largest Schmidt coefficient")
+        if witness <= bound:
+            certified = True
             break
 
-    best = int(np.argmax(lam))
+    best = int(np.argmax(np.where(done, lam, -np.inf) if certified else lam))
     # rounding can push an overlap a few ulp above 1; 1 is the true ceiling
     lam_best = min(float(lam[best]), 1.0)
     return GeometricResult(
@@ -232,6 +301,7 @@ def geometric_measure(
         product_state=[phis[site, best].copy() for site in range(num_sites)],
         restarts_used=restarts,
         converged=bool(converged_at[best] >= 0),
+        certified=certified,
         sweeps=sweeps,
         lambda_history=np.array([h[best] for h in history]),
     )

@@ -41,7 +41,14 @@ def _fmt(x: float) -> str:
 
 
 def _derive_seed(base: int, measure: str, n: int) -> int:
-    seq = np.random.SeedSequence([base, _MEASURE_INDEX[measure], n])
+    # SeedSequence splits each integer into 32-bit words and zero-pads the
+    # pool, so the high word goes last and only when nonzero: then no two
+    # (base, measure, n) share a word sequence, and seeds below 2**32 keep
+    # the words [base, measure, n]
+    words = [base & 0xFFFFFFFF, _MEASURE_INDEX[measure], n]
+    if base >> 32:
+        words.append(base >> 32)
+    seq = np.random.SeedSequence(words)
     return int(seq.generate_state(1, np.uint64)[0])
 
 

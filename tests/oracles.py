@@ -123,6 +123,22 @@ def grid_max_overlap(
     return float(max(vals[best], fine.max()))
 
 
+def max_schmidt_coefficient(amplitudes: np.ndarray, num_sites: int) -> float:
+    """Upper bound on every product overlap: the largest Schmidt
+    coefficient of each bipartition, minimized over every cut. Each cut A
+    (holding site 1) is one SVD of psi reshaped to 2^|A| x 2^(L-|A|)."""
+    tensor = np.asarray(amplitudes).reshape((2,) * num_sites)
+    rest = range(1, num_sites)
+    best = math.inf
+    for size in range(0, num_sites - 1):
+        for others in itertools.combinations(rest, size):
+            kept = (0, *others)
+            moved = np.moveaxis(tensor, kept, range(len(kept)))
+            top = np.linalg.svd(moved.reshape(2 ** len(kept), -1), compute_uv=False)[0]
+            best = min(best, float(top))
+    return best
+
+
 def gamma_oracle(amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
     """Pauli covariance matrix from dense operators and expectation values."""
     ops = [

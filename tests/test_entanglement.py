@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kicked_ising import entanglement
 from kicked_ising.core import (
     Axis,
     StateVector,
@@ -25,6 +26,7 @@ from oracles import (
     broken_pair_aee,
     broken_pair_count_mean,
     grid_max_overlap,
+    max_schmidt_coefficient,
     nn_bell_product,
     random_state,
 )
@@ -174,6 +176,22 @@ class TestAverageEntropy:
         assert report.per_l[2][0] == pytest.approx(s, abs=1e-12)
         assert report.per_l[2][1] == pytest.approx(s_norm, abs=1e-12)
 
+    @pytest.mark.parametrize("num_sites", [7, 8])
+    def test_report_reduces_each_size_once(self, num_sites, monkeypatch):
+        # sizes l and L - l share one reduction, with bit-equal averages
+        state = StateVector(num_sites, random_state(np.random.default_rng(25), num_sites))
+        calls = []
+
+        def counting(state, kept_sites):
+            calls.append(np.shape(kept_sites))
+            return partial_trace(state, kept_sites)
+
+        monkeypatch.setattr(entanglement, "partial_trace", counting)
+        report = aee_report(state)
+        assert len(calls) == num_sites // 2
+        for l, (s, s_norm, count) in report.per_l.items():
+            assert (s, s_norm) == average_entanglement_entropy(state, l)
+
 
 class TestMinBipartition:
     def test_product_state(self):
@@ -312,27 +330,70 @@ class TestGeometricMeasure:
 
     def test_ghz_build_up_is_pinned(self):
         # sweeps, convergence and overlaps of the U0 L=8 build-up from y+
-        # at seed 0, as computed when every restart swept until the last
-        # one converged; frozen restarts must not change them
+        # at seed 0; where a balanced cut certifies the best converged
+        # overlap (n = 2, 3, 6, 7, 8) the ascent stops there, and elsewhere
+        # every restart sweeps until the last one converged
         expected = [
             (2, "1"),
             (2, "1"),
-            (500, "0.25"),
-            (232, "0.25"),
+            (5, "0.25"),
+            (5, "0.25"),
             (80, "0.181277312263"),
             (445, "0.181277312263"),
-            (399, "0.25"),
-            (138, "0.25"),
-            (4, "0.707106781187"),
+            (5, "0.25"),
+            (4, "0.25"),
+            (3, "0.707106781187"),
         ]
-        spec = FloquetSpec(Model.U0, 8)
-        state = make_polarized_state(8, Axis.parse("y+"))
         for n, (sweeps, lam) in enumerate(expected):
-            if n:
-                state = apply_floquet(spec, state, 1)
-            result = geometric_measure(state, seed=0)
+            result = geometric_measure(u0_build_up()[n], seed=0)
             assert (result.sweeps, result.converged, "%.12g" % result.lambda_) == (
                 sweeps,
                 True,
                 lam,
             ), f"n={n}"
+
+    def test_certified_overlap_is_the_global_maximum(self):
+        # the bound over every cut, not only the balanced ones, is met
+        certified = []
+        for n, state in enumerate(u0_build_up()):
+            result = geometric_measure(state, seed=0)
+            if result.certified:
+                certified.append(n)
+                bound = max_schmidt_coefficient(state.amplitudes, 8)
+                assert result.lambda_ == pytest.approx(bound, abs=1e-12), f"n={n}"
+        assert certified == [2, 3, 6, 7, 8]
+
+    @pytest.mark.parametrize(
+        "state, lam",
+        [(make_ghz(6, Axis.parse("z")), 1 / np.sqrt(2)), (make_psi_o(8), 0.5)],
+        ids=["ghz6", "psi_o8"],
+    )
+    def test_ghz_states_certify(self, state, lam):
+        result = geometric_measure(state)
+        assert result.certified and result.converged
+        assert result.lambda_ == pytest.approx(lam, abs=1e-12)
+
+    def test_no_test_when_every_restart_converges_together(self):
+        # all restarts of psi_o(4) converge in the same sweep, so the ascent
+        # ends before any restart waits on another
+        result = geometric_measure(make_psi_o(4))
+        assert not result.certified
+        assert result.converged
+
+    def test_overlap_above_a_cut_bound_raises(self, monkeypatch):
+        # a cut whose Schmidt coefficient lies below a found overlap means
+        # the reduced states or the overlaps are wrong
+        monkeypatch.setattr(
+            entanglement, "_balanced_cut_tops", lambda state: iter([np.array([0.01])])
+        )
+        with pytest.raises(AssertionError, match="Schmidt"):
+            geometric_measure(make_ghz(6, Axis.parse("z")))
+
+
+def u0_build_up() -> list[StateVector]:
+    """The U0 L=8 chain from y+, after n = 0..8 periods."""
+    spec = FloquetSpec(Model.U0, 8)
+    states = [make_polarized_state(8, Axis.parse("y+"))]
+    for _ in range(8):
+        states.append(apply_floquet(spec, states[-1], 1))
+    return states

@@ -87,9 +87,18 @@ class TestConfig:
         derive = experiment._derive_seed
         assert derive(0, "geom", 3) != derive(2**63, "geom", 3)
         assert derive(2**63 - 1, "qfi", 5) != derive(2**64 - 1, "qfi", 5)
-        # below 2**63 the derived seeds, and so every CSV, are as before
+        # below 2**32 the derived seeds, and so every CSV, are as before
         assert derive(0, "geom", 3) == 10553451911785522164
-        assert derive(2**63 - 1, "qfi", 5) == 11202370302291052754
+        assert derive(2**32 - 1, "qfi", 0) == 831867259382209732
+        # from 2**32 up the high word goes last
+        assert derive(2**63 - 1, "qfi", 5) == 4237588888330252838
+
+    def test_derived_seeds_of_different_runs_differ(self):
+        # a seed's high word was padded like a missing word, so seed 5's QFI
+        # at n = 1 and seed 5 + 2 * 2**32's geometric measure at n = 0 shared
+        # the words (5, 2, 1) and so one derived seed
+        derive = experiment._derive_seed
+        assert derive(5, "qfi", 1) != derive(5 + 2 * 2**32, "geom", 0)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kicked_ising.core import StateVector, apply_matrix_at_site, partial_trace
 from kicked_ising.entanglement import entropy, geometric_measure
 
-from oracles import random_state
+from oracles import max_schmidt_coefficient, random_state
 
 FAST = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -49,3 +49,11 @@ def test_geometric_measure_is_unchanged_by_local_unitaries(num_sites, seed):
     before = geometric_measure(StateVector(num_sites, amps), seed=seed)
     after = geometric_measure(StateVector(num_sites, rotated), seed=seed)
     assert abs(before.e_g - after.e_g) < 1e-6
+
+
+@FAST
+@given(num_sites=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_no_overlap_exceeds_a_cut_schmidt_coefficient(num_sites, seed):
+    amps = random_state(np.random.default_rng(seed), num_sites)
+    result = geometric_measure(StateVector(num_sites, amps), seed=seed)
+    assert result.lambda_ <= max_schmidt_coefficient(amps, num_sites) + 1e-9
