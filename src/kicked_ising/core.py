@@ -248,7 +248,6 @@ def partial_trace(
     cols = _bit_table(L - l) @ (1 << (L - rest)).T
     mats = state.amplitudes[rows.T[:, :, None] + cols.T[:, None, :]]
     rho = mats @ mats.conj().swapaxes(-1, -2)
-    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
     return DensityMatrix(l, rho if kept.ndim == 2 else rho[0])
 
 

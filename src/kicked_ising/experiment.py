@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import operator
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -85,6 +86,14 @@ class ExperimentConfig:
         object.__setattr__(self, "boundary", _coerce_enum(self.boundary, Boundary))
         if not isinstance(self.initial_axis, Axis):
             object.__setattr__(self, "initial_axis", Axis.parse(str(self.initial_axis)))
+        for name in ("num_sites", "n_max", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name}: must be an integer, got {value!r}") from None
         if not 2 <= self.num_sites <= DENSE_MAX_SITES:
             raise ValueError(
                 f"num_sites: must be in 2..{DENSE_MAX_SITES}, got {self.num_sites}"

@@ -23,7 +23,7 @@ from .core import (
 )
 
 DEFAULT_RESTARTS = 32
-DEFAULT_MAX_ITER = 300
+DEFAULT_MAX_ITER = 1000
 DEFAULT_SLACK = 1e-8
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -157,55 +157,6 @@ def entanglement_depth(f_q: float, num_sites: int, slack: float = DEFAULT_SLACK)
     return _certify(f_q, num_sites, slack)[1]
 
 
-def _max_quadratic_on_sphere(
-    w: np.ndarray, v: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact max of u^T A u + 2 b^T u over unit 3-vectors u, batched over
-    rows of b, for A = v diag(w) v^T (w ascending).
-
-    The stationary condition (lam I - A) u = b with lam >= w_max pins lam
-    by the secular equation sum_a beta_a^2/(lam - w_a)^2 = 1 (beta = V^T b),
-    solved by bisection on (w_max, w_max + |b|]. When beta has no component
-    on the top eigenspace and the remaining sum stays below 1 (the
-    degenerate case), u is padded along the top eigenvector instead.
-    """
-    rows = b.shape[0]
-    beta = b @ v
-    wmax = w[-1]
-    top = w > wmax - 1e-12
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_top = np.linalg.norm(beta[:, top], axis=1)
-        scale = np.maximum(np.linalg.norm(beta, axis=1), 1.0)
-        # residual secular sum at lam = w_max using only non-top components
-        gap = np.where(top, np.inf, wmax - w)
-        resid = ((beta / gap) ** 2).sum(axis=1)
-        hard = (s_top <= 1e-13 * scale) & (resid < 1.0)
-
-        lo = np.full(rows, wmax)
-        hi = wmax + np.linalg.norm(beta, axis=1) + 1e-30
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            g = ((beta / (mid[:, None] - w[None, :])) ** 2).sum(axis=1)
-            go_right = g > 1.0
-            # a step depends on (lo, hi) alone, so one that moves no row is a fixed point
-            if not np.where(go_right, mid != lo, mid != hi).any():
-                break
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        lam = 0.5 * (lo + hi)
-
-        u = beta / (lam[:, None] - w[None, :])
-        u = np.where(np.isfinite(u), u, 0.0)
-        if np.any(hard):
-            u_hard = np.where(top, 0.0, beta / gap)
-            pad = np.sqrt(np.clip(1.0 - (u_hard**2).sum(axis=1), 0.0, None))
-            u_hard[:, np.flatnonzero(top)[-1]] = pad
-            u = np.where(hard[:, None], u_hard, u)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    value = (w * u**2).sum(axis=1) + 2.0 * (beta * u).sum(axis=1)
-    return u @ v.T, value
-
-
 def _initial_directions(
     gamma: np.ndarray, num_sites: int, restarts: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -239,42 +190,36 @@ def maximize_qfi(
     seed: int = 0,
     slack: float = DEFAULT_SLACK,
 ) -> QfiResult:
-    """Maximize n^T Gamma n over per-site unit directions.
+    """Maximize F(n) = n^T Gamma n over per-site unit directions.
 
-    Block-coordinate ascent: with all other sites fixed, site i sees the
-    objective n_i^T A n_i + 2 b_i^T n_i (A the diagonal block, b_i the
-    coupling to the rest), which is solved exactly, so the objective is
-    monotone within a restart; a decrease beyond rounding noise raises.
-    The best restart wins; converged restarts are preferred.
+    Generalized power method (Journee, Nesterov, Richtarik & Sepulchre,
+    JMLR 11 (2010) 517): each sweep moves every site at once to
+    n_i' = (Gamma n)_i / |(Gamma n)_i|, keeping n_i where (Gamma n)_i = 0.
+    Gamma is positive semidefinite (``CovarianceMatrix`` checks it), so F is
+    convex and lies above its tangent: F(n') >= F(n) + 2 (Gamma n)^T (n' - n),
+    and the step maximizes the linear term site by site, so F(n') >= F(n)
+    within a restart; a decrease beyond rounding noise raises. The best
+    restart wins; converged restarts are preferred.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     num_sites = state.num_sites
-    cov = covariance_matrix(state)
-    gamma = cov.gamma
+    gamma = covariance_matrix(state).gamma
     rng = np.random.default_rng(seed)
     dirs = _initial_directions(gamma, num_sites, restarts, rng)
-
-    blocks = []
-    for i in range(num_sites):
-        a_block = gamma[3 * i : 3 * i + 3, 3 * i : 3 * i + 3]
-        w, v = np.linalg.eigh(a_block)
-        blocks.append((a_block, w, v))
 
     flat = dirs.reshape(restarts, 3 * num_sites)
     objective = np.einsum("ri,ij,rj->r", flat, gamma, flat)
     converged = np.zeros(restarts, dtype=bool)
     for sweeps in range(1, max_iter + 1):
-        for i, (a_block, w, v) in enumerate(blocks):
-            cols = slice(3 * i, 3 * i + 3)
-            b = flat @ gamma[:, cols] - flat[:, cols] @ a_block
-            u, _ = _max_quadratic_on_sphere(w, v, b)
-            flat[:, cols] = u
+        g = (flat @ gamma).reshape(restarts, num_sites, 3)
+        norms = np.linalg.norm(g, axis=2, keepdims=True)
+        dirs[...] = np.where(norms > 0, g / np.where(norms > 0, norms, 1.0), dirs)
         new_objective = np.einsum("ri,ij,rj->r", flat, gamma, flat)
         if np.any(new_objective < objective - 1e-9):
-            raise AssertionError("objective decreased during an exact block update")
+            raise AssertionError("objective decreased during a power step")
         delta = new_objective - objective
         objective = new_objective
         converged |= delta < tol

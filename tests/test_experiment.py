@@ -100,6 +100,39 @@ class TestConfig:
         derive = experiment._derive_seed
         assert derive(5, "qfi", 1) != derive(5 + 2 * 2**32, "geom", 0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_sites", 8.0),
+            ("num_sites", True),
+            ("n_max", 2.0),
+            ("n_max", True),
+            ("seed", 1.5),
+            ("seed", "3"),
+            ("seed", False),
+        ],
+    )
+    def test_rejects_non_integers_before_writing(self, tmp_path, field, bad):
+        settings = dict(model=Model.U0, num_sites=4, out_dir=tmp_path / "run")
+        settings[field] = bad
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer, got "):
+            run_experiment(ExperimentConfig(**settings))
+        assert not (tmp_path / "run").exists()
+
+    def test_numpy_integers_reach_the_manifest_as_integers(self, tmp_path):
+        config = ExperimentConfig(
+            model=Model.U0,
+            num_sites=np.int64(4),
+            n_max=np.int64(1),
+            seed=np.uint64(7),
+            out_dir=tmp_path,
+        )
+        assert all(
+            type(value) is int for value in (config.num_sites, config.n_max, config.seed)
+        )
+        doc = json.loads(run_experiment(config)["manifest"].read_text())
+        assert (doc["config"]["num_sites"], doc["config"]["n_max"], doc["seed"]) == (4, 1, 7)
+
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(model="U9", num_sites=4)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kicked_ising.core import StateVector, apply_matrix_at_site, partial_trace
 from kicked_ising.entanglement import entropy, geometric_measure
+from kicked_ising.qfi import covariance_matrix, maximize_qfi
 
 from oracles import max_schmidt_coefficient, random_state
 
@@ -57,3 +58,24 @@ def test_no_overlap_exceeds_a_cut_schmidt_coefficient(num_sites, seed):
     amps = random_state(np.random.default_rng(seed), num_sites)
     result = geometric_measure(StateVector(num_sites, amps), seed=seed)
     assert result.lambda_ <= max_schmidt_coefficient(amps, num_sites) + 1e-9
+
+
+@FAST
+@given(num_sites=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_qfi_maximum_is_bounded_stationary_and_locally_invariant(num_sites, seed):
+    rng = np.random.default_rng(seed)
+    amps = random_state(rng, num_sites)
+    rotated = amps
+    for site in range(1, num_sites + 1):
+        rotated = apply_matrix_at_site(rotated, num_sites, site, random_unitary(rng))
+    state = StateVector(num_sites, amps)
+    result = maximize_qfi(state, seed=seed)
+    assert result.converged
+    assert result.f_q <= num_sites**2 + 1e-9
+    after = maximize_qfi(StateVector(num_sites, rotated), seed=seed)
+    assert abs(after.f_q - result.f_q) < 1e-8
+    # at a maximum each site's gradient (Gamma n)_i is parallel to n_i
+    n = result.direction.n_hats
+    grad = (covariance_matrix(state).gamma @ n.reshape(-1)).reshape(num_sites, 3)
+    across = grad - (grad * n).sum(axis=1, keepdims=True) * n
+    assert np.abs(across).max() < 1e-6

@@ -239,19 +239,18 @@ class TestMaximizeQfi:
 
     def test_ghz_build_up_is_pinned(self):
         # f_q, depth, convergence and the winning direction's bytes for the
-        # U0 L=8 build-up from y+ at seed 0, as computed when the secular
-        # bisection always ran its 120 steps; stopping at its fixed point
-        # must not change a bit
+        # U0 L=8 build-up from y+ at seed 0, as computed by the simultaneous
+        # power step; any change to the step's arithmetic shows up here
         expected = [
-            ("7.9999999999999982", 1, "0c229490da7f1e45e179fa6e8dbebf2fb311e40a3a5c13a11f278a6eee41b7a1"),
-            ("7.9999999999999858", 1, "168133011faeac7a287df9633bd10c896809f31b8c4ac61c9a88f91d39c5b7ca"),
-            ("11.999999999999917", 2, "4d5918a383c565eadee45ca12bb84efda9890a6406c85cb381df9cbf809e4b17"),
-            ("7.9999999999999121", 1, "253b30abd091cadd2e293c0635a7e5a7db2efae2e4b6a7e6cef7e3832605ce8a"),
-            ("7.9999999999998934", 1, "903712bcde2848915ec37a9d1998ee716149cd2dde4206f0f3fd59d42bd173c0"),
-            ("7.9999999999998845", 1, "81f3d45af4d38bbda1f230a10d2b120396008a351c45efc3a0a61d5d7e9de0f4"),
-            ("11.99999999999978", 2, "44d3e2499351eb6ebb5cf108e1293cac39c0cf4cb4f074ec1274243262dcf444"),
-            ("7.999999999999841", 1, "ba1e71b63ef7c76035c575023368de677be86e9c9c1eae4e144dcef6f8a3635a"),
-            ("63.999999999998309", 8, "35d6c241e80dacdc8593d5a3b35ba2c158883fdf769112bde0e7f0d8e2b0f17b"),
+            ("7.9999999999999982", 1, "ef3b3c1993a66749d82f77eddb3d2f3a2c4f3b18a61993c52dfbac96c4b04dd6"),
+            ("7.9999999999999876", 1, "848ffef6a4fd5b2c78b2c2e27680c41eea98afea8277a6bdd03594d413a1970c"),
+            ("11.999999999999917", 2, "e8021f778099de6385887cfccd1fd122ddc1def14cd0fbcabfee3c4786a96a6e"),
+            ("7.9999999999999112", 1, "edf68ad71365c1360a93d10d8ec58c4bed0cee7cdc28bf3679b20c004a9d007e"),
+            ("7.9999999999998961", 1, "262a267239f2bed18e3eb330fbc7ee1457816d0e43038363b08b404d883b22e4"),
+            ("7.9999999999998872", 1, "e19d21c84344900b1b654002a5ce7c08658c9888a5b57bfa26af219e1d27440a"),
+            ("11.99999999999978", 2, "cf8d8281b264341b952ae2c8a0813f12638f88ebe5c9d02e3cfbb0777c6fda7e"),
+            ("7.9999999999998392", 1, "890364ae3a6953c70b9a49e38129fa788ab07069ec0e51b58add981b4ee98479"),
+            ("63.999999999998288", 8, "98e9a0309943795ea1a5db146dcced440ff7ce353fdc63bd13f762c71dbfa081"),
         ]
         spec = FloquetSpec(Model.U0, 8)
         state = make_polarized_state(8, Axis.parse("y+"))
