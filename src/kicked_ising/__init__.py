@@ -12,7 +12,6 @@ from .core import (
     DensityMatrix,
     StateVector,
     apply_matrix_at_site,
-    apply_site_rotation,
     fidelity,
     make_ghz,
     make_polarized_state,
@@ -48,7 +47,6 @@ from .floquet import (
     UnitaryMatrix,
     apply_floquet,
     build_dense,
-    check_factorization_equivalence,
     symmetry_sectors,
 )
 from .qfi import (
@@ -56,10 +54,8 @@ from .qfi import (
     DirectionField,
     QfiResult,
     covariance_matrix,
-    entanglement_depth,
     maximize_qfi,
     producibility_bound,
-    qfi_for_direction,
 )
 from .spectral import (
     PeriodReport,
@@ -77,7 +73,6 @@ __all__ = [
     "DensityMatrix",
     "StateVector",
     "apply_matrix_at_site",
-    "apply_site_rotation",
     "fidelity",
     "make_ghz",
     "make_polarized_state",
@@ -107,16 +102,13 @@ __all__ = [
     "UnitaryMatrix",
     "apply_floquet",
     "build_dense",
-    "check_factorization_equivalence",
     "symmetry_sectors",
     "CovarianceMatrix",
     "DirectionField",
     "QfiResult",
     "covariance_matrix",
-    "entanglement_depth",
     "maximize_qfi",
     "producibility_bound",
-    "qfi_for_direction",
     "PeriodReport",
     "QuasiSpectrum",
     "SpacingResult",

@@ -17,11 +17,9 @@ import numpy as np
 
 # Size limits, in sites. A state vector holds 2^L amplitudes; a dense
 # operator holds 4^L entries and is built only for spectra, so runs that may
-# ask for a spectrum stop there too; the factorization equivalence check
-# builds and compares two dense operators.
+# ask for a spectrum stop there too.
 MAX_SITES = 14
 DENSE_MAX_SITES = 12
-EQUIVALENCE_MAX_SITES = 10
 
 # Convergence tolerance of both optimizers (geometric measure and QFI): a
 # restart has converged once one sweep raises its objective by less.
@@ -75,12 +73,6 @@ class Axis:
     def eigenvector(self) -> np.ndarray:
         """The normalized single-qubit eigenvector of sigma^letter with this sign."""
         return _EIGENVECTORS[(self.letter, self.sign)].copy()
-
-    def pauli(self) -> np.ndarray:
-        return PAULI[self.letter].copy()
-
-    def __neg__(self) -> "Axis":
-        return Axis(self.letter, -self.sign)
 
     def __str__(self) -> str:
         return self.letter + ("+" if self.sign > 0 else "-")
@@ -202,15 +194,6 @@ def apply_matrix_at_site(
 def pauli_rotation(letter: str, angle: float) -> np.ndarray:
     """The 2x2 matrix exp(-i * angle * sigma^letter)."""
     return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * PAULI[letter]
-
-
-def apply_site_rotation(
-    state: StateVector, site: int, axis: Axis, angle: float
-) -> StateVector:
-    """Apply exp(-i * angle * sigma^alpha) at one site."""
-    rot = pauli_rotation(axis.letter, angle)
-    amps = apply_matrix_at_site(state.amplitudes, state.num_sites, site, rot)
-    return StateVector(state.num_sites, amps)
 
 
 def _bit_table(n: int) -> np.ndarray:

@@ -34,13 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    DENSE_MAX_SITES,
-    EQUIVALENCE_MAX_SITES,
-    StateVector,
-    apply_matrix_at_site,
-    pauli_rotation,
-)
+from .core import DENSE_MAX_SITES, StateVector, apply_matrix_at_site, pauli_rotation
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
@@ -51,6 +45,10 @@ KICK_ANGLE = np.pi / 4
 # two norms agree to ~1e-13 at 2^12 columns, far below any real leak (a
 # broken symmetry leaks weight of order the sector dimension).
 LEAK_TOLERANCE = 1e-9
+
+# Basis columns that ``build_dense`` advances through one period at a time;
+# bounds its (2^L, chunk) work arrays.
+_BUILD_CHUNK = 512
 
 _HALF = 1 / np.sqrt(2)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -101,6 +99,16 @@ class FloquetSpec:
     factorization: Factorization = Factorization.COMBINED
 
     def __post_init__(self) -> None:
+        # Members are tested by identity downstream, so a bare string such
+        # as "U0" would silently run another model or drop a bond.
+        for name, kind in (
+            ("model", Model),
+            ("boundary", Boundary),
+            ("factorization", Factorization),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name}: must be a {kind.__name__}, got {value!r}")
         if self.num_sites < 2:
             raise ValueError(f"num_sites must be at least 2, got {self.num_sites}")
 
@@ -159,7 +167,15 @@ class Sector:
 def symmetry_sectors(
     num_sites: int, symmetries: tuple[Symmetry, ...]
 ) -> tuple[Sector, ...]:
-    """Nonempty sectors of the given symmetries; their dimensions sum to 2^L."""
+    """Nonempty sectors of the given symmetries; their dimensions sum to 2^L.
+
+    Every dense build starts here, so the dense size cap is checked here,
+    before any 2^L table is built or cached.
+    """
+    if num_sites > DENSE_MAX_SITES:
+        raise ValueError(
+            f"dense construction is capped at {DENSE_MAX_SITES} sites, got {num_sites}"
+        )
     spins = _spin_values(num_sites)
     idx = np.arange(2 ** num_sites)
     reflect = Symmetry.REFLECTION in symmetries
@@ -186,17 +202,6 @@ def symmetry_sectors(
     return tuple(out)
 
 
-def check_unitary(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a complex array, after checking it is square and unitary."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
-    return mat
-
-
 @dataclass(frozen=True)
 class UnitaryMatrix:
     """Dense unitary of an L-site chain, validated on construction: the whole
@@ -208,10 +213,13 @@ class UnitaryMatrix:
 
     def __post_init__(self) -> None:
         d = 2 ** self.num_sites if self.sector is None else self.sector.dim
-        shape = np.shape(self.matrix)
-        if shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {shape}")
-        object.__setattr__(self, "matrix", check_unitary(self.matrix))
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.shape != (d, d):
+            raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
+        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
+        if dev > 1e-10:
+            raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
+        object.__setattr__(self, "matrix", mat)
 
 
 @lru_cache(maxsize=None)
@@ -278,29 +286,24 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
     return StateVector(state.num_sites, amps)
 
 
-def build_dense(
-    spec: FloquetSpec, chunk: int = 512, sector: Sector | None = None
-) -> UnitaryMatrix:
+def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> UnitaryMatrix:
     """Dense matrix whose column j is one period applied to basis state j.
 
     With ``sector`` it is the block B^H U B on that sector's basis B: one
     period runs on the columns of B and the rows are gathered back onto B.
     The block holds all of U B only if U leaves the sector invariant, so
-    the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish.
+    the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish. Bases come
+    from ``symmetry_sectors``, which enforces ``DENSE_MAX_SITES``.
     """
     L = spec.num_sites
-    if L > DENSE_MAX_SITES:
-        raise ValueError(
-            f"dense construction is capped at {DENSE_MAX_SITES} sites, got {L}"
-        )
     basis = symmetry_sectors(L, ())[0] if sector is None else sector
     if basis.num_sites != L:
         raise ValueError(f"sector is for {basis.num_sites} sites but spec has {L}")
     d = basis.dim
     out = np.empty((d, d), dtype=complex)
     leak = 0.0
-    for start in range(0, d, chunk):
-        stop = min(start + chunk, d)
+    for start in range(0, d, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, d)
         image = _one_period(spec, basis.columns(start, stop))
         if sector is None:
             out[:, start:stop] = image
@@ -314,35 +317,3 @@ def build_dense(
             f"leaked weight {leak:.3e}"
         )
     return UnitaryMatrix(L, out, sector)
-
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    """Distance between the two U_x factorizations, minimized over a phase."""
-
-    deviation: float
-    phase: complex
-
-
-def check_factorization_equivalence(
-    num_sites: int, boundary: Boundary = Boundary.OPEN, allow_phase: bool = True
-) -> FactorizationCheck:
-    """Frobenius distance between the combined and split forms of U_x.
-
-    With ``allow_phase`` the distance is minimized over a global phase
-    e^{i*phi} on the split form and the optimal phase is reported;
-    otherwise the raw distance with phase 1 is returned.
-    """
-    if num_sites > EQUIVALENCE_MAX_SITES:
-        raise ValueError(
-            f"equivalence check is capped at {EQUIVALENCE_MAX_SITES} sites, got {num_sites}"
-        )
-    u1 = build_dense(FloquetSpec(Model.UX, num_sites, boundary, Factorization.COMBINED))
-    u3 = build_dense(FloquetSpec(Model.UX, num_sites, boundary, Factorization.SPLIT))
-    phase = complex(1.0)
-    if allow_phase:
-        overlap = complex(np.trace(u3.matrix.conj().T @ u1.matrix))
-        if abs(overlap) > 1e-12:
-            phase = overlap / abs(overlap)
-    dev = float(np.linalg.norm(u1.matrix - phase * u3.matrix))
-    return FactorizationCheck(deviation=dev, phase=phase)

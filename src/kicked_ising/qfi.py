@@ -49,9 +49,6 @@ class DirectionField:
     def num_sites(self) -> int:
         return self.n_hats.shape[0]
 
-    def flat(self) -> np.ndarray:
-        return self.n_hats.reshape(-1)
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -119,17 +116,6 @@ def covariance_matrix(state: StateVector) -> CovarianceMatrix:
     return CovarianceMatrix(gamma=gamma, means=means)
 
 
-def qfi_for_direction(state: StateVector, dirs: DirectionField) -> float:
-    """F_Q = n^T Gamma n = 4 Var((1/2) sum n_i . sigma_i)."""
-    if dirs.num_sites != state.num_sites:
-        raise ValueError(
-            f"direction field covers {dirs.num_sites} sites, state has "
-            f"{state.num_sites}"
-        )
-    n = dirs.flat()
-    return float(n @ covariance_matrix(state).gamma @ n)
-
-
 def producibility_bound(num_sites: int, k: int) -> int:
     """kappa(k) = floor(L/k) k^2 + (L - floor(L/k) k)^2, the max QFI of
     any k-producible state."""
@@ -149,12 +135,6 @@ def _certify(f_q: float, num_sites: int, slack: float) -> tuple[list, int]:
     kappas = [(k, producibility_bound(num_sites, k)) for k in range(1, num_sites + 1)]
     table = [(k, kappa, f_q > kappa + slack) for k, kappa in kappas]
     return table, 1 + max((k for k, _, violated in table if violated), default=0)
-
-
-def entanglement_depth(f_q: float, num_sites: int, slack: float = DEFAULT_SLACK) -> int:
-    """1 + the largest k whose bound kappa(k) is exceeded by more than
-    ``slack``; 1 when no bound is violated. Equality does not violate."""
-    return _certify(f_q, num_sites, slack)[1]
 
 
 def _initial_directions(

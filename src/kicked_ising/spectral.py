@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import FloquetSpec, UnitaryMatrix, build_dense, check_unitary
+from .floquet import FloquetSpec, UnitaryMatrix, build_dense
 
 CLUSTER_TOLERANCE = 1e-7
 # Cluster centers closer to zero than this are rounding noise of a level
@@ -40,7 +40,6 @@ class QuasiSpectrum:
     """
 
     thetas: np.ndarray = field(repr=False)
-    cluster_tolerance: float
     clusters: list[tuple[float, int]]
 
     @property
@@ -98,33 +97,21 @@ def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]
     return sorted(clusters)
 
 
-def quasi_energies(
-    u: UnitaryMatrix | np.ndarray | Sequence[UnitaryMatrix | np.ndarray],
-    cluster_tolerance: float = CLUSTER_TOLERANCE,
-) -> QuasiSpectrum:
+def quasi_energies(blocks: Sequence[UnitaryMatrix]) -> QuasiSpectrum:
     """Quasi-energies theta_k = -arg(lambda_k) in (-pi, pi], sorted ascending.
 
-    ``u`` is one matrix or the sequence of diagonal blocks of one operator;
-    the phases of all blocks are pooled before sorting and clustering.
-    Eigenvalues come from a complex Schur decomposition per block; because
-    each block is normal its Schur form is diagonal and the Schur basis is
-    an orthonormal eigenbasis. Residuals ||U v - lambda v|| are enforced.
+    ``blocks`` is the sequence of diagonal blocks of one operator, each a
+    ``UnitaryMatrix`` (a whole operator is the one-block list); the phases
+    of all blocks are pooled before sorting and clustering within
+    ``CLUSTER_TOLERANCE``. Eigenvalues come from a complex Schur
+    decomposition per block; because each block is normal its Schur form is
+    diagonal and the Schur basis is an orthonormal eigenbasis. Residuals
+    ||U v - lambda v|| are enforced.
     """
-    blocks = u if isinstance(u, (list, tuple)) and all(map(_is_block, u)) else [u]
-    thetas = np.sort(np.concatenate([
-        _block_thetas(b.matrix if isinstance(b, UnitaryMatrix) else check_unitary(b))
-        for b in blocks
-    ]))
+    thetas = np.sort(np.concatenate([_block_thetas(b.matrix) for b in blocks]))
     return QuasiSpectrum(
-        thetas=thetas,
-        cluster_tolerance=cluster_tolerance,
-        clusters=_cluster_circular(thetas, cluster_tolerance),
+        thetas=thetas, clusters=_cluster_circular(thetas, CLUSTER_TOLERANCE)
     )
-
-
-def _is_block(b: object) -> bool:
-    # a nested list of numbers is one matrix, not a sequence of blocks
-    return isinstance(b, UnitaryMatrix) or np.ndim(b) == 2
 
 
 def _block_thetas(mat: np.ndarray) -> np.ndarray:
@@ -141,13 +128,11 @@ def _block_thetas(mat: np.ndarray) -> np.ndarray:
     return thetas
 
 
-def floquet_spectrum(
-    spec: FloquetSpec, cluster_tolerance: float = CLUSTER_TOLERANCE
-) -> QuasiSpectrum:
+def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     """Quasi-energies of the operator built from ``spec`` (L <= 12), one
     symmetry-sector block at a time."""
     blocks = [build_dense(spec, sector=sector) for sector in spec.sectors()]
-    return quasi_energies(blocks, cluster_tolerance)
+    return quasi_energies(blocks)
 
 
 def _real_gcd(a: float, b: float, tol: float) -> float:

@@ -51,7 +51,7 @@ def dense(model: Model, num_sites: int):
 
 @lru_cache(maxsize=None)
 def thetas(model: Model, num_sites: int) -> np.ndarray:
-    return quasi_energies(dense(model, num_sites)).thetas
+    return quasi_energies([dense(model, num_sites)]).thetas
 
 
 @lru_cache(maxsize=None)

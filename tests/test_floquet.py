@@ -16,7 +16,6 @@ from kicked_ising.floquet import (
     _period_program,
     apply_floquet,
     build_dense,
-    check_factorization_equivalence,
 )
 
 from oracles import dense_floquet_oracle, random_state, site_operator
@@ -42,6 +41,17 @@ class TestSpec:
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
             FloquetSpec(Model.U0, 1)
+
+    # members are compared by identity, so unchecked, "U0" would run the Ux
+    # program and "closed" would drop the bond (L, 1)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("model", "U0"), ("boundary", "closed"), ("factorization", "split")],
+    )
+    def test_rejects_plain_strings(self, name, value):
+        kwargs = {"model": Model.U0, "num_sites": 4, name: value}
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            FloquetSpec(**kwargs)
 
 
 class TestUnitaryMatrix:
@@ -205,24 +215,21 @@ class TestFactorization:
             )
             assert np.abs(combined - product).max() < 1e-12
 
+    @staticmethod
+    def max_gap(num_sites, boundary):
+        """max |U_combined - U_split| over entries, with no phase freedom."""
+        combined, split = (
+            build_dense(FloquetSpec(Model.UX, num_sites, boundary, f)).matrix
+            for f in (Factorization.COMBINED, Factorization.SPLIT)
+        )
+        return np.abs(combined - split).max()
+
     @pytest.mark.parametrize("num_sites", [2, 3, 4, 6])
     def test_combined_and_split_agree_exactly(self, num_sites):
-        report = check_factorization_equivalence(num_sites)
-        assert report.deviation < 1e-10
-        assert report.phase == pytest.approx(1.0 + 0.0j, abs=1e-10)
-
-    def test_agreement_holds_without_phase_freedom(self):
-        report = check_factorization_equivalence(4, allow_phase=False)
-        assert report.phase == 1.0
-        assert report.deviation < 1e-10
+        assert self.max_gap(num_sites, Boundary.OPEN) < 1e-10
 
     def test_closed_boundary_agrees_too(self):
-        report = check_factorization_equivalence(4, Boundary.CLOSED)
-        assert report.deviation < 1e-10
-
-    def test_equivalence_check_size_cap(self):
-        with pytest.raises(ValueError):
-            check_factorization_equivalence(11)
+        assert self.max_gap(4, Boundary.CLOSED) < 1e-10
 
 
 class TestDynamicsPins:

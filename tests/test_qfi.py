@@ -6,13 +6,13 @@ import pytest
 from kicked_ising.core import Axis, StateVector, make_ghz, make_polarized_state, make_psi_o
 from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
 from kicked_ising.qfi import (
+    DEFAULT_SLACK,
     CovarianceMatrix,
     DirectionField,
+    _certify,
     covariance_matrix,
-    entanglement_depth,
     maximize_qfi,
     producibility_bound,
-    qfi_for_direction,
 )
 
 from oracles import grid_max_qfi, random_state, site_operator
@@ -28,11 +28,21 @@ def uniform_field(num_sites, direction):
     return DirectionField(np.tile(np.asarray(direction, dtype=float), (num_sites, 1)))
 
 
+def qfi_along(state, dirs):
+    """F_Q = n^T Gamma n for the direction field ``dirs``."""
+    n = dirs.n_hats.reshape(-1)
+    return float(n @ covariance_matrix(state).gamma @ n)
+
+
+def depth(f_q, num_sites):
+    return _certify(f_q, num_sites, DEFAULT_SLACK)[1]
+
+
 class TestDirectionField:
     def test_accepts_unit_rows(self):
         field = uniform_field(3, [0, 0, 1])
         assert field.num_sites == 3
-        assert field.flat().shape == (9,)
+        assert field.n_hats.shape == (3, 3)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -86,22 +96,22 @@ class TestCovarianceMatrix:
 class TestQfiForDirection:
     def test_product_state_transverse(self):
         state = make_polarized_state(5, Axis.parse("z+"))
-        assert qfi_for_direction(state, uniform_field(5, [1, 0, 0])) == pytest.approx(
+        assert qfi_along(state, uniform_field(5, [1, 0, 0])) == pytest.approx(
             5.0, abs=1e-10
         )
 
     def test_ghz_longitudinal(self):
         state = make_ghz(4, Axis.parse("z"))
-        assert qfi_for_direction(state, uniform_field(4, [0, 0, 1])) == pytest.approx(
+        assert qfi_along(state, uniform_field(4, [0, 0, 1])) == pytest.approx(
             16.0, abs=1e-10
         )
-        assert qfi_for_direction(
+        assert qfi_along(
             make_ghz(2, Axis.parse("z")), uniform_field(2, [0, 0, 1])
         ) == pytest.approx(4.0, abs=1e-10)
 
     def test_ghz_pair_longitudinal(self):
         state = make_psi_o(4)
-        assert qfi_for_direction(state, uniform_field(4, [0, 0, 1])) == pytest.approx(
+        assert qfi_along(state, uniform_field(4, [0, 0, 1])) == pytest.approx(
             8.0, abs=1e-10
         )
 
@@ -120,16 +130,10 @@ class TestQfiForDirection:
             mean = (psi.conj() @ generator @ psi).real
             second = (psi.conj() @ generator @ generator @ psi).real
             direct = 4 * (second - mean**2)
-            got = qfi_for_direction(
+            got = qfi_along(
                 StateVector(num_sites, psi), DirectionField(dirs)
             )
             assert got == pytest.approx(direct, abs=1e-10)
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            qfi_for_direction(
-                make_ghz(3, Axis.parse("z")), uniform_field(2, [0, 0, 1])
-            )
 
 
 class TestBounds:
@@ -146,19 +150,19 @@ class TestBounds:
                 producibility_bound(10, bad)
 
     def test_depth_from_qfi(self):
-        assert entanglement_depth(100.0, 10) == 10
-        assert entanglement_depth(16.0, 4) == 4
-        assert entanglement_depth(10.0, 10) == 1
-        assert entanglement_depth(20.0, 10) == 2
-        assert entanglement_depth(12.0, 10) == 2
+        assert depth(100.0, 10) == 10
+        assert depth(16.0, 4) == 4
+        assert depth(10.0, 10) == 1
+        assert depth(20.0, 10) == 2
+        assert depth(12.0, 10) == 2
 
     def test_depth_equality_does_not_violate(self):
-        assert entanglement_depth(10.0 + 1e-9, 10) == 1
-        assert entanglement_depth(10.0 + 1e-6, 10) == 2
+        assert depth(10.0 + 1e-9, 10) == 1
+        assert depth(10.0 + 1e-6, 10) == 2
 
     def test_depth_rejects_negative(self):
         with pytest.raises(ValueError):
-            entanglement_depth(-1.0, 4)
+            _certify(-1.0, 4, DEFAULT_SLACK)
 
 
 class TestMaximizeQfi:
@@ -182,7 +186,7 @@ class TestMaximizeQfi:
         rng = np.random.default_rng(33)
         state = StateVector(4, random_state(rng, 4))
         result = maximize_qfi(state, restarts=8)
-        assert qfi_for_direction(state, result.direction) == pytest.approx(
+        assert qfi_along(state, result.direction) == pytest.approx(
             result.f_q, abs=1e-9
         )
 

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from kicked_ising.core import DENSE_MAX_SITES
 from kicked_ising.floquet import (
     Boundary,
     Factorization,
     FloquetSpec,
     Model,
     Symmetry,
+    UnitaryMatrix,
     build_dense,
+    _spin_values,
     symmetry_sectors,
 )
 from kicked_ising.spectral import (
@@ -26,9 +29,14 @@ def ladder(centers, counts):
     thetas = np.repeat(np.asarray(centers, dtype=float), counts)
     return QuasiSpectrum(
         thetas=thetas,
-        cluster_tolerance=1e-7,
         clusters=list(zip([float(c) for c in centers], counts)),
     )
+
+
+def whole(matrix):
+    """A whole operator as the one-block list ``quasi_energies`` takes."""
+    dim = len(matrix)
+    return [UnitaryMatrix(dim.bit_length() - 1, matrix)]
 
 
 def on_circle(angles):
@@ -43,24 +51,24 @@ def circle_distance(a, b):
 
 class TestQuasiEnergies:
     def test_identity_spectrum(self):
-        spectrum = quasi_energies(np.eye(4, dtype=complex))
+        spectrum = quasi_energies(whole(np.eye(4, dtype=complex)))
         np.testing.assert_allclose(spectrum.thetas, np.zeros(4), atol=1e-12)
         assert spectrum.clusters == [(0.0, 4)]
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            quasi_energies(1.1 * np.eye(4, dtype=complex))
+            quasi_energies(whole(1.1 * np.eye(4, dtype=complex)))
 
     def test_diagonal_phases_recovered(self):
         phases = np.array([0.3, -1.2, 2.5, 0.3])
         u = np.diag(np.exp(1j * phases))
-        spectrum = quasi_energies(u)
+        spectrum = quasi_energies(whole(u))
         np.testing.assert_allclose(spectrum.thetas, np.sort(-phases), atol=1e-12)
 
     def test_seam_cluster_merges(self):
         eps = 1e-9
         u = np.diag(np.exp(1j * np.array([np.pi - eps, -np.pi + eps, 0.0, 0.0])))
-        spectrum = quasi_energies(u)
+        spectrum = quasi_energies(whole(u))
         assert len(spectrum.clusters) == 2
         centers = [c for c, _ in spectrum.clusters]
         counts = [m for _, m in spectrum.clusters]
@@ -70,14 +78,14 @@ class TestQuasiEnergies:
 
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
     def test_multiplicities_sum_to_dimension(self, model):
-        spectrum = quasi_energies(build_dense(FloquetSpec(model, 4)))
+        spectrum = quasi_energies([build_dense(FloquetSpec(model, 4))])
         assert sum(m for _, m in spectrum.clusters) == 16
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matrix_power_shifts_spectrum(self, n):
         u = build_dense(FloquetSpec(Model.UX, 3)).matrix
-        base = quasi_energies(u).thetas
-        powered = quasi_energies(np.linalg.matrix_power(u, n)).thetas
+        base = quasi_energies(whole(u)).thetas
+        powered = quasi_energies(whole(np.linalg.matrix_power(u, n))).thetas
         np.testing.assert_allclose(on_circle(powered), on_circle(n * base), atol=1e-9)
 
     def test_center_at_zero_is_snapped(self):
@@ -85,18 +93,18 @@ class TestQuasiEnergies:
         # tiny number or as -0
         for noise in ([3e-15, -7e-15, -1e-13], [0.0, 0.0, 0.0]):
             u = np.diag(np.exp(1j * np.array([1.0, *noise])))
-            spectrum = quasi_energies(u)
+            spectrum = quasi_energies(whole(u))
             assert spectrum.clusters == [(-1.0, 1), (0.0, 3)]
             assert math.copysign(1.0, spectrum.clusters[1][0]) == 1.0
 
     def test_blocks_pool_into_one_spectrum(self):
         a = np.diag(np.exp(1j * np.array([0.3, -1.2])))
-        b = np.diag(np.exp(1j * np.array([0.3])))
-        spectrum = quasi_energies([a, b])
-        np.testing.assert_allclose(spectrum.thetas, [-0.3, -0.3, 1.2], atol=1e-12)
-        assert [m for _, m in spectrum.clusters] == [2, 1]
-        # a nested list of numbers is still one matrix
-        np.testing.assert_allclose(quasi_energies([[0, 1], [1, 0]]).thetas, [0, np.pi])
+        b = np.diag(np.exp(1j * np.array([0.3, 2.0])))
+        spectrum = quasi_energies([UnitaryMatrix(1, a), UnitaryMatrix(1, b)])
+        np.testing.assert_allclose(
+            spectrum.thetas, [-2.0, -0.3, -0.3, 1.2], atol=1e-12
+        )
+        assert [m for _, m in spectrum.clusters] == [1, 2, 1]
 
 
 SECTOR_SPECS = [
@@ -113,7 +121,7 @@ class TestSymmetrySectors:
     @pytest.mark.parametrize("model, boundary, factorization", SECTOR_SPECS)
     def test_sector_path_matches_dense(self, model, boundary, factorization, num_sites):
         spec = FloquetSpec(model, num_sites, boundary, factorization)
-        dense = quasi_energies(build_dense(spec))
+        dense = quasi_energies([build_dense(spec)])
         blocked = floquet_spectrum(spec)
         assert circle_distance(on_circle(blocked.thetas), on_circle(dense.thetas)).max() < 1e-12
         assert [m for _, m in blocked.clusters] == [m for _, m in dense.clusters]
@@ -137,6 +145,15 @@ class TestSymmetrySectors:
         assert dims == [272, 240, 256, 256]
         assert [s.dim for s in FloquetSpec(Model.UX, 10).sectors()] == [528, 496]
 
+    def test_size_cap_fires_before_any_table_is_cached(self):
+        def cached():
+            return [f.cache_info().currsize for f in (symmetry_sectors, _spin_values)]
+
+        before = cached()
+        with pytest.raises(ValueError, match="capped"):
+            floquet_spectrum(FloquetSpec(Model.U0, DENSE_MAX_SITES + 1))
+        assert cached() == before
+
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
     def test_ux_leaks_out_of_parity_sectors(self, boundary):
         spec = FloquetSpec(Model.UX, 6, boundary)
@@ -147,21 +164,21 @@ class TestSymmetrySectors:
 
 class TestSpacing:
     def test_u0_four_sites(self):
-        spectrum = quasi_energies(build_dense(FloquetSpec(Model.U0, 4)))
+        spectrum = quasi_energies([build_dense(FloquetSpec(Model.U0, 4))])
         result = detect_spacing(spectrum)
         assert result is not None
         assert result.delta == pytest.approx(np.pi / 8, abs=1e-9)
         assert min(result.offset, result.delta - result.offset) < 1e-9
 
     def test_u0_six_sites(self):
-        spectrum = quasi_energies(build_dense(FloquetSpec(Model.U0, 6)))
+        spectrum = quasi_energies([build_dense(FloquetSpec(Model.U0, 6))])
         result = detect_spacing(spectrum)
         assert result is not None
         assert result.delta == pytest.approx(np.pi / 12, abs=1e-9)
         assert min(result.offset, result.delta - result.offset) < 1e-9
 
     def test_ux_four_sites_offset_ladder(self):
-        spectrum = quasi_energies(build_dense(FloquetSpec(Model.UX, 4)))
+        spectrum = quasi_energies([build_dense(FloquetSpec(Model.UX, 4))])
         result = detect_spacing(spectrum)
         assert result is not None
         assert result.delta == pytest.approx(np.pi / 6, abs=1e-9)
