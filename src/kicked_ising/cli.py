@@ -63,16 +63,23 @@ _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
-    """key=value per line; blank lines and #-comments are ignored."""
+    """key=value per line; blank lines and #-comments are ignored, and a
+    key may be set only once."""
     settings: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} repeated (first set on line {set_on[key]})"
+            )
+        set_on[key] = lineno
+        settings[key] = value
     return settings
 
 

@@ -21,6 +21,8 @@ from .core import DEFAULT_TOL, DensityMatrix, StateVector, partial_trace
 
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
+# a pair is pure, and a site maximally mixed, within this many bits
+BELL_TOLERANCE = 1e-6
 
 
 def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
@@ -61,52 +63,6 @@ class AeeReport:
     per_l: dict[int, tuple[float, float, int]]
 
 
-def _size_entropies(state: StateVector, k: int) -> np.ndarray:
-    """Entropies of all size-k subsets (k <= L/2) in combinations order,
-    from one batched reduction."""
-    return entropy(partial_trace(state, _subsets(state.num_sites, k)))
-
-
-def _average(values: np.ndarray, l: int, num_sites: int) -> tuple[float, float]:
-    """(S(l), S(l)/l) from the entropies of the smaller side's subsets.
-
-    A pure state has S(A) = S(complement of A). Complements of the size-l
-    subsets in combinations order are the size-(L-l) subsets in reverse
-    combinations order.
-    """
-    if l > num_sites - l:
-        values = values[::-1]
-    assert values.size == math.comb(num_sites, l)
-    # a running total from 0.0, in combinations order
-    mean = float(np.cumsum(np.concatenate(([0.0], values)))[-1]) / values.size
-    return mean, mean / l
-
-
-def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
-    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l).
-
-    Every subset is reduced on its smaller side, in one batched call.
-    """
-    num_sites = state.num_sites
-    if not 1 <= l <= num_sites - 1:
-        raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
-    return _average(_size_entropies(state, min(l, num_sites - l)), l, num_sites)
-
-
-def aee_report(state: StateVector) -> AeeReport:
-    """The AEE at every l; sizes l and L - l share one reduction."""
-    num_sites = state.num_sites
-    by_size: dict[int, np.ndarray] = {}
-    per_l = {}
-    for l in range(1, num_sites):
-        k = min(l, num_sites - l)
-        if k not in by_size:
-            by_size[k] = _size_entropies(state, k)
-        s, s_norm = _average(by_size[k], l, num_sites)
-        per_l[l] = (s, s_norm, math.comb(num_sites, l))
-    return AeeReport(num_sites=num_sites, per_l=per_l)
-
-
 def _cuts(num_sites: int, l: int) -> np.ndarray:
     """Size-l subsets, one per bipartition: at l = L/2 only those holding site 1."""
     subsets = _subsets(num_sites, l)
@@ -115,37 +71,80 @@ def _cuts(num_sites: int, l: int) -> np.ndarray:
     return subsets
 
 
-def min_bipartition_entropy(state: StateVector) -> float:
-    """Minimum cut entropy over all nonempty proper site subsets.
+def _masks(subsets: np.ndarray, num_sites: int) -> np.ndarray:
+    """Bitmask of each subset row; site s is bit L - s, as in the basis labels."""
+    return (1 << (num_sites - subsets)).sum(axis=1)
 
-    By complement symmetry of pure states only subsets of size <= L/2 are
-    scanned; at size exactly L/2 only subsets containing site 1.
+
+def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
+    """S(A) in bits for every site subset A, indexed by the bitmask of A.
+
+    Entries with min(|A|, L - |A|) <= ``max_size`` are filled, the rest are
+    NaN; the empty set and the whole chain hold 0. A pure state has
+    S(A) = S(complement of A), so each bipartition is reduced once, on its
+    smaller side, in one batched call per size, and fills both entries.
     """
     num_sites = state.num_sites
-    if num_sites < 2:
+    full = (1 << num_sites) - 1
+    table = np.full(full + 1, np.nan)
+    table[[0, full]] = 0.0
+    for k in range(1, min(max_size, num_sites // 2) + 1):
+        cuts = _cuts(num_sites, k)
+        masks = _masks(cuts, num_sites)
+        table[masks] = table[full ^ masks] = entropy(partial_trace(state, cuts))
+    return table
+
+
+def _size_mean(table: np.ndarray, num_sites: int, l: int) -> float:
+    """Mean table entry over the size-l subsets, as a running total from 0.0
+    in combinations order."""
+    values = table[_masks(_subsets(num_sites, l), num_sites)]
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1]) / values.size
+
+
+def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
+    """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l)."""
+    num_sites = state.num_sites
+    if not 1 <= l <= num_sites - 1:
+        raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
+    s = _size_mean(_entropy_table(state, min(l, num_sites - l)), num_sites, l)
+    return s, s / l
+
+
+def aee_report(state: StateVector) -> AeeReport:
+    """The AEE at every l, read from one entropy table."""
+    num_sites = state.num_sites
+    table = _entropy_table(state, num_sites // 2)
+    per_l = {}
+    for l in range(1, num_sites):
+        s = _size_mean(table, num_sites, l)
+        per_l[l] = (s, s / l, math.comb(num_sites, l))
+    return AeeReport(num_sites=num_sites, per_l=per_l)
+
+
+def min_bipartition_entropy(state: StateVector) -> float:
+    """Minimum cut entropy over all nonempty proper site subsets."""
+    if state.num_sites < 2:
         raise ValueError("bipartitions need at least 2 sites")
-    best = float("inf")
-    for l in range(1, num_sites // 2 + 1):
-        best = min(best, float(entropy(partial_trace(state, _cuts(num_sites, l))).min()))
-    return best
+    return float(_entropy_table(state, state.num_sites // 2)[1:-1].min())
 
 
-def detect_bell_pairs(
-    state: StateVector, tol: float = 1e-6
-) -> list[tuple[int, int]] | None:
+def detect_bell_pairs(state: StateVector) -> list[tuple[int, int]] | None:
     """Recover a pairing from zero-entropy two-site cuts, if one exists.
 
     Returns site pairs (i, j) such that every pair is internally pure,
     every site is entangled with its partner, and the pairs tile the
-    chain. None when the state has no such structure.
+    chain, all within ``BELL_TOLERANCE``. None when the state has no such
+    structure.
     """
     num_sites = state.num_sites
     if num_sites < 2:
         return None
+    table = _entropy_table(state, 2)
     pairs = _subsets(num_sites, 2)
-    site_entropy = entropy(partial_trace(state, _subsets(num_sites, 1)))
-    pure = entropy(partial_trace(state, pairs)) < tol
-    pairs = pairs[pure & (site_entropy[pairs[:, 0] - 1] > 1 - tol)]
+    pure = table[_masks(pairs, num_sites)] < BELL_TOLERANCE
+    entangled = table[1 << (num_sites - pairs[:, 0])] > 1 - BELL_TOLERANCE
+    pairs = pairs[pure & entangled]
     covered = pairs.ravel().tolist()
     if len(covered) != num_sites or len(set(covered)) != num_sites:
         return None
@@ -163,13 +162,12 @@ class GeometricResult:
     constant from the sweep at which the restart converged).
     ``certified`` is true when the ascent stopped because a balanced cut's
     largest Schmidt coefficient, an upper bound on every product overlap,
-    is within ``tol`` of ``lambda_``.
+    is within ``DEFAULT_TOL`` of ``lambda_``.
     """
 
     lambda_: float
     e_g: float
     product_state: list[np.ndarray] = field(repr=False)
-    restarts_used: int
     converged: bool
     certified: bool
     sweeps: int
@@ -205,7 +203,6 @@ def geometric_measure(
     state: StateVector,
     restarts: int = DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> GeometricResult:
     """Maximize |<Phi|psi>| over product states Phi = phi_1 x ... x phi_L.
@@ -215,16 +212,17 @@ def geometric_measure(
     Each update can only increase the overlap, so the per-restart overlap
     sequence is monotone; a decrease beyond rounding noise is a bug and
     raises. Restarts run batched, and a restart leaves the batch once one
-    sweep raises its overlap by less than ``tol``; the best one is returned.
+    sweep raises its overlap by less than ``DEFAULT_TOL``; the best one is
+    returned.
 
     No product overlap exceeds the largest Schmidt coefficient of any cut.
     So while some restarts still sweep, each rise of the best converged
     overlap lambda_c is tested against the balanced cuts (floor(L/2) sites),
     scanned in chunks: the first cut whose top reduced eigenvalue is at most
-    (lambda_c + tol)^2 proves lambda_c is the maximum within ``tol``, and the
-    ascent stops with the best converged restart as the winner. A balanced
-    cut's top eigenvalue is at least 2^-floor(L/2), so no cut is reduced
-    while (lambda_c + tol)^2 * 2^floor(L/2) < 1. An overlap above an
+    (lambda_c + DEFAULT_TOL)^2 proves lambda_c is the maximum within
+    ``DEFAULT_TOL``, and the ascent stops with the best converged restart as
+    the winner. A balanced cut's top eigenvalue is at least 2^-floor(L/2), so
+    no cut is reduced while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1. An overlap above an
     examined cut's coefficient is a bug and raises.
     """
     if restarts < 1:
@@ -268,7 +266,7 @@ def geometric_measure(
         new_lam = prefixed[:, 0].real
         if np.any(new_lam < lam[active] - 1e-9):
             raise AssertionError("overlap decreased during an exact local update")
-        converged_at[active[new_lam - lam[active] < tol]] = sweeps
+        converged_at[active[new_lam - lam[active] < DEFAULT_TOL]] = sweeps
         lam[active] = new_lam
         history.append(lam.copy())
         done = converged_at >= 0
@@ -278,7 +276,7 @@ def geometric_measure(
         if lam_c <= tested:
             continue
         tested = lam_c
-        bound = (lam_c + tol) ** 2
+        bound = (lam_c + DEFAULT_TOL) ** 2
         if half == 0 or bound * 2**half < 1:
             continue
         while witness > bound:
@@ -299,7 +297,6 @@ def geometric_measure(
         lambda_=lam_best,
         e_g=1.0 - lam_best**2,
         product_state=[phis[site, best].copy() for site in range(num_sites)],
-        restarts_used=restarts,
         converged=bool(converged_at[best] >= 0),
         certified=certified,
         sweeps=sweeps,

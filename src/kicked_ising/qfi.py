@@ -126,14 +126,14 @@ def producibility_bound(num_sites: int, k: int) -> int:
     return full * k * k + rest * rest
 
 
-def _certify(f_q: float, num_sites: int, slack: float) -> tuple[list, int]:
+def _certify(f_q: float, num_sites: int) -> tuple[list, int]:
     """The bound table (k, kappa(k), violated) for k = 1..L and the depth
     it certifies. f_q violates kappa(k) when it exceeds it by more than
-    ``slack``; the depth is 1 + the largest violated k, 1 when none is."""
+    ``DEFAULT_SLACK``; the depth is 1 + the largest violated k, 1 when none is."""
     if f_q < 0:
         raise ValueError(f"QFI must be nonnegative, got {f_q}")
     kappas = [(k, producibility_bound(num_sites, k)) for k in range(1, num_sites + 1)]
-    table = [(k, kappa, f_q > kappa + slack) for k, kappa in kappas]
+    table = [(k, kappa, f_q > kappa + DEFAULT_SLACK) for k, kappa in kappas]
     return table, 1 + max((k for k, _, violated in table if violated), default=0)
 
 
@@ -166,9 +166,7 @@ def maximize_qfi(
     state: StateVector,
     restarts: int = DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
-    slack: float = DEFAULT_SLACK,
 ) -> QfiResult:
     """Maximize F(n) = n^T Gamma n over per-site unit directions.
 
@@ -202,14 +200,14 @@ def maximize_qfi(
             raise AssertionError("objective decreased during a power step")
         delta = new_objective - objective
         objective = new_objective
-        converged |= delta < tol
+        converged |= delta < DEFAULT_TOL
         if np.all(converged):
             break
 
     pool = np.flatnonzero(converged) if np.any(converged) else np.arange(restarts)
     best = int(pool[np.argmax(objective[pool])])
     f_q = float(objective[best])
-    table, depth = _certify(f_q, num_sites, slack)
+    table, depth = _certify(f_q, num_sites)
     return QfiResult(
         f_q=f_q,
         direction=DirectionField(n_hats=dirs[best]),

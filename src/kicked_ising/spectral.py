@@ -61,8 +61,9 @@ class PeriodReport:
     """Projective and exact-identity recurrence of a Floquet operator.
 
     ``period`` is the smallest n <= max_n with U^n = phase * I within
-    ``tolerance`` in Frobenius norm; ``exact_period`` additionally requires
-    the phase to be 1. Either is None when no such n exists in range.
+    ``PERIOD_TOLERANCE`` in Frobenius norm; ``exact_period`` additionally
+    requires the phase to be 1. Either is None when no such n exists in
+    range.
     """
 
     period: int | None
@@ -70,7 +71,6 @@ class PeriodReport:
     deviation: float
     exact_period: int | None
     exact_deviation: float
-    tolerance: float
 
 
 def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -143,12 +143,11 @@ def _real_gcd(a: float, b: float, tol: float) -> float:
     return a
 
 
-def detect_spacing(
-    spectrum: QuasiSpectrum, tol: float = SPACING_TOLERANCE
-) -> SpacingResult | None:
+def detect_spacing(spectrum: QuasiSpectrum) -> SpacingResult | None:
     """Fit cluster centers to a uniform ladder offset + m*delta.
 
-    Returns None when no consistent spacing exists within ``tol``.
+    Returns None when no consistent spacing exists within
+    ``SPACING_TOLERANCE``.
     """
     centers = np.array([c for c, _ in spectrum.clusters], dtype=float)
     if centers.size < 2:
@@ -156,8 +155,8 @@ def detect_spacing(
     gaps = np.diff(centers)
     delta = gaps[0]
     for g in gaps[1:]:
-        delta = _real_gcd(delta, float(g), tol)
-    if delta <= tol:
+        delta = _real_gcd(delta, float(g), SPACING_TOLERANCE)
+    if delta <= SPACING_TOLERANCE:
         return None
     residues = centers % delta
     # Residues near 0 and near delta are the same offset; unwrap before
@@ -167,14 +166,12 @@ def detect_spacing(
     offset = float(np.mean(residues)) % delta
     steps = np.round((centers - offset) / delta)
     max_residual = float(np.abs(centers - offset - steps * delta).max())
-    if max_residual > tol:
+    if max_residual > SPACING_TOLERANCE:
         return None
     return SpacingResult(delta=float(delta), offset=offset, max_residual=max_residual)
 
 
-def detect_period_from_thetas(
-    thetas: np.ndarray, max_n: int, tol: float = PERIOD_TOLERANCE
-) -> PeriodReport:
+def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     """Find recurrences of a spectrum: U^n = phase*I iff all n*theta_k agree.
 
     The Frobenius distance of U^n from phase*I equals
@@ -193,10 +190,10 @@ def detect_period_from_thetas(
         if abs(mean) > 1e-12:
             best = mean / abs(mean)
             dev = float(np.sqrt(np.sum(np.abs(z - best) ** 2)))
-            if period is None and dev < tol:
+            if period is None and dev < PERIOD_TOLERANCE:
                 period, phase, deviation = n, complex(best), dev
             dev1 = float(np.sqrt(np.sum(np.abs(z - 1.0) ** 2)))
-            if exact_period is None and dev1 < tol:
+            if exact_period is None and dev1 < PERIOD_TOLERANCE:
                 exact_period, exact_deviation = n, dev1
         if period is not None and exact_period is not None:
             break
@@ -206,13 +203,9 @@ def detect_period_from_thetas(
         deviation=deviation,
         exact_period=exact_period,
         exact_deviation=exact_deviation,
-        tolerance=tol,
     )
 
 
-def detect_period(
-    spec: FloquetSpec, max_n: int, tol: float = PERIOD_TOLERANCE
-) -> PeriodReport:
+def detect_period(spec: FloquetSpec, max_n: int) -> PeriodReport:
     """Period detection for a Floquet operator built from ``spec`` (L <= 12)."""
-    spectrum = floquet_spectrum(spec)
-    return detect_period_from_thetas(spectrum.thetas, max_n, tol)
+    return detect_period_from_thetas(floquet_spectrum(spec).thetas, max_n)

@@ -139,6 +139,17 @@ def max_schmidt_coefficient(amplitudes: np.ndarray, num_sites: int) -> float:
     return best
 
 
+def subset_entropy(amplitudes: np.ndarray, num_sites: int, subset) -> float:
+    """S(A) in bits from the Schmidt coefficients of psi reshaped to
+    2^|A| x 2^(L-|A|), one SVD; ``subset`` holds 1-based sites."""
+    tensor = np.asarray(amplitudes).reshape((2,) * num_sites)
+    kept = [site - 1 for site in subset]
+    moved = np.moveaxis(tensor, kept, range(len(kept)))
+    probs = np.linalg.svd(moved.reshape(2 ** len(kept), -1), compute_uv=False) ** 2
+    probs = probs[probs > 0]
+    return float(-(probs * np.log2(probs)).sum())
+
+
 def gamma_oracle(amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
     """Pauli covariance matrix from dense operators and expectation values."""
     ops = [

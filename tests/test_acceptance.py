@@ -83,7 +83,7 @@ def test_criterion_02_ux_odd_lattice_and_periods():
     )
     assert (steps % 2 == 1).all(), "some quasi-energies sit on even multiples"
 
-    report = detect_period_from_thetas(th, 150, tol=1e-7)
+    report = detect_period_from_thetas(th, 150)
     assert report.period == 60
     assert report.phase == pytest.approx(-1.0 + 0.0j, abs=1e-7)
     assert report.deviation < 1e-7
@@ -92,7 +92,7 @@ def test_criterion_02_ux_odd_lattice_and_periods():
 
 
 def test_criterion_03_u0_periodicity():
-    report = detect_period_from_thetas(thetas(Model.U0, 10), 200, tol=1e-7)
+    report = detect_period_from_thetas(thetas(Model.U0, 10), 200)
     assert report.exact_period is not None
     assert 40 % report.exact_period == 0, (
         f"exact-identity period {report.exact_period} does not divide 40"

@@ -240,6 +240,16 @@ class TestErrors:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = U0\nsize = 8\n# later\nsize = 10\n")
+        out = tmp_path / "out"
+        code = main(["spectrum", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:4: key 'size' repeated (first set on line 2)\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         self.check_error(
             capsys,

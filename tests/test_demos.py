@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = ROOT / "demos" / "expected"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
-    # a temp dir of its own, so a demo that leaves files behind is caught
+def run_demo(demo: Path, tmp_path: Path) -> str:
+    """Run one demo in a temp dir of its own and return its stdout, with the
+    random name of the demo's temporary directory replaced by a fixed one."""
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     env = dict(os.environ, TMPDIR=str(tmpdir))
@@ -27,4 +29,14 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    # a demo that leaves files behind is caught here
     assert not any(tmpdir.iterdir())
+    pattern = re.escape(str(tmpdir) + os.sep) + r"kicked_ising_demo_[^/\s]+"
+    return re.sub(pattern, "$TMPDIR/kicked_ising_demo_*", result.stdout)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # each demo prints exactly the text recorded under demos/expected
+    expected = (EXPECTED / f"{demo.stem}.txt").read_text()
+    assert run_demo(demo, tmp_path) == expected

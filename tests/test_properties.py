@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kicked_ising.core import StateVector, apply_matrix_at_site, partial_trace
-from kicked_ising.entanglement import entropy, geometric_measure
+from kicked_ising.entanglement import _entropy_table, entropy, geometric_measure
 from kicked_ising.qfi import covariance_matrix, maximize_qfi
 
-from oracles import max_schmidt_coefficient, random_state
+from oracles import max_schmidt_coefficient, random_state, subset_entropy
 
 FAST = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -37,6 +37,24 @@ def test_subset_and_complement_have_equal_entropy(num_sites, seed, data):
     s_keep = entropy(partial_trace(state, np.array(subsets)))
     s_rest = entropy(partial_trace(state, np.array(complements)))
     np.testing.assert_allclose(s_keep, s_rest, rtol=0, atol=1e-9)
+
+
+@FAST
+@given(num_sites=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_entropy_table_matches_the_schmidt_spectrum_of_every_subset(num_sites, seed):
+    amps = random_state(np.random.default_rng(seed), num_sites)
+    state = StateVector(num_sites, amps)
+    table = _entropy_table(state, num_sites // 2)
+    small = _entropy_table(state, 2)
+    for mask in range(2**num_sites):
+        # site s is bit L - s of the mask
+        subset = [s for s in range(1, num_sites + 1) if mask >> (num_sites - s) & 1]
+        expected = subset_entropy(amps, num_sites, subset)
+        assert abs(table[mask] - expected) < 1e-10, subset
+        if min(len(subset), num_sites - len(subset)) <= 2:
+            assert abs(small[mask] - expected) < 1e-10, subset
+        else:
+            assert np.isnan(small[mask]), subset
 
 
 @FAST

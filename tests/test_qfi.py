@@ -6,7 +6,6 @@ import pytest
 from kicked_ising.core import Axis, StateVector, make_ghz, make_polarized_state, make_psi_o
 from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
 from kicked_ising.qfi import (
-    DEFAULT_SLACK,
     CovarianceMatrix,
     DirectionField,
     _certify,
@@ -35,7 +34,7 @@ def qfi_along(state, dirs):
 
 
 def depth(f_q, num_sites):
-    return _certify(f_q, num_sites, DEFAULT_SLACK)[1]
+    return _certify(f_q, num_sites)[1]
 
 
 class TestDirectionField:
@@ -162,7 +161,7 @@ class TestBounds:
 
     def test_depth_rejects_negative(self):
         with pytest.raises(ValueError):
-            _certify(-1.0, 4, DEFAULT_SLACK)
+            _certify(-1.0, 4)
 
 
 class TestMaximizeQfi:
