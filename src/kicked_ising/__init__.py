@@ -44,7 +44,6 @@ from .floquet import (
     Model,
     Sector,
     Symmetry,
-    UnitaryMatrix,
     apply_floquet,
     build_dense,
     symmetry_sectors,
@@ -99,7 +98,6 @@ __all__ = [
     "Model",
     "Sector",
     "Symmetry",
-    "UnitaryMatrix",
     "apply_floquet",
     "build_dense",
     "symmetry_sectors",

@@ -23,6 +23,7 @@ from .experiment import (
     run_experiment,
     run_trajectory,
 )
+from .floquet import Boundary, Model
 
 
 def _split(text: str) -> list[str]:
@@ -41,11 +42,13 @@ class _Key(NamedTuple):
 
 _ALL_COMMANDS = ("spectrum", "evolve", "measure", "summary")
 _KEYS = {
-    "model": _Key("model", "U0 or Ux", _ALL_COMMANDS, grid=True),
+    "model": _Key("model", " or ".join(m.value for m in Model), _ALL_COMMANDS, grid=True),
     "size": _Key(
         "num_sites", f"number of sites, 2..{DENSE_MAX_SITES}", _ALL_COMMANDS, int, grid=True
     ),
-    "boundary": _Key("boundary", "open or closed", _ALL_COMMANDS, grid=True),
+    "boundary": _Key(
+        "boundary", " or ".join(b.value for b in Boundary), _ALL_COMMANDS, grid=True
+    ),
     "initial": _Key(
         "initial_axis",
         "initial product axis, e.g. z+, y-",

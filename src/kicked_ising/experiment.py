@@ -13,6 +13,7 @@ import csv
 import enum
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -252,7 +253,8 @@ def generate_summary(
     Each cell evolves over one detected projective period (capped at
     SUMMARY_PERIOD_CAP periods when none is found) and records the peak
     certified entanglement depth and every period attaining it. Every
-    cell is validated before anything is computed or written.
+    cell is validated, and a value listed twice rejected, before anything
+    is computed or written.
     """
     grid = {"models": models, "sizes": sizes, "boundaries": boundaries, "axes": axes}
     for name, values in grid.items():
@@ -263,6 +265,14 @@ def generate_summary(
     except ValueError as exc:
         # A bad size is reported under this function's argument name.
         raise ValueError(str(exc).replace("num_sites:", "sizes:", 1)) from None
+    # The lists fill ExperimentConfig's first four fields. Of n values each
+    # fills len(configs) / n cells, after coercion: "u0" repeats "U0".
+    for (name, values), field in zip(grid.items(), fields(ExperimentConfig)):
+        cells = Counter(getattr(config, field.name) for config in configs)
+        repeated = [v for v, k in cells.items() if k * len(values) > len(configs)]
+        if repeated:
+            shown = [v if isinstance(v, int) else _json_text(v) for v in repeated]
+            raise ValueError(f"{name}: {shown} listed more than once")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [_summary_cell(config) for config in configs]

@@ -22,8 +22,9 @@ i <-> L+1-i (basis index j <-> its bit reversal), for either boundary and
 either factorization. U_0 also commutes with the Z parity prod(s^z_i),
 which commutes with H_xx and H_z; U_x does not, because the parity
 anticommutes with s^x and s^y and so flips the sign of H_x and H_y.
-``MODEL_SYMMETRIES`` records this, and ``build_dense`` can build the
-operator one sector block at a time (``FloquetSpec.sectors``).
+``MODEL_SYMMETRIES`` records this. ``build_dense`` builds the operator
+one sector block at a time (``FloquetSpec.sectors``) as a plain array,
+and rejects a sector that U does not leave invariant.
 """
 
 from __future__ import annotations
@@ -202,26 +203,6 @@ def symmetry_sectors(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Dense unitary of an L-site chain, validated on construction: the whole
-    2^L x 2^L operator, or its square block on ``sector``."""
-
-    num_sites: int
-    matrix: np.ndarray = field(repr=False)
-    sector: Sector | None = None
-
-    def __post_init__(self) -> None:
-        d = 2 ** self.num_sites if self.sector is None else self.sector.dim
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        dev = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
-        if dev > 1e-10:
-            raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
-        object.__setattr__(self, "matrix", mat)
-
-
 @lru_cache(maxsize=None)
 def _spin_values(num_sites: int) -> np.ndarray:
     """(L, 2^L) array of sigma^z values (-1)^bit per site, site 1 first."""
@@ -286,28 +267,25 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
     return StateVector(state.num_sites, amps)
 
 
-def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> UnitaryMatrix:
-    """Dense matrix whose column j is one period applied to basis state j.
+def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
+    """The (d, d) block B^H U B of one period on a sector's basis B.
 
-    With ``sector`` it is the block B^H U B on that sector's basis B: one
-    period runs on the columns of B and the rows are gathered back onto B.
+    One period runs on the columns of B and the rows are gathered back
+    onto B; without ``sector``, B is the trivial sector and the block is U.
     The block holds all of U B only if U leaves the sector invariant, so
     the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish. Bases come
     from ``symmetry_sectors``, which enforces ``DENSE_MAX_SITES``.
     """
     L = spec.num_sites
-    basis = symmetry_sectors(L, ())[0] if sector is None else sector
-    if basis.num_sites != L:
-        raise ValueError(f"sector is for {basis.num_sites} sites but spec has {L}")
-    d = basis.dim
+    sector = sector or symmetry_sectors(L, ())[0]
+    if sector.num_sites != L:
+        raise ValueError(f"sector is for {sector.num_sites} sites but spec has {L}")
+    d = sector.dim
     out = np.empty((d, d), dtype=complex)
     leak = 0.0
     for start in range(0, d, _BUILD_CHUNK):
         stop = min(start + _BUILD_CHUNK, d)
-        image = _one_period(spec, basis.columns(start, stop))
-        if sector is None:
-            out[:, start:stop] = image
-            continue
+        image = _one_period(spec, sector.columns(start, stop))
         block = sector.project(image)
         out[:, start:stop] = block
         leak += np.vdot(image, image).real - np.vdot(block, block).real
@@ -316,4 +294,4 @@ def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> UnitaryMatri
             f"sector {sector.label} is not invariant under {spec.model.value}: "
             f"leaked weight {leak:.3e}"
         )
-    return UnitaryMatrix(L, out, sector)
+    return out

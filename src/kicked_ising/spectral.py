@@ -9,8 +9,9 @@ identity) directly from the spectrum.
 ``floquet_spectrum`` diagonalizes one symmetry-sector block at a time
 (``floquet.MODEL_SYMMETRIES``): reflection and Z parity for U_0, four
 blocks of about 2^L/4; reflection only for U_x, whose x field and y kick
-anticommute with Z parity, two blocks of about 2^L/2. Each block is
-checked for unitarity and leakage. The Schur step costs O(d^3) per block
+anticommute with Z parity, two blocks of about 2^L/2. ``build_dense``
+checks each block's sector leak; its Schur factors here check unitarity
+and the eigenpair residuals. The Schur step costs O(d^3) per block
 of dimension d: about 1/16 of the whole-matrix cost for U_0, 1/4 for U_x.
 """
 
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import FloquetSpec, UnitaryMatrix, build_dense
+from .floquet import FloquetSpec, build_dense
 
 CLUSTER_TOLERANCE = 1e-7
 # Cluster centers closer to zero than this are rounding noise of a level
@@ -97,28 +98,37 @@ def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]
     return sorted(clusters)
 
 
-def quasi_energies(blocks: Sequence[UnitaryMatrix]) -> QuasiSpectrum:
+def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
     """Quasi-energies theta_k = -arg(lambda_k) in (-pi, pi], sorted ascending.
 
-    ``blocks`` is the sequence of diagonal blocks of one operator, each a
-    ``UnitaryMatrix`` (a whole operator is the one-block list); the phases
-    of all blocks are pooled before sorting and clustering within
-    ``CLUSTER_TOLERANCE``. Eigenvalues come from a complex Schur
-    decomposition per block; because each block is normal its Schur form is
-    diagonal and the Schur basis is an orthonormal eigenbasis. Residuals
-    ||U v - lambda v|| are enforced.
+    ``blocks`` are the square diagonal blocks of one unitary (a whole
+    operator is the one-block list); their phases are pooled before
+    sorting and clustering within ``CLUSTER_TOLERANCE``.
     """
-    thetas = np.sort(np.concatenate([_block_thetas(b.matrix) for b in blocks]))
-    return QuasiSpectrum(
-        thetas=thetas, clusters=_cluster_circular(thetas, CLUSTER_TOLERANCE)
-    )
+    if len(blocks) == 0:
+        raise ValueError("quasi_energies needs at least one block")
+    thetas = np.sort(np.concatenate([_block_thetas(b) for b in blocks]))
+    return QuasiSpectrum(thetas, _cluster_circular(thetas, CLUSTER_TOLERANCE))
 
 
-def _block_thetas(mat: np.ndarray) -> np.ndarray:
+def _block_thetas(block: np.ndarray) -> np.ndarray:
+    """Phases of one block U = Z T Z^H (complex Schur), checked on the way.
+
+    With T = diag(lam) + N, N strictly upper, ||U^H U - I||_F = ||T^H T - I||_F
+    <= ||(|lam_k|^2 - 1)_k|| + (2 max|lam| + ||N||_F) ||N||_F, an O(d^2)
+    unitarity check; eigenpair residuals are enforced too.
+    """
     import scipy.linalg  # ~0.3 s of import that only a Schur needs, kept off start-up
 
+    mat = np.asarray(block, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
     t, z = scipy.linalg.schur(mat, output="complex")
     lam = np.diag(t)
+    off, modulus = float(np.linalg.norm(np.triu(t, 1))), np.abs(lam)
+    dev = float(np.linalg.norm(modulus**2 - 1)) + (2 * modulus.max() + off) * off
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not unitary: ||U^H U - I|| <= {dev:.3e}")
     residuals = np.linalg.norm(mat @ z - z * lam[None, :], axis=0)
     worst = float(residuals.max())
     if worst > 1e-9:

@@ -50,6 +50,11 @@ def random_state(rng: np.random.Generator, num_sites: int) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
+def unitarity_deviation(u: np.ndarray) -> float:
+    """||U^H U - I||_F, formed directly."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+
+
 def nn_bell_product(num_sites: int) -> np.ndarray:
     """Bell pairs on (1,2), (3,4), ..., as amplitudes."""
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -104,7 +104,7 @@ def test_criterion_03_u0_periodicity():
 
     # spectrum-implied periods match direct matrix powers at small L
     for num_sites in (4, 6):
-        u = dense(Model.U0, num_sites).matrix
+        u = dense(Model.U0, num_sites)
         d = u.shape[0]
         spectral = detect_period_from_thetas(thetas(Model.U0, num_sites), 100)
         power = np.eye(d, dtype=complex)

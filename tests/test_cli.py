@@ -206,6 +206,20 @@ class TestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, values, message",
+        [("model", "U0,u0", "models: ['U0']"), ("size", "4,4", "sizes: [4]"),
+         ("boundary", "open,OPEN", "boundaries: ['open']"),
+         ("initial", "y+,Y+", "axes: ['y+']")],
+    )
+    def test_repeated_summary_value(self, tmp_path, capsys, key, values, message):
+        out = tmp_path / "out"
+        argv = ["summary", "--model", "U0", "--size", "4", "--out", str(out)]
+        code = main([*argv, f"--{key}", values])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message} listed more than once\n"
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("model = U0\nsize = 4\njunk = 1\n")

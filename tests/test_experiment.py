@@ -347,3 +347,19 @@ class TestSummary:
         with pytest.raises(ValueError, match="sizes"):
             generate_summary(["U0"], [4, 13], ["open"], ["z+"], out_dir=out)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((["U0", "u0"], [4], ["open"], ["y+"]), "models: ['U0']"),
+            ((["U0"], [4, 5, 4], ["open"], ["y+"]), "sizes: [4]"),
+            ((["U0"], [4], ["open", "OPEN"], ["y+"]), "boundaries: ['open']"),
+            ((["U0"], [4], ["open"], ["y+", "Y+"]), "axes: ['y+']"),
+        ],
+    )
+    def test_rejects_repeated_values(self, tmp_path, grid, message):
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError) as exc:
+            generate_summary(*grid, out_dir=out)
+        assert str(exc.value) == f"{message} listed more than once"
+        assert not out.exists()

@@ -12,11 +12,11 @@ from kicked_ising.floquet import (
     FloquetSpec,
     KICK_ANGLE,
     Model,
-    UnitaryMatrix,
     _period_program,
     apply_floquet,
     build_dense,
 )
+from kicked_ising.spectral import quasi_energies
 
 from oracles import dense_floquet_oracle, random_state, site_operator
 
@@ -56,18 +56,19 @@ class TestSpec:
 
 class TestUnitaryMatrix:
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            UnitaryMatrix(1, np.array([[1.0, 0.0], [0.0, 1.1]]))
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies([np.array([[1.0, 0.0], [0.0, 1.1]])])
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            UnitaryMatrix(2, np.eye(2))
+        with pytest.raises(ValueError, match="square"):
+            quasi_energies([np.ones((2, 3))])
 
     def test_sector_block_has_the_sector_dimension(self):
-        sector = FloquetSpec(Model.U0, 3).sectors()[0]
-        assert UnitaryMatrix(3, np.eye(sector.dim), sector).matrix.shape == (3, 3)
-        with pytest.raises(ValueError):
-            UnitaryMatrix(3, np.eye(8), sector)
+        spec = FloquetSpec(Model.U0, 3)
+        sector = spec.sectors()[0]
+        assert build_dense(spec, sector).shape == (sector.dim, sector.dim)
+        with pytest.raises(ValueError, match="sector is for 3 sites"):
+            build_dense(FloquetSpec(Model.U0, 4), sector)
 
 
 class TestAgainstExponentialOracle:
@@ -87,7 +88,7 @@ class TestAgainstExponentialOracle:
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
     def test_dense_build_matches_expm(self, num_sites, model):
         spec = FloquetSpec(model, num_sites)
-        got = build_dense(spec).matrix
+        got = build_dense(spec)
         assert np.abs(got - dense_floquet_oracle(spec)).max() < 1e-12
 
     def test_split_form_matches_expm_product(self):
@@ -113,7 +114,7 @@ class TestAgainstExponentialOracle:
                 return scipy.linalg.expm(-0.25j * np.pi * h)
 
             oracle = expo(hxx) @ expo(hx) @ expo(hy)
-            assert np.abs(build_dense(spec).matrix - oracle).max() < 1e-12
+            assert np.abs(build_dense(spec) - oracle).max() < 1e-12
 
 
 class TestPeriodProgram:
@@ -174,7 +175,7 @@ class TestKernelProperties:
     def test_batched_columns_match_single_states(self):
         for model in (Model.U0, Model.UX):
             spec = FloquetSpec(model, 5)
-            dense = build_dense(spec).matrix
+            dense = build_dense(spec)
             rng = np.random.default_rng(14)
             for _ in range(5):
                 psi = random_state(rng, 5)
@@ -219,7 +220,7 @@ class TestFactorization:
     def max_gap(num_sites, boundary):
         """max |U_combined - U_split| over entries, with no phase freedom."""
         combined, split = (
-            build_dense(FloquetSpec(Model.UX, num_sites, boundary, f)).matrix
+            build_dense(FloquetSpec(Model.UX, num_sites, boundary, f))
             for f in (Factorization.COMBINED, Factorization.SPLIT)
         )
         return np.abs(combined - split).max()

@@ -8,14 +8,21 @@ from the two integers hypothesis reports.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kicked_ising.core import StateVector, apply_matrix_at_site, partial_trace
 from kicked_ising.entanglement import _entropy_table, entropy, geometric_measure
 from kicked_ising.qfi import covariance_matrix, maximize_qfi
+from kicked_ising.spectral import quasi_energies
 
-from oracles import max_schmidt_coefficient, random_state, subset_entropy
+from oracles import (
+    max_schmidt_coefficient,
+    random_state,
+    subset_entropy,
+    unitarity_deviation,
+)
 
 FAST = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -97,3 +104,23 @@ def test_qfi_maximum_is_bounded_stationary_and_locally_invariant(num_sites, seed
     grad = (covariance_matrix(state).gamma @ n.reshape(-1)).reshape(num_sites, 3)
     across = grad - (grad * n).sum(axis=1, keepdims=True) * n
     assert np.abs(across).max() < 1e-6
+
+
+@FAST
+@given(
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    log_eps=st.floats(-14, -6),
+)
+def test_schur_unitarity_check_is_no_looser_than_the_direct_one(dim, seed, log_eps):
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    q, _ = np.linalg.qr(gaussian())
+    quasi_energies([q])
+    u = q + 10.0**log_eps * gaussian()
+    if unitarity_deviation(u) > 1.01e-10:
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies([u])

@@ -10,7 +10,6 @@ from kicked_ising.floquet import (
     FloquetSpec,
     Model,
     Symmetry,
-    UnitaryMatrix,
     build_dense,
     _spin_values,
     symmetry_sectors,
@@ -35,8 +34,7 @@ def ladder(centers, counts):
 
 def whole(matrix):
     """A whole operator as the one-block list ``quasi_energies`` takes."""
-    dim = len(matrix)
-    return [UnitaryMatrix(dim.bit_length() - 1, matrix)]
+    return [matrix]
 
 
 def on_circle(angles):
@@ -58,6 +56,25 @@ class TestQuasiEnergies:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             quasi_energies(whole(1.1 * np.eye(4, dtype=complex)))
+
+    def test_rejects_a_jordan_block(self):
+        # unit eigenvalues, so only the off-diagonal Schur part shows it
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies(whole(np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+    def test_rejects_a_slightly_scaled_unitary(self):
+        u = build_dense(FloquetSpec(Model.UX, 3))
+        quasi_energies(whole(u))
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies(whole((1 + 1e-9) * u))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            quasi_energies(whole(np.stack([np.eye(2), np.eye(2)])))
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            quasi_energies([])
 
     def test_diagonal_phases_recovered(self):
         phases = np.array([0.3, -1.2, 2.5, 0.3])
@@ -83,7 +100,7 @@ class TestQuasiEnergies:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matrix_power_shifts_spectrum(self, n):
-        u = build_dense(FloquetSpec(Model.UX, 3)).matrix
+        u = build_dense(FloquetSpec(Model.UX, 3))
         base = quasi_energies(whole(u)).thetas
         powered = quasi_energies(whole(np.linalg.matrix_power(u, n))).thetas
         np.testing.assert_allclose(on_circle(powered), on_circle(n * base), atol=1e-9)
@@ -100,7 +117,7 @@ class TestQuasiEnergies:
     def test_blocks_pool_into_one_spectrum(self):
         a = np.diag(np.exp(1j * np.array([0.3, -1.2])))
         b = np.diag(np.exp(1j * np.array([0.3, 2.0])))
-        spectrum = quasi_energies([UnitaryMatrix(1, a), UnitaryMatrix(1, b)])
+        spectrum = quasi_energies([a, b])
         np.testing.assert_allclose(
             spectrum.thetas, [-2.0, -0.3, -0.3, 1.2], atol=1e-12
         )
