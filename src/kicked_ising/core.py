@@ -138,7 +138,7 @@ class DensityMatrix:
 
 
 def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([1.0], dtype=complex)
+    out = np.ones((1,) * v.ndim, dtype=complex)
     for _ in range(n):
         out = np.kron(out, v)
     return out

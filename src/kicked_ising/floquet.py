@@ -10,12 +10,12 @@ H_a = sum(sa_i) the uniform fields:
 Operator products act right to left, so each period starts with the kick.
 U_x also admits an exactly equivalent split form E[H_xx] . E[H_z] . E[H_x].
 
-Everything is matrix-free: each protocol is one "period program", a
-list of layers that are either a 2x2 rotation at every site or a diagonal
-phase (H_xx and H_x are both diagonal in the x basis, H_z in the z
-basis), so one period costs O(L * 2^L). The same loop runs the program on
-state vectors and on the basis columns of ``build_dense``, which feeds
-the spectral module.
+Everything is matrix-free: each protocol is one "period program", a list
+of layers, each a 2x2 rotation M at every site or a diagonal phase (H_xx
+and H_x are diagonal in the x basis, H_z in the z basis). M runs as one
+product per block of up to four sites with its Kronecker power M (x) ...
+(x) M, so one period costs O(L * 2^L). The same loop runs the program on
+state vectors and on the basis columns of ``build_dense``.
 
 Symmetry sectors. Both operators commute with the site reflection
 i <-> L+1-i (basis index j <-> its bit reversal), for either boundary and
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DENSE_MAX_SITES, StateVector, apply_matrix_at_site, pauli_rotation
+from .core import DENSE_MAX_SITES, StateVector, _kron_power, pauli_rotation
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
@@ -50,6 +50,9 @@ LEAK_TOLERANCE = 1e-9
 # Basis columns that ``build_dense`` advances through one period at a time;
 # bounds its (2^L, chunk) work arrays.
 _BUILD_CHUNK = 512
+
+# Most sites one 2^w x 2^w product of a rotation layer acts on.
+_BLOCK_SITES = 4
 
 _HALF = 1 / np.sqrt(2)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -241,15 +244,27 @@ def _period_program(spec: FloquetSpec) -> tuple[np.ndarray, ...]:
     return (kick, phase(field), _HADAMARD, phase(ising), _HADAMARD)
 
 
-def _one_period(spec: FloquetSpec, amps: np.ndarray) -> np.ndarray:
-    """Advance a (2^L,) or (2^L, batch) amplitude array by one period."""
-    L = spec.num_sites
-    for layer in _period_program(spec):
-        if layer.ndim == 1:
+def _site_powers(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M (x) ... (x) M with w factors at index w, w = 0.._BLOCK_SITES, of a 2x2 M."""
+    return tuple(_kron_power(matrix, w) for w in range(_BLOCK_SITES + 1))
+
+
+@lru_cache(maxsize=None)
+def _block_program(spec: FloquetSpec) -> tuple:
+    """``_period_program`` with each 2x2 layer given as its ``_site_powers``."""
+    return tuple(x if x.ndim == 1 else _site_powers(x) for x in _period_program(spec))
+
+
+def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:
+    """Advance a (2^L,) or (2^L, batch) amplitude array through a ``_block_program``."""
+    shape = amps.shape
+    for layer in program:
+        if isinstance(layer, np.ndarray):
             amps = amps * (layer if amps.ndim == 1 else layer[:, None])
-        else:
-            for site in range(1, L + 1):
-                amps = apply_matrix_at_site(amps, L, site, layer)
+            continue
+        for start in range(0, num_sites, _BLOCK_SITES):
+            power = layer[min(_BLOCK_SITES, num_sites - start)]
+            amps = (power @ amps.reshape(2**start, len(power), -1)).reshape(shape)
     return amps
 
 
@@ -261,9 +276,9 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
         )
     if n < 0:
         raise ValueError(f"period count must be nonnegative, got {n}")
-    amps = state.amplitudes
+    amps, program = state.amplitudes, _block_program(spec)
     for _ in range(n):
-        amps = _one_period(spec, amps)
+        amps = _one_period(program, amps, spec.num_sites)
     return StateVector(state.num_sites, amps)
 
 
@@ -285,7 +300,7 @@ def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
     leak = 0.0
     for start in range(0, d, _BUILD_CHUNK):
         stop = min(start + _BUILD_CHUNK, d)
-        image = _one_period(spec, sector.columns(start, stop))
+        image = _one_period(_block_program(spec), sector.columns(start, stop), L)
         block = sector.project(image)
         out[:, start:stop] = block
         leak += np.vdot(image, image).real - np.vdot(block, block).real

@@ -84,7 +84,7 @@ class TestAgainstExponentialOracle:
             got = apply_floquet(spec, StateVector(num_sites, psi), 1).amplitudes
             assert np.linalg.norm(got - oracle @ psi) < 1e-11
 
-    @pytest.mark.parametrize("num_sites", [2, 3])
+    @pytest.mark.parametrize("num_sites", [2, 3, 4, 5])
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
     def test_dense_build_matches_expm(self, num_sites, model):
         spec = FloquetSpec(model, num_sites)

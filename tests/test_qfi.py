@@ -246,14 +246,14 @@ class TestMaximizeQfi:
         # power step; any change to the step's arithmetic shows up here
         expected = [
             ("7.9999999999999982", 1, "ef3b3c1993a66749d82f77eddb3d2f3a2c4f3b18a61993c52dfbac96c4b04dd6"),
-            ("7.9999999999999876", 1, "848ffef6a4fd5b2c78b2c2e27680c41eea98afea8277a6bdd03594d413a1970c"),
-            ("11.999999999999917", 2, "e8021f778099de6385887cfccd1fd122ddc1def14cd0fbcabfee3c4786a96a6e"),
-            ("7.9999999999999112", 1, "edf68ad71365c1360a93d10d8ec58c4bed0cee7cdc28bf3679b20c004a9d007e"),
-            ("7.9999999999998961", 1, "262a267239f2bed18e3eb330fbc7ee1457816d0e43038363b08b404d883b22e4"),
-            ("7.9999999999998872", 1, "e19d21c84344900b1b654002a5ce7c08658c9888a5b57bfa26af219e1d27440a"),
-            ("11.99999999999978", 2, "cf8d8281b264341b952ae2c8a0813f12638f88ebe5c9d02e3cfbb0777c6fda7e"),
-            ("7.9999999999998392", 1, "890364ae3a6953c70b9a49e38129fa788ab07069ec0e51b58add981b4ee98479"),
-            ("63.999999999998288", 8, "98e9a0309943795ea1a5db146dcced440ff7ce353fdc63bd13f762c71dbfa081"),
+            ("7.9999999999999787", 1, "22189dcb972d0b71a0b459f9841aada4f07d891db3edb6cf60fd830565cb3239"),
+            ("11.999999999999917", 2, "8fc9708fdd2427ca1c1fe307d9a785fc9b3b9d5d3232e5ed678661c8b7f51c4a"),
+            ("7.9999999999999067", 1, "ac0f926f61e268053dbc5b2e69936b1b57b991bd8bc5075a5c67b3f0f16d2567"),
+            ("7.999999999999897", 1, "4294a2b0a026ecc82da4d67f4ce892cdd05f19d83e14d488541fe54688465d8c"),
+            ("7.9999999999998863", 1, "8807a0612be46f5ee0139e377a8b3ea9c196daa07099f02afd8898c5bd60489d"),
+            ("11.999999999999783", 2, "94589e3fc155ae0fb37f5e321dcc44727702a6cb6cc6b7a1ab3134a2f9c6a564"),
+            ("7.9999999999998401", 1, "ea4907f9b0b6576c667888135ca375980ddc48d831591742df6ad53ee9f71657"),
+            ("63.999999999998288", 8, "eba0c3d69ce6d42e6699bbede2911afd12f32f9672fc5deb83a032ee4f08ced3"),
         ]
         spec = FloquetSpec(Model.U0, 8)
         state = make_polarized_state(8, Axis.parse("y+"))
