@@ -157,12 +157,11 @@ class GeometricResult:
 
     ``lambda_`` is the achieved max overlap, ``e_g = 1 - lambda_**2``,
     ``product_state`` the winning single-site vectors (site order), and
-    ``lambda_history`` the winning restart's per-sweep overlap sequence
-    (non-decreasing by construction of the exact local updates, and
-    constant from the sweep at which the restart converged).
-    ``certified`` is true when the ascent stopped because a balanced cut's
-    largest Schmidt coefficient, an upper bound on every product overlap,
-    is within ``DEFAULT_TOL`` of ``lambda_``.
+    ``converged`` whether the winning restart's last sweep raised its
+    overlap by less than ``DEFAULT_TOL``. ``certified`` is true when the
+    ascent stopped because a balanced cut's largest Schmidt coefficient, an
+    upper bound on every product overlap, is within ``DEFAULT_TOL`` of
+    ``lambda_``. ``sweeps`` is the number of ascent sweeps run.
     """
 
     lambda_: float
@@ -171,19 +170,17 @@ class GeometricResult:
     converged: bool
     certified: bool
     sweeps: int
-    lambda_history: np.ndarray = field(repr=False)
 
 
-def _initial_product_batch(
-    amplitudes: np.ndarray, num_sites: int, restarts: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(L, R, 2) unit site vectors: restart 0 is the largest-amplitude
-    basis state (so the ascent limit can never fall below max|psi_j|),
-    the rest are uniform on the Bloch sphere."""
-    raw = rng.normal(size=(num_sites, restarts, 2, 2))
+def _initial_product_batch(state: StateVector, rng: np.random.Generator) -> np.ndarray:
+    """(L, R, 2) unit site vectors for R = ``DEFAULT_RESTARTS``: restart 0 is
+    the largest-amplitude basis state (so the ascent limit can never fall
+    below max|psi_j|), the rest are uniform on the Bloch sphere."""
+    num_sites = state.num_sites
+    raw = rng.normal(size=(num_sites, DEFAULT_RESTARTS, 2, 2))
     phis = raw[..., 0] + 1j * raw[..., 1]
     phis /= np.linalg.norm(phis, axis=-1, keepdims=True)
-    top = int(np.argmax(np.abs(amplitudes)))
+    top = int(np.argmax(np.abs(state.amplitudes)))
     for site in range(num_sites):
         bit = (top >> (num_sites - 1 - site)) & 1
         phis[site, 0] = np.eye(2)[bit]
@@ -199,19 +196,15 @@ def _balanced_cut_tops(state: StateVector):
         yield partial_trace(state, cuts[start : start + 32]).eigenvalues[:, -1]
 
 
-def geometric_measure(
-    state: StateVector,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> GeometricResult:
+def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
     """Maximize |<Phi|psi>| over product states Phi = phi_1 x ... x phi_L.
 
     One sweep updates each site in turn to the exact local maximizer: the
     normalized contraction of psi with the other sites' current vectors.
     Each update can only increase the overlap, so the per-restart overlap
     sequence is monotone; a decrease beyond rounding noise is a bug and
-    raises. Restarts run batched, and a restart leaves the batch once one
+    raises. ``DEFAULT_RESTARTS`` restarts run batched for at most
+    ``DEFAULT_MAX_ITER`` sweeps, and a restart leaves the batch once one
     sweep raises its overlap by less than ``DEFAULT_TOL``; the best one is
     returned.
 
@@ -221,31 +214,22 @@ def geometric_measure(
     scanned in chunks: the first cut whose top reduced eigenvalue is at most
     (lambda_c + DEFAULT_TOL)^2 proves lambda_c is the maximum within
     ``DEFAULT_TOL``, and the ascent stops with the best converged restart as
-    the winner. A balanced cut's top eigenvalue is at least 2^-floor(L/2), so
-    no cut is reduced while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1. An overlap above an
-    examined cut's coefficient is a bug and raises.
+    the winner. A balanced cut's top eigenvalue is at least 2^-floor(L/2),
+    so no cut is reduced while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1.
+    An overlap above an examined cut's coefficient is a bug and raises.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     num_sites = state.num_sites
     psi = state.amplitudes
-    rng = np.random.default_rng(seed)
-    phis = _initial_product_batch(psi, num_sites, restarts, rng)
-
-    lam = np.zeros(restarts)
-    history: list[np.ndarray] = []
-    converged_at = np.full(restarts, -1)
-    sweeps = 0
+    phis = _initial_product_batch(state, np.random.default_rng(seed))
+    lam = np.zeros(DEFAULT_RESTARTS)
+    done = np.zeros(DEFAULT_RESTARTS, dtype=bool)
     half = num_sites // 2
     tops = _balanced_cut_tops(state)
     witness = math.inf  # smallest top eigenvalue of the cuts examined so far
     tested = -math.inf  # lambda_c at the last certificate test
     certified = False
-    for sweep in range(max_iter):
-        sweeps = sweep + 1
-        active = np.flatnonzero(converged_at < 0)
+    for sweeps in range(1, DEFAULT_MAX_ITER + 1):
+        active = np.flatnonzero(~done)
         batch = active.size
         local = phis[:, active]
         # suffix[k] = conj(phi_k) x ... x conj(phi_L) of the old vectors, suffix[L] = 1
@@ -266,10 +250,8 @@ def geometric_measure(
         new_lam = prefixed[:, 0].real
         if np.any(new_lam < lam[active] - 1e-9):
             raise AssertionError("overlap decreased during an exact local update")
-        converged_at[active[new_lam - lam[active] < DEFAULT_TOL]] = sweeps
+        done[active[new_lam - lam[active] < DEFAULT_TOL]] = True
         lam[active] = new_lam
-        history.append(lam.copy())
-        done = converged_at >= 0
         if done.all():
             break
         lam_c = float(lam[done].max()) if done.any() else -math.inf
@@ -297,8 +279,7 @@ def geometric_measure(
         lambda_=lam_best,
         e_g=1.0 - lam_best**2,
         product_state=[phis[site, best].copy() for site in range(num_sites)],
-        converged=bool(converged_at[best] >= 0),
+        converged=bool(done[best]),
         certified=certified,
         sweeps=sweeps,
-        lambda_history=np.array([h[best] for h in history]),
     )

@@ -56,10 +56,12 @@ class CovarianceMatrix:
 
     Same-site 3x3 blocks are I - m_i m_i^T by the Pauli algebra; the whole
     matrix is symmetric positive semidefinite, and F_Q(n) = n^T gamma n.
+    ``top_vector`` is the top eigenvector from the PSD check's decomposition.
     """
 
     gamma: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
+    top_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gamma, means = self.gamma, self.means
@@ -74,9 +76,11 @@ class CovarianceMatrix:
             dev = float(np.abs(block - (np.eye(3) - np.outer(m, m))).max())
             if dev > 1e-10:
                 raise ValueError(f"site {i + 1} diagonal block off by {dev:.3e}")
-        low = float(np.linalg.eigvalsh(gamma).min())
+        evals, evecs = np.linalg.eigh(gamma)
+        low = float(evals.min())
         if low < -1e-9:
             raise ValueError(f"covariance matrix has eigenvalue {low:.3e}")
+        object.__setattr__(self, "top_vector", evecs[:, -1])
 
     @property
     def num_sites(self) -> int:
@@ -101,6 +105,7 @@ class QfiResult:
 
 
 def covariance_matrix(state: StateVector) -> CovarianceMatrix:
+    """Gamma of ``state``; row 3(i-1) + a holds sigma^a, a = x, y, z, of site i."""
     num_sites = state.num_sites
     psi = state.amplitudes
     vecs = np.empty((3 * num_sites, psi.size), dtype=complex)
@@ -137,23 +142,22 @@ def _certify(f_q: float, num_sites: int) -> tuple[list, int]:
     return table, 1 + max((k for k, _, violated in table if violated), default=0)
 
 
-def _initial_directions(
-    gamma: np.ndarray, num_sites: int, restarts: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(R, L, 3) unit starts: axis-aligned fields and the per-site
-    normalized top eigenvector of Gamma first, then uniform random."""
+def _initial_directions(top_vector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(R, L, 3) unit starts for R = ``DEFAULT_RESTARTS``: axis-aligned fields
+    and the per-site normalized top eigenvector of Gamma first, then uniform
+    random."""
+    num_sites = top_vector.size // 3
     starts = []
     for axis in range(3):
         d = np.zeros((num_sites, 3))
         d[:, axis] = 1.0
         starts.append(d)
-    _, top_vecs = np.linalg.eigh(gamma)
-    top = top_vecs[:, -1].reshape(num_sites, 3)
+    top = top_vector.reshape(num_sites, 3)
     norms = np.linalg.norm(top, axis=1, keepdims=True)
     z_field = starts[2]
     starts.append(np.where(norms > 1e-12, top / np.maximum(norms, 1e-300), z_field))
-    dirs = np.empty((restarts, num_sites, 3))
-    for r in range(restarts):
+    dirs = np.empty((DEFAULT_RESTARTS, num_sites, 3))
+    for r in range(DEFAULT_RESTARTS):
         if r < len(starts):
             dirs[r] = starts[r]
         else:
@@ -162,12 +166,7 @@ def _initial_directions(
     return dirs
 
 
-def maximize_qfi(
-    state: StateVector,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> QfiResult:
+def maximize_qfi(state: StateVector, seed: int = 0) -> QfiResult:
     """Maximize F(n) = n^T Gamma n over per-site unit directions.
 
     Generalized power method (Journee, Nesterov, Richtarik & Sepulchre,
@@ -176,22 +175,20 @@ def maximize_qfi(
     Gamma is positive semidefinite (``CovarianceMatrix`` checks it), so F is
     convex and lies above its tangent: F(n') >= F(n) + 2 (Gamma n)^T (n' - n),
     and the step maximizes the linear term site by site, so F(n') >= F(n)
-    within a restart; a decrease beyond rounding noise raises. The best
-    restart wins; converged restarts are preferred.
+    within a restart; a decrease beyond rounding noise raises.
+    ``DEFAULT_RESTARTS`` restarts run for at most ``DEFAULT_MAX_ITER``
+    sweeps. The best restart wins; converged restarts are preferred.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     num_sites = state.num_sites
-    gamma = covariance_matrix(state).gamma
-    rng = np.random.default_rng(seed)
-    dirs = _initial_directions(gamma, num_sites, restarts, rng)
+    restarts = DEFAULT_RESTARTS
+    cov = covariance_matrix(state)
+    gamma = cov.gamma
+    dirs = _initial_directions(cov.top_vector, np.random.default_rng(seed))
 
     flat = dirs.reshape(restarts, 3 * num_sites)
     objective = np.einsum("ri,ij,rj->r", flat, gamma, flat)
     converged = np.zeros(restarts, dtype=bool)
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, DEFAULT_MAX_ITER + 1):
         g = (flat @ gamma).reshape(restarts, num_sites, 3)
         norms = np.linalg.norm(g, axis=2, keepdims=True)
         dirs[...] = np.where(norms > 0, g / np.where(norms > 0, norms, 1.0), dirs)

@@ -74,23 +74,23 @@ class PeriodReport:
     exact_deviation: float
 
 
-def _cluster_circular(thetas: np.ndarray, tol: float) -> list[tuple[float, int]]:
+def _cluster_circular(thetas: np.ndarray) -> list[tuple[float, int]]:
     """Group sorted phases into clusters, merging across the +-pi seam."""
     groups: list[list[float]] = [[float(thetas[0])]]
     for t in thetas[1:]:
-        if float(t) - groups[-1][-1] > tol:
+        if float(t) - groups[-1][-1] > CLUSTER_TOLERANCE:
             groups.append([float(t)])
         else:
             groups[-1].append(float(t))
     # theta is defined mod 2pi, so a level at exactly pi can split into
     # values near -pi and near +pi; fold the last group onto the first.
-    if len(groups) > 1 and (groups[0][0] + 2 * np.pi) - groups[-1][-1] <= tol:
+    if len(groups) > 1 and groups[0][0] + 2 * np.pi - groups[-1][-1] <= CLUSTER_TOLERANCE:
         folded = [t - 2 * np.pi for t in groups.pop()]
         groups[0] = folded + groups[0]
     clusters = []
     for g in groups:
         center = float(np.mean(g))
-        if center <= -np.pi + tol / 2:
+        if center <= -np.pi + CLUSTER_TOLERANCE / 2:
             center += 2 * np.pi
         if abs(center) < ZERO_SNAP:
             center = 0.0
@@ -108,7 +108,7 @@ def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
     if len(blocks) == 0:
         raise ValueError("quasi_energies needs at least one block")
     thetas = np.sort(np.concatenate([_block_thetas(b) for b in blocks]))
-    return QuasiSpectrum(thetas, _cluster_circular(thetas, CLUSTER_TOLERANCE))
+    return QuasiSpectrum(thetas, _cluster_circular(thetas))
 
 
 def _block_thetas(block: np.ndarray) -> np.ndarray:
@@ -145,10 +145,10 @@ def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     return quasi_energies(blocks)
 
 
-def _real_gcd(a: float, b: float, tol: float) -> float:
-    """Greatest common divisor of two positive reals up to ``tol``."""
+def _real_gcd(a: float, b: float) -> float:
+    """Greatest common divisor of two positive reals up to ``SPACING_TOLERANCE``."""
     a, b = abs(a), abs(b)
-    while b > tol:
+    while b > SPACING_TOLERANCE:
         a, b = b, abs(a - b * round(a / b))
     return a
 
@@ -165,7 +165,7 @@ def detect_spacing(spectrum: QuasiSpectrum) -> SpacingResult | None:
     gaps = np.diff(centers)
     delta = gaps[0]
     for g in gaps[1:]:
-        delta = _real_gcd(delta, float(g), SPACING_TOLERANCE)
+        delta = _real_gcd(delta, float(g))
     if delta <= SPACING_TOLERANCE:
         return None
     residues = centers % delta

@@ -164,9 +164,9 @@ def test_criterion_05_u0_ghz_generation():
 
 
 def test_criterion_06_geometric_measure_anchors():
-    ghz = geometric_measure(make_ghz(4, Axis.parse("z")), restarts=64)
+    ghz = geometric_measure(make_ghz(4, Axis.parse("z")))
     assert ghz.e_g == pytest.approx(0.5, abs=1e-6)
-    pairs = geometric_measure(make_psi_o(4), restarts=64)
+    pairs = geometric_measure(make_psi_o(4))
     assert pairs.e_g == pytest.approx(0.75, abs=1e-6)
 
 
@@ -256,11 +256,11 @@ def test_criterion_10_oracle_suites():
     for num_sites in (2, 3):
         for _ in range(2):
             psi = random_state(rng, num_sites)
-            geom = geometric_measure(StateVector(num_sites, psi), restarts=16)
+            geom = geometric_measure(StateVector(num_sites, psi))
             assert geom.lambda_ == pytest.approx(
                 grid_max_overlap(psi, num_sites), abs=2e-4
             )
-            qfi = maximize_qfi(StateVector(num_sites, psi), restarts=16)
+            qfi = maximize_qfi(StateVector(num_sites, psi))
             assert qfi.f_q == pytest.approx(grid_max_qfi(psi, num_sites), abs=1e-3)
 
     # entropy complement symmetry

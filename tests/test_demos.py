@@ -40,3 +40,14 @@ def test_demo_runs(demo, tmp_path):
     # each demo prints exactly the text recorded under demos/expected
     expected = (EXPECTED / f"{demo.stem}.txt").read_text()
     assert run_demo(demo, tmp_path) == expected
+
+
+def test_readme_library_tour_runs():
+    # the tour's comments state these values, so a changed call surface or
+    # result fails here instead of leaving the README stale
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    namespace = {}
+    exec(re.search(r"```python\n(.*?)```", tour, re.S).group(1), namespace)
+    assert namespace["q"].f_q == pytest.approx(100, abs=1e-8)
+    assert namespace["q"].depth == 10
+    assert namespace["g"].e_g == pytest.approx(0.5, abs=1e-8)

@@ -261,15 +261,10 @@ class TestGeometricMeasure:
         result = geometric_measure(W3)
         assert result.lambda_ == pytest.approx(2 / 3, abs=1e-8)
 
-    def test_history_is_monotone(self):
-        result = geometric_measure(make_ghz(4, Axis.parse("x")))
-        diffs = np.diff(result.lambda_history)
-        assert (diffs > -1e-9).all()
-
     def test_winning_product_state_reproduces_lambda(self):
         rng = np.random.default_rng(21)
         psi = random_state(rng, 3)
-        result = geometric_measure(StateVector(3, psi), restarts=8)
+        result = geometric_measure(StateVector(3, psi))
         folded = psi.reshape(2, -1)
         for phi in result.product_state[:-1]:
             folded = np.tensordot(phi.conj(), folded, axes=(0, 0)).reshape(2, -1)
@@ -296,7 +291,7 @@ class TestGeometricMeasure:
         rng = np.random.default_rng(22)
         for num_sites in (2, 3, 4):
             psi = random_state(rng, num_sites)
-            result = geometric_measure(StateVector(num_sites, psi), restarts=4)
+            result = geometric_measure(StateVector(num_sites, psi))
             assert result.lambda_ >= np.abs(psi).max() - 1e-9
 
     def test_seed_determinism(self):
@@ -311,7 +306,7 @@ class TestGeometricMeasure:
         rng = np.random.default_rng(24)
         for _ in range(3):
             psi = random_state(rng, num_sites)
-            result = geometric_measure(StateVector(num_sites, psi), restarts=16)
+            result = geometric_measure(StateVector(num_sites, psi))
             grid = grid_max_overlap(psi, num_sites)
             assert result.lambda_ == pytest.approx(grid, abs=2e-4)
             assert result.lambda_ >= grid - 2e-4
@@ -319,14 +314,14 @@ class TestGeometricMeasure:
     def test_grid_agrees_on_w_state(self):
         assert grid_max_overlap(W3.amplitudes, 3) == pytest.approx(2 / 3, abs=2e-4)
 
-    def test_rejects_bad_restarts(self):
-        with pytest.raises(ValueError):
-            geometric_measure(W3, restarts=0)
-
-    def test_rejects_bad_max_iter(self):
-        # with no sweep the overlap stayed 0, so a product state read E_g = 1
-        with pytest.raises(ValueError, match="max_iter"):
-            geometric_measure(make_polarized_state(4, Axis.parse("z+")), max_iter=0)
+    def test_counts_its_sweeps(self, monkeypatch):
+        # the n = 4 state of the build-up cannot be certified, so its ascent
+        # runs until every restart has converged, or until the sweep cap
+        state = u0_build_up()[4]
+        full = geometric_measure(state)
+        assert full.converged and not full.certified and full.sweeps > 2
+        monkeypatch.setattr(entanglement, "DEFAULT_MAX_ITER", full.sweeps - 1)
+        assert geometric_measure(state).sweeps == full.sweeps - 1
 
     def test_ghz_build_up_is_pinned(self):
         # sweeps, convergence and overlaps of the U0 L=8 build-up from y+

@@ -138,10 +138,16 @@ class TestConfig:
             ExperimentConfig(model="U9", num_sites=4)
 
     def test_optimizers_share_one_tolerance(self):
-        # both stop on core's DEFAULT_TOL, and neither takes a tolerance of its own
-        for optimizer in (geometric_measure, maximize_qfi):
-            assert "tol" not in inspect.signature(optimizer).parameters
+        # both stop on core's DEFAULT_TOL and take only the state and a seed;
+        # restarts and sweep cap are globals of each optimizer's own module,
+        # read at call time
+        budgets = {geometric_measure: (64, 500), maximize_qfi: (32, 1000)}
+        for optimizer, budget in budgets.items():
+            assert list(inspect.signature(optimizer).parameters) == ["state", "seed"]
             assert optimizer.__globals__["DEFAULT_TOL"] is DEFAULT_TOL
+            names = ("DEFAULT_RESTARTS", "DEFAULT_MAX_ITER")
+            assert set(names) <= set(optimizer.__code__.co_names)
+            assert tuple(optimizer.__globals__[name] for name in names) == budget
 
 
 class TestRunExperiment:

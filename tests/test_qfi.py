@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from kicked_ising import qfi
 from kicked_ising.core import Axis, StateVector, make_ghz, make_polarized_state, make_psi_o
 from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
 from kicked_ising.qfi import (
@@ -184,7 +185,7 @@ class TestMaximizeQfi:
     def test_reported_direction_achieves_the_maximum(self):
         rng = np.random.default_rng(33)
         state = StateVector(4, random_state(rng, 4))
-        result = maximize_qfi(state, restarts=8)
+        result = maximize_qfi(state)
         assert qfi_along(state, result.direction) == pytest.approx(
             result.f_q, abs=1e-9
         )
@@ -193,7 +194,7 @@ class TestMaximizeQfi:
         rng = np.random.default_rng(34)
         for num_sites in (2, 3, 4):
             psi = StateVector(num_sites, random_state(rng, num_sites))
-            result = maximize_qfi(psi, restarts=8)
+            result = maximize_qfi(psi)
             assert result.f_q <= num_sites**2 + 1e-8
 
     def test_bound_table_is_consistent(self):
@@ -220,25 +221,36 @@ class TestMaximizeQfi:
         )
         for num_sites in (2, 3):
             psi = random_state(rng, num_sites)
-            result = maximize_qfi(StateVector(num_sites, psi), restarts=16)
+            result = maximize_qfi(StateVector(num_sites, psi))
             grid = grid_max_qfi(psi, num_sites)
             assert result.f_q == pytest.approx(grid, abs=1e-3)
 
-    def test_rejects_bad_restarts(self):
-        with pytest.raises(ValueError):
-            maximize_qfi(make_ghz(2, Axis.parse("z")), restarts=0)
-
-    def test_rejects_bad_max_iter(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            maximize_qfi(make_ghz(2, Axis.parse("z")), max_iter=0)
-
-    def test_counts_its_sweeps(self):
+    def test_counts_its_sweeps(self, monkeypatch):
         rng = np.random.default_rng(37)
         state = StateVector(4, random_state(rng, 4))
-        full = maximize_qfi(state, restarts=8)
+        full = maximize_qfi(state)
         assert full.converged and full.sweeps > 2
-        capped = maximize_qfi(state, restarts=8, max_iter=full.sweeps - 1)
-        assert capped.sweeps == full.sweeps - 1
+        monkeypatch.setattr(qfi, "DEFAULT_MAX_ITER", full.sweeps - 1)
+        assert maximize_qfi(state).sweeps == full.sweeps - 1
+
+    def test_decomposes_gamma_once(self, monkeypatch):
+        # the PSD check's eigendecomposition also gives the top-eigenvector start
+        rng = np.random.default_rng(38)
+        state = StateVector(4, random_state(rng, 4))
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            calls.append(a.shape)
+            return real_eigh(a)
+
+        def no_eigvalsh(_):
+            raise AssertionError("Gamma decomposed a second time")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        maximize_qfi(state)
+        assert calls == [(12, 12)]
 
     def test_ghz_build_up_is_pinned(self):
         # f_q, depth, convergence and the winning direction's bytes for the
