@@ -261,6 +261,19 @@ class TestGeometricMeasure:
         result = geometric_measure(W3)
         assert result.lambda_ == pytest.approx(2 / 3, abs=1e-8)
 
+    def test_history_is_monotone(self, monkeypatch):
+        # a capped ascent is a prefix of the full one, so rerunning under each
+        # sweep cap reads the overlap after every sweep
+        state = StateVector(4, random_state(np.random.default_rng(20), 4))
+        full = geometric_measure(state)
+        assert not full.certified and full.sweeps > 2
+        history = []
+        for cap in range(1, full.sweeps + 1):
+            monkeypatch.setattr(entanglement, "DEFAULT_MAX_ITER", cap)
+            history.append(geometric_measure(state).lambda_)
+        assert (np.diff(history) > -1e-9).all()
+        assert history[-1] == full.lambda_
+
     def test_winning_product_state_reproduces_lambda(self):
         rng = np.random.default_rng(21)
         psi = random_state(rng, 3)

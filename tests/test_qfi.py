@@ -225,6 +225,20 @@ class TestMaximizeQfi:
             grid = grid_max_qfi(psi, num_sites)
             assert result.f_q == pytest.approx(grid, abs=1e-3)
 
+    def test_history_is_monotone(self, monkeypatch):
+        # one restart, so the winner is always the same ascent; rerunning under
+        # each sweep cap reads its objective after every sweep
+        state = StateVector(4, random_state(np.random.default_rng(20), 4))
+        monkeypatch.setattr(qfi, "DEFAULT_RESTARTS", 1)
+        full = maximize_qfi(state)
+        assert full.converged and full.sweeps > 2
+        history = []
+        for cap in range(1, full.sweeps + 1):
+            monkeypatch.setattr(qfi, "DEFAULT_MAX_ITER", cap)
+            history.append(maximize_qfi(state).f_q)
+        assert (np.diff(history) > -1e-9).all()
+        assert history[-1] == full.f_q
+
     def test_counts_its_sweeps(self, monkeypatch):
         rng = np.random.default_rng(37)
         state = StateVector(4, random_state(rng, 4))
