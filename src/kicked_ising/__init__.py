@@ -39,7 +39,6 @@ from .floquet import (
     KICK_ANGLE,
     MODEL_SYMMETRIES,
     Boundary,
-    Factorization,
     FloquetSpec,
     Model,
     Sector,
@@ -93,7 +92,6 @@ __all__ = [
     "KICK_ANGLE",
     "MODEL_SYMMETRIES",
     "Boundary",
-    "Factorization",
     "FloquetSpec",
     "Model",
     "Sector",

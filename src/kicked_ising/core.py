@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,16 @@ DENSE_MAX_SITES = 12
 # Convergence tolerance of both optimizers (geometric measure and QFI): a
 # restart has converged once one sweep raises its objective by less.
 DEFAULT_TOL = 1e-12
+
+
+def _as_integer(name: str, value) -> int:
+    """``value`` by ``operator.index`` (NumPy integers pass, bools do not)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: must be an integer, got {value!r}") from None
 
 
 def _check_num_sites(num_sites: int) -> None:

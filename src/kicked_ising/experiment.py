@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import enum
 import json
-import operator
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DENSE_MAX_SITES, Axis, fidelity, make_polarized_state
+from .core import DENSE_MAX_SITES, Axis, _as_integer, fidelity, make_polarized_state
 from .entanglement import aee_report, geometric_measure
 from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
@@ -88,13 +87,7 @@ class ExperimentConfig:
         if not isinstance(self.initial_axis, Axis):
             object.__setattr__(self, "initial_axis", Axis.parse(str(self.initial_axis)))
         for name in ("num_sites", "n_max", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name}: must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if not 2 <= self.num_sites <= DENSE_MAX_SITES:
             raise ValueError(
                 f"num_sites: must be in 2..{DENSE_MAX_SITES}, got {self.num_sites}"

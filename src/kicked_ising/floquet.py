@@ -8,23 +8,24 @@ H_a = sum(sa_i) the uniform fields:
 * the plain kicked chain             U_0 = E[H_xx] . E[H_z]
 
 Operator products act right to left, so each period starts with the kick.
-U_x also admits an exactly equivalent split form E[H_xx] . E[H_z] . E[H_x].
 
-Everything is matrix-free: each protocol is one "period program", a list
-of layers, each a 2x2 rotation M at every site or a diagonal phase (H_xx
-and H_x are diagonal in the x basis, H_z in the z basis). M runs as one
+``PERIOD_LAYERS`` states each period once, as symbolic layers in the order
+they act: a Pauli rotation or a Hadamard at every site, or a diagonal
+phase (H_xx and H_x are diagonal in the x basis, H_z in the z basis).
+Every layer is a Clifford gate. ``_block_program`` turns the symbols into
+numbers, and everything runs matrix-free: a 2x2 layer M runs as one
 product per block of up to four sites with its Kronecker power M (x) ...
 (x) M, so one period costs O(L * 2^L). The same loop runs the program on
 state vectors and on the basis columns of ``build_dense``.
 
 Symmetry sectors. Both operators commute with the site reflection
-i <-> L+1-i (basis index j <-> its bit reversal), for either boundary and
-either factorization. U_0 also commutes with the Z parity prod(s^z_i),
-which commutes with H_xx and H_z; U_x does not, because the parity
-anticommutes with s^x and s^y and so flips the sign of H_x and H_y.
-``MODEL_SYMMETRIES`` records this. ``build_dense`` builds the operator
-one sector block at a time (``FloquetSpec.sectors``) as a plain array,
-and rejects a sector that U does not leave invariant.
+i <-> L+1-i (basis index j <-> its bit reversal), for either boundary.
+U_0 also commutes with the Z parity prod(s^z_i), which commutes with H_xx
+and H_z; U_x does not, because the parity anticommutes with s^x and s^y
+and so flips the sign of H_x and H_y. ``MODEL_SYMMETRIES`` records this.
+``build_dense`` builds the operator one sector block at a time
+(``FloquetSpec.sectors``) as a plain array, and rejects a sector that U
+does not leave invariant.
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DENSE_MAX_SITES, StateVector, _kron_power, pauli_rotation
+from .core import (
+    DENSE_MAX_SITES,
+    StateVector,
+    _as_integer,
+    _bit_table,
+    _kron_power,
+    pauli_rotation,
+)
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
@@ -72,25 +80,29 @@ class Symmetry(enum.Enum):
     Z_PARITY = "P"  # prod_i sigma^z_i
 
 
-# Symmetries each period operator commutes with, for any boundary and
-# factorization (see the module docstring for why U_x has no Z parity).
+# Symmetries each period operator commutes with, for either boundary (see
+# the module docstring for why U_x has no Z parity).
 MODEL_SYMMETRIES = {
     Model.U0: (Symmetry.REFLECTION, Symmetry.Z_PARITY),
     Model.UX: (Symmetry.REFLECTION,),
+}
+
+# One period of each model, layer by layer in the order the layers act.
+# ("rotate", a) is exp(-i*KICK_ANGLE*s^a) at every site; "hadamard" changes
+# between the z and x bases; ("phase", terms) is the diagonal
+# exp(-i*KICK_ANGLE*E), with E summing the Ising bonds of ``spec.bonds()``
+# ("ising") and/or the uniform field ("field") of the current basis.
+PERIOD_LAYERS = {
+    # z kick first, then the Ising phase in the x basis
+    Model.U0: (("phase", ("field",)), "hadamard", ("phase", ("ising",)), "hadamard"),
+    # y kick first, then one combined Ising+field phase in the x basis
+    Model.UX: (("rotate", "y"), "hadamard", ("phase", ("ising", "field")), "hadamard"),
 }
 
 
 class Boundary(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
-
-
-class Factorization(enum.Enum):
-    """How U_x is factorized: one combined Ising+field exponential followed by
-    the y kick, or the split x-rotation / z-kick / Ising product."""
-
-    COMBINED = "combined"
-    SPLIT = "split"
 
 
 @dataclass(frozen=True)
@@ -100,19 +112,15 @@ class FloquetSpec:
     model: Model
     num_sites: int
     boundary: Boundary = Boundary.OPEN
-    factorization: Factorization = Factorization.COMBINED
 
     def __post_init__(self) -> None:
         # Members are tested by identity downstream, so a bare string such
         # as "U0" would silently run another model or drop a bond.
-        for name, kind in (
-            ("model", Model),
-            ("boundary", Boundary),
-            ("factorization", Factorization),
-        ):
+        for name, kind in (("model", Model), ("boundary", Boundary)):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name}: must be a {kind.__name__}, got {value!r}")
+        object.__setattr__(self, "num_sites", _as_integer("num_sites", self.num_sites))
         if self.num_sites < 2:
             raise ValueError(f"num_sites must be at least 2, got {self.num_sites}")
 
@@ -180,13 +188,12 @@ def symmetry_sectors(
         raise ValueError(
             f"dense construction is capped at {DENSE_MAX_SITES} sites, got {num_sites}"
         )
-    spins = _spin_values(num_sites)
+    bits = _bit_table(num_sites)
     idx = np.arange(2 ** num_sites)
     reflect = Symmetry.REFLECTION in symmetries
     # Bit reversal: the bit of site s moves to the place of site L+1-s.
-    bits = (1 - spins) // 2
-    mirror = (bits << np.arange(num_sites)[:, None]).sum(axis=0) if reflect else idx
-    parity = spins.prod(axis=0)
+    mirror = bits @ (1 << np.arange(num_sites)) if reflect else idx
+    parity = 1 - 2 * (bits.sum(axis=1) & 1)
     out = []
     for p in (+1, -1) if Symmetry.Z_PARITY in symmetries else (None,):
         keep = np.ones(idx.size, dtype=bool) if p is None else parity == p
@@ -206,44 +213,6 @@ def symmetry_sectors(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _spin_values(num_sites: int) -> np.ndarray:
-    """(L, 2^L) array of sigma^z values (-1)^bit per site, site 1 first."""
-    idx = np.arange(2 ** num_sites)
-    rows = [1 - 2 * ((idx >> (num_sites - s)) & 1) for s in range(1, num_sites + 1)]
-    return np.array(rows, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _period_program(spec: FloquetSpec) -> tuple[np.ndarray, ...]:
-    """One period as layers, in the order they act.
-
-    A 2x2 layer is applied at every site; a 2^L layer is a diagonal phase
-    exp(-i*KICK_ANGLE*E) that multiplies the amplitudes, with E the Ising
-    energy sum over ``spec.bonds()`` and/or the field sum(s_i) of the
-    current basis (z, or x between two Hadamard layers).
-    """
-    s = _spin_values(spec.num_sites)
-    ising = sum(s[i - 1] * s[j - 1] for i, j in spec.bonds())
-    field = s.sum(axis=0)
-
-    def phase(energy: np.ndarray) -> np.ndarray:
-        table = np.exp(-1j * KICK_ANGLE * energy)
-        table.setflags(write=False)
-        return table
-
-    if spec.model is Model.U0:
-        # z kick first (diagonal in the z basis), then the Ising phase in x.
-        return (phase(field), _HADAMARD, phase(ising), _HADAMARD)
-    if spec.factorization is Factorization.COMBINED:
-        # y kick first, then one combined Ising+field phase in the x basis.
-        kick = pauli_rotation("y", KICK_ANGLE)
-        return (kick, _HADAMARD, phase(ising + field), _HADAMARD)
-    # Split form: x rotation, then z kick, then the bare Ising phase.
-    kick = pauli_rotation("x", KICK_ANGLE)
-    return (kick, phase(field), _HADAMARD, phase(ising), _HADAMARD)
-
-
 def _site_powers(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     """M (x) ... (x) M with w factors at index w, w = 0.._BLOCK_SITES, of a 2x2 M."""
     return tuple(_kron_power(matrix, w) for w in range(_BLOCK_SITES + 1))
@@ -251,8 +220,31 @@ def _site_powers(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _block_program(spec: FloquetSpec) -> tuple:
-    """``_period_program`` with each 2x2 layer given as its ``_site_powers``."""
-    return tuple(x if x.ndim == 1 else _site_powers(x) for x in _period_program(spec))
+    """``PERIOD_LAYERS`` of the spec's model as numbers, in the order they act.
+
+    A rotation or Hadamard layer is the ``_site_powers`` of its 2x2 matrix.
+    A phase layer is the read-only table exp(-i*KICK_ANGLE*E) that multiplies
+    the 2^L amplitudes, with E summed in int8 from the sigma^z values (-1)^bit.
+    """
+    L = spec.num_sites
+    idx = np.arange(2**L)
+    spins = [1 - 2 * ((idx >> (L - s)) & 1).astype(np.int8) for s in range(1, L + 1)]
+    program = []
+    for layer in PERIOD_LAYERS[spec.model]:
+        if layer == "hadamard":
+            program.append(_site_powers(_HADAMARD))
+        elif layer[0] == "rotate":
+            program.append(_site_powers(pauli_rotation(layer[1], KICK_ANGLE)))
+        else:
+            energy = np.zeros(2**L, dtype=np.int8)
+            if "ising" in layer[1]:
+                energy += sum(spins[i - 1] * spins[j - 1] for i, j in spec.bonds())
+            if "field" in layer[1]:
+                energy += sum(spins)
+            table = np.exp(-1j * KICK_ANGLE * energy)
+            table.setflags(write=False)
+            program.append(table)
+    return tuple(program)
 
 
 def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:

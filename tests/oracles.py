@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from kicked_ising.core import PAULI_X, PAULI_Y, PAULI_Z
-from kicked_ising.floquet import FloquetSpec, Model
+from kicked_ising.floquet import PERIOD_LAYERS, FloquetSpec, Model
 
 
 def site_operator(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
@@ -43,6 +43,84 @@ def dense_floquet_oracle(spec: FloquetSpec) -> np.ndarray:
     if spec.model is Model.U0:
         return expo(hxx) @ expo(field_sum(PAULI_Z))
     return expo(hxx + field_sum(PAULI_X)) @ expo(field_sum(PAULI_Y))
+
+
+def split_floquet_oracle(spec: FloquetSpec) -> np.ndarray:
+    """U_x split into three dense exponentials, E[H_xx] . E[H_x] . E[H_y];
+    it equals the combined form because H_xx commutes with H_x."""
+    num_sites = spec.num_sites
+    sites = range(1, num_sites + 1)
+    hxx = sum(
+        site_operator(PAULI_X, i, num_sites) @ site_operator(PAULI_X, j, num_sites)
+        for i, j in spec.bonds()
+    )
+    hx = sum(site_operator(PAULI_X, s, num_sites) for s in sites)
+    hy = sum(site_operator(PAULI_Y, s, num_sites) for s in sites)
+
+    def expo(h):
+        return scipy.linalg.expm(-0.25j * np.pi * h)
+
+    return expo(hxx) @ expo(hx) @ expo(hy)
+
+
+# A Pauli string as (coefficient, x bits, z bits), meaning
+# coefficient * prod_s X_s^x_s Z_s^z_s with site 1 first; Y = i X Z.
+_LETTER_BITS = {"x": (1, 0), "y": (1, 1), "z": (0, 1)}
+
+
+def pauli(letter: str, site: int, num_sites: int) -> tuple:
+    """The Pauli sigma^letter on one 1-based site, as (coefficient, x, z)."""
+    x, z = np.zeros(num_sites, dtype=int), np.zeros(num_sites, dtype=int)
+    x[site - 1], z[site - 1] = _LETTER_BITS[letter]
+    return (1j if letter == "y" else 1, x, z)
+
+
+def pauli_product(a: tuple, b: tuple) -> tuple:
+    """a . b, moving each Z of a past each X of b at the cost of a sign."""
+    (ca, xa, za), (cb, xb, zb) = a, b
+    return (ca * cb * (-1) ** int(za @ xb), xa ^ xb, za ^ zb)
+
+
+def pauli_dense(p: tuple) -> np.ndarray:
+    """The 2^L x 2^L matrix of a (coefficient, x, z) Pauli string."""
+    coefficient, x, z = p
+    out = np.array([[coefficient]], dtype=complex)
+    for xs, zs in zip(x, z):
+        site = (PAULI_X if xs else np.eye(2)) @ (PAULI_Z if zs else np.eye(2))
+        out = np.kron(out, site)
+    return out
+
+
+def conjugate_through_period(p: tuple, spec: FloquetSpec) -> tuple:
+    """U p U^H for one period U, read off ``PERIOD_LAYERS`` by Clifford rules.
+
+    A gate exp(-i*pi/4*Q) maps p to -i Q p when p anticommutes with Q and
+    leaves it alone otherwise; the Hadamard swaps X and Z (Y -> -Y).
+    """
+    L = spec.num_sites
+
+    def rotate(p, q):
+        (_, x, z), (_, qx, qz) = p, q
+        if (x @ qz + z @ qx) % 2 == 0:
+            return p
+        coefficient, x, z = pauli_product(q, p)
+        return (-1j * coefficient, x, z)
+
+    for layer in PERIOD_LAYERS[spec.model]:
+        if layer == "hadamard":
+            coefficient, x, z = p
+            p = (coefficient * (-1) ** int(x @ z), z, x)
+        elif layer[0] == "rotate":
+            for s in range(1, L + 1):
+                p = rotate(p, pauli(layer[1], s, L))
+        else:
+            # one gate per bond (the closed two-site chain lists its bond
+            # twice) and one per site; all of them commute
+            for i, j in spec.bonds() if "ising" in layer[1] else ():
+                p = rotate(p, pauli_product(pauli("z", i, L), pauli("z", j, L)))
+            for s in range(1, L + 1) if "field" in layer[1] else ():
+                p = rotate(p, pauli("z", s, L))
+    return p
 
 
 def random_state(rng: np.random.Generator, num_sites: int) -> np.ndarray:

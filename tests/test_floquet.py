@@ -8,17 +8,24 @@ from kicked_ising.core import Axis, PAULI_X, StateVector, fidelity, make_polariz
 from kicked_ising.floquet import (
     Boundary,
     DENSE_MAX_SITES,
-    Factorization,
     FloquetSpec,
     KICK_ANGLE,
     Model,
-    _period_program,
+    _block_program,
     apply_floquet,
     build_dense,
 )
 from kicked_ising.spectral import quasi_energies
 
-from oracles import dense_floquet_oracle, random_state, site_operator
+from oracles import (
+    conjugate_through_period,
+    dense_floquet_oracle,
+    pauli,
+    pauli_dense,
+    random_state,
+    site_operator,
+    split_floquet_oracle,
+)
 
 
 def test_kick_angle():
@@ -46,12 +53,21 @@ class TestSpec:
     # program and "closed" would drop the bond (L, 1)
     @pytest.mark.parametrize(
         "name, value",
-        [("model", "U0"), ("boundary", "closed"), ("factorization", "split")],
+        [("model", "U0"), ("boundary", "closed")],
     )
     def test_rejects_plain_strings(self, name, value):
         kwargs = {"model": Model.U0, "num_sites": 4, name: value}
         with pytest.raises(ValueError, match=f"^{name}: "):
             FloquetSpec(**kwargs)
+
+    def test_rejects_non_integer_sites(self):
+        # unchecked, a float fails only later, in bonds(), and "4" in the
+        # size comparison
+        for value in (4.5, 4.0, "4", True):
+            message = f"^num_sites: must be an integer, got {value!r}$"
+            with pytest.raises(ValueError, match=message):
+                FloquetSpec(Model.U0, value)
+        assert FloquetSpec(Model.U0, np.int64(4)) == FloquetSpec(Model.U0, 4)
 
 
 class TestUnitaryMatrix:
@@ -91,31 +107,6 @@ class TestAgainstExponentialOracle:
         got = build_dense(spec)
         assert np.abs(got - dense_floquet_oracle(spec)).max() < 1e-12
 
-    def test_split_form_matches_expm_product(self):
-        # the split factorization multiplies the x rotation, the z kick
-        # and the Ising coupling as three separate exponentials
-        for num_sites in (2, 3, 4):
-            spec = FloquetSpec(Model.UX, num_sites, factorization=Factorization.SPLIT)
-            hxx = sum(
-                site_operator(PAULI_X, i, num_sites)
-                @ site_operator(PAULI_X, j, num_sites)
-                for i, j in spec.bonds()
-            )
-            hx = sum(
-                site_operator(PAULI_X, s, num_sites) for s in range(1, num_sites + 1)
-            )
-            hy = sum(
-                site_operator(
-                    np.array([[0, -1j], [1j, 0]]), s, num_sites
-                )
-                for s in range(1, num_sites + 1)
-            )
-            def expo(h):
-                return scipy.linalg.expm(-0.25j * np.pi * h)
-
-            oracle = expo(hxx) @ expo(hx) @ expo(hy)
-            assert np.abs(build_dense(spec) - oracle).max() < 1e-12
-
 
 class TestPeriodProgram:
     SPECS = [
@@ -123,28 +114,40 @@ class TestPeriodProgram:
         for model in (Model.U0, Model.UX)
         for boundary in (Boundary.OPEN, Boundary.CLOSED)
         for num_sites in range(2, 7)
-    ] + [
-        FloquetSpec(Model.UX, num_sites, boundary, Factorization.SPLIT)
-        for boundary in (Boundary.OPEN, Boundary.CLOSED)
-        for num_sites in range(2, 7)
     ]
 
     @pytest.mark.parametrize(
-        "spec", SPECS, ids=lambda s: f"{s.model.value}-{s.factorization.value}-"
-        f"{s.boundary.value}-{s.num_sites}"
+        "spec", SPECS, ids=lambda s: f"{s.model.value}-{s.boundary.value}-{s.num_sites}"
     )
     def test_layers_multiply_out_to_the_oracle(self, spec):
-        # a 2x2 layer acts on every site, a vector layer is a diagonal phase
+        # a phase table is diagonal; a tuple of site powers holds the 2x2
+        # matrix at index 1, which acts on every site
         product = np.eye(2**spec.num_sites, dtype=complex)
-        for layer in _period_program(spec):
-            if layer.ndim == 1:
+        for layer in _block_program(spec):
+            if isinstance(layer, np.ndarray):
                 dense = np.diag(layer)
             else:
                 dense = np.array([[1.0]])
                 for _ in range(spec.num_sites):
-                    dense = np.kron(dense, layer)
+                    dense = np.kron(dense, layer[1])
             product = dense @ product
         assert np.abs(product - dense_floquet_oracle(spec)).max() < 1e-12
+
+
+class TestCliffordTable:
+    # conjugating by the symbolic layers must match the dense oracle, which
+    # never reads the table, so a wrong symbol fails here
+    @pytest.mark.parametrize("num_sites", range(2, 7))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_paulis_conjugate_as_the_oracle(self, num_sites, model, boundary):
+        spec = FloquetSpec(model, num_sites, boundary)
+        u = dense_floquet_oracle(spec)
+        for letter, site in itertools.product("xz", range(1, num_sites + 1)):
+            p = pauli(letter, site, num_sites)
+            want = u @ pauli_dense(p) @ u.conj().T
+            got = pauli_dense(conjugate_through_period(p, spec))
+            assert np.abs(got - want).max() < 1e-12
 
 
 class TestKernelProperties:
@@ -218,12 +221,9 @@ class TestFactorization:
 
     @staticmethod
     def max_gap(num_sites, boundary):
-        """max |U_combined - U_split| over entries, with no phase freedom."""
-        combined, split = (
-            build_dense(FloquetSpec(Model.UX, num_sites, boundary, f))
-            for f in (Factorization.COMBINED, Factorization.SPLIT)
-        )
-        return np.abs(combined - split).max()
+        """max |U - U_split| over entries, with no phase freedom."""
+        spec = FloquetSpec(Model.UX, num_sites, boundary)
+        return np.abs(build_dense(spec) - split_floquet_oracle(spec)).max()
 
     @pytest.mark.parametrize("num_sites", [2, 3, 4, 6])
     def test_combined_and_split_agree_exactly(self, num_sites):

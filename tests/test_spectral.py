@@ -6,12 +6,11 @@ import pytest
 from kicked_ising.core import DENSE_MAX_SITES
 from kicked_ising.floquet import (
     Boundary,
-    Factorization,
     FloquetSpec,
     Model,
     Symmetry,
+    _block_program,
     build_dense,
-    _spin_values,
     symmetry_sectors,
 )
 from kicked_ising.spectral import (
@@ -125,19 +124,18 @@ class TestQuasiEnergies:
 
 
 SECTOR_SPECS = [
-    (Model.U0, Boundary.OPEN, Factorization.COMBINED),
-    (Model.U0, Boundary.CLOSED, Factorization.COMBINED),
-    (Model.UX, Boundary.OPEN, Factorization.COMBINED),
-    (Model.UX, Boundary.CLOSED, Factorization.COMBINED),
-    (Model.UX, Boundary.OPEN, Factorization.SPLIT),
+    (Model.U0, Boundary.OPEN),
+    (Model.U0, Boundary.CLOSED),
+    (Model.UX, Boundary.OPEN),
+    (Model.UX, Boundary.CLOSED),
 ]
 
 
 class TestSymmetrySectors:
     @pytest.mark.parametrize("num_sites", range(2, 11))
-    @pytest.mark.parametrize("model, boundary, factorization", SECTOR_SPECS)
-    def test_sector_path_matches_dense(self, model, boundary, factorization, num_sites):
-        spec = FloquetSpec(model, num_sites, boundary, factorization)
+    @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
+    def test_sector_path_matches_dense(self, model, boundary, num_sites):
+        spec = FloquetSpec(model, num_sites, boundary)
         dense = quasi_energies([build_dense(spec)])
         blocked = floquet_spectrum(spec)
         assert circle_distance(on_circle(blocked.thetas), on_circle(dense.thetas)).max() < 1e-12
@@ -164,7 +162,7 @@ class TestSymmetrySectors:
 
     def test_size_cap_fires_before_any_table_is_cached(self):
         def cached():
-            return [f.cache_info().currsize for f in (symmetry_sectors, _spin_values)]
+            return [f.cache_info().currsize for f in (symmetry_sectors, _block_program)]
 
         before = cached()
         with pytest.raises(ValueError, match="capped"):
