@@ -133,6 +133,12 @@ def unitarity_deviation(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
 
 
+def schur_thetas(block: np.ndarray) -> np.ndarray:
+    """Quasi-energies -arg(lambda) read off the diagonal of the complex
+    Schur form of ``block``."""
+    return -np.angle(np.diag(scipy.linalg.schur(block, output="complex")[0]))
+
+
 def nn_bell_product(num_sites: int) -> np.ndarray:
     """Bell pairs on (1,2), (3,4), ..., as amplitudes."""
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -333,8 +333,9 @@ common = ["--model", "U0", "--size", "4"]
 assert main(["measure", *common, "--periods", "2", "--measures", "aee,geom,qfi",
              "--out", str(out / "measure")]) == 0
 assert main(["evolve", *common, "--out", str(out / "evolve")]) == 0
-assert "scipy" not in sys.modules, "measure or evolve imported scipy"
 assert main(["spectrum", *common, "--out", str(out / "spectrum")]) == 0
+assert main(["summary", *common, "--initial", "y+", "--out", str(out / "summary")]) == 0
+assert "scipy" not in sys.modules, "a subcommand imported scipy"
 """
 
 
@@ -347,8 +348,9 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert (tmp_path / "spectrum.csv").exists()
 
-    def test_measure_and_evolve_run_without_scipy(self, tmp_path):
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
         result = run_python(["-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)])
         assert result.returncode == 0, result.stderr
-        for name in ("measure/qfi.csv", "evolve/trajectory.csv", "spectrum/spectrum.csv"):
+        for name in ("measure/qfi.csv", "evolve/trajectory.csv", "spectrum/spectrum.csv",
+                     "summary/summary.csv"):
             assert (tmp_path / name).exists(), name

@@ -132,7 +132,7 @@ def test_qfi_maximum_is_bounded_stationary_and_locally_invariant(num_sites, seed
     seed=st.integers(0, 2**32 - 1),
     log_eps=st.floats(-14, -6),
 )
-def test_schur_unitarity_check_is_no_looser_than_the_direct_one(dim, seed, log_eps):
+def test_unitarity_check_is_no_looser_than_the_direct_one(dim, seed, log_eps):
     rng = np.random.default_rng(seed)
 
     def gaussian():

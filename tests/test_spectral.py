@@ -15,12 +15,16 @@ from kicked_ising.floquet import (
 )
 from kicked_ising.spectral import (
     QuasiSpectrum,
+    _block_thetas,
+    _cluster_circular,
     detect_period,
     detect_period_from_thetas,
     detect_spacing,
     floquet_spectrum,
     quasi_energies,
 )
+
+from oracles import schur_thetas
 
 
 def ladder(centers, counts):
@@ -57,7 +61,7 @@ class TestQuasiEnergies:
             quasi_energies(whole(1.1 * np.eye(4, dtype=complex)))
 
     def test_rejects_a_jordan_block(self):
-        # unit eigenvalues, so only the off-diagonal Schur part shows it
+        # unit eigenvalues, so only the Gram deviation ||B^H B - I|| shows it
         with pytest.raises(ValueError, match="not unitary"):
             quasi_energies(whole(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
@@ -66,6 +70,22 @@ class TestQuasiEnergies:
         quasi_energies(whole(u))
         with pytest.raises(ValueError, match="not unitary"):
             quasi_energies(whole((1 + 1e-9) * u))
+
+    @pytest.mark.parametrize("moves", [[1e-6], [1e-6, -1e-6]])
+    def test_rejects_eigenvalues_that_miss_the_traces(self, monkeypatch, moves):
+        # one move shifts Tr B; a pair of opposite moves keeps Tr B and
+        # shifts only Tr B^2
+        eigvals = np.linalg.eigvals
+
+        def moved(mat):
+            lam = eigvals(mat)
+            lam[: len(moves)] += moves
+            return lam
+
+        u = build_dense(FloquetSpec(Model.UX, 3))
+        monkeypatch.setattr(np.linalg, "eigvals", moved)
+        with pytest.raises(ValueError, match="power sums"):
+            quasi_energies(whole(u))
 
     def test_rejects_a_stack(self):
         with pytest.raises(ValueError, match="square"):
@@ -142,6 +162,21 @@ class TestSymmetrySectors:
         assert [m for _, m in blocked.clusters] == [m for _, m in dense.clusters]
         centers = [c for c, _ in blocked.clusters]
         assert circle_distance(centers, [c for c, _ in dense.clusters]).max() < 1e-12
+
+    @pytest.mark.parametrize("num_sites", range(2, 10))
+    @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
+    def test_block_phases_match_the_schur_oracle(self, model, boundary, num_sites):
+        spec = FloquetSpec(model, num_sites, boundary)
+        oracle = []
+        for sector in spec.sectors():
+            block = build_dense(spec, sector=sector)
+            oracle.append(schur_thetas(block))
+            ours = _block_thetas(block)
+            assert circle_distance(on_circle(ours), on_circle(oracle[-1])).max() < 1e-12
+        clusters = floquet_spectrum(spec).clusters
+        expected = _cluster_circular(np.sort(np.concatenate(oracle)))
+        assert [m for _, m in clusters] == [m for _, m in expected]
+        assert circle_distance([c for c, _ in clusters], [c for c, _ in expected]).max() < 1e-12
 
     @pytest.mark.parametrize("num_sites", range(2, 11))
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
