@@ -11,7 +11,6 @@ from .core import (
     Axis,
     DensityMatrix,
     StateVector,
-    apply_matrix_at_site,
     fidelity,
     make_ghz,
     make_polarized_state,
@@ -70,7 +69,6 @@ __all__ = [
     "Axis",
     "DensityMatrix",
     "StateVector",
-    "apply_matrix_at_site",
     "fidelity",
     "make_ghz",
     "make_polarized_state",

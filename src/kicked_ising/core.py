@@ -1,4 +1,4 @@
-"""Basis conventions, state construction, single-site gates, partial trace.
+"""Basis conventions, state construction, single-site rotations, partial trace.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -184,22 +184,6 @@ def make_psi_o(num_sites: int) -> StateVector:
     block = np.zeros(2 ** half, dtype=complex)
     block[0] = block[-1] = 1 / np.sqrt(2)
     return StateVector(num_sites, np.kron(block, block))
-
-
-def apply_matrix_at_site(
-    amplitudes: np.ndarray, num_sites: int, site: int, matrix: np.ndarray
-) -> np.ndarray:
-    """Apply a 2x2 matrix at one site of a (2^L,) or (2^L, batch) array.
-
-    Site 1 is the most significant bit. The input is not modified.
-    """
-    if not 1 <= site <= num_sites:
-        raise IndexError(f"site must be in [1, {num_sites}], got {site}")
-    shape = amplitudes.shape
-    left = 2 ** (site - 1)
-    view = amplitudes.reshape(left, 2, -1)
-    out = np.einsum("pq,aqc->apc", matrix, view)
-    return np.ascontiguousarray(out).reshape(shape)
 
 
 def pauli_rotation(letter: str, angle: float) -> np.ndarray:

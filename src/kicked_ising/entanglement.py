@@ -181,9 +181,7 @@ def _initial_product_batch(state: StateVector, rng: np.random.Generator) -> np.n
     phis = raw[..., 0] + 1j * raw[..., 1]
     phis /= np.linalg.norm(phis, axis=-1, keepdims=True)
     top = int(np.argmax(np.abs(state.amplitudes)))
-    for site in range(num_sites):
-        bit = (top >> (num_sites - 1 - site)) & 1
-        phis[site, 0] = np.eye(2)[bit]
+    phis[:, 0] = np.eye(2)[(top >> np.arange(num_sites - 1, -1, -1)) & 1]
     return phis
 
 

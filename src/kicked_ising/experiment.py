@@ -23,7 +23,7 @@ from .core import DENSE_MAX_SITES, Axis, _as_integer, fidelity, make_polarized_s
 from .entanglement import aee_report, geometric_measure
 from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
-from .spectral import detect_period, floquet_spectrum
+from .spectral import PeriodReport, detect_period, floquet_spectrum
 
 MEASURES = ("aee", "geom", "qfi", "spectrum")
 SUMMARY_PERIOD_CAP = 200
@@ -268,7 +268,10 @@ def generate_summary(
             raise ValueError(f"{name}: {shown} listed more than once")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [_summary_cell(config) for config in configs]
+    # the period depends on the operator alone, so each is found once
+    specs = dict.fromkeys(config.floquet_spec() for config in configs)
+    reports = {spec: detect_period(spec, SUMMARY_PERIOD_CAP) for spec in specs}
+    rows = [_summary_cell(config, reports[config.floquet_spec()]) for config in configs]
     path = out_dir / "summary.csv"
     _write_csv(
         path,
@@ -296,8 +299,7 @@ def generate_summary(
     return rows, path
 
 
-def _summary_cell(config: ExperimentConfig) -> SummaryRow:
-    report = detect_period(config.floquet_spec(), SUMMARY_PERIOD_CAP)
+def _summary_cell(config: ExperimentConfig, report: PeriodReport) -> SummaryRow:
     window = report.period if report.period is not None else SUMMARY_PERIOD_CAP
     depths = [
         maximize_qfi(state, seed=_derive_seed(config.seed, "qfi", n)).depth

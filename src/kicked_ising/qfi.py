@@ -13,20 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    StateVector,
-    apply_matrix_at_site,
-)
+from .core import DEFAULT_TOL, StateVector
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 1000
 DEFAULT_SLACK = 1e-8
-
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -105,15 +96,23 @@ class QfiResult:
 
 
 def covariance_matrix(state: StateVector) -> CovarianceMatrix:
-    """Gamma of ``state``; row 3(i-1) + a holds sigma^a, a = x, y, z, of site i."""
+    """Gamma of ``state``; row 3(i-1) + a holds sigma^a, a = x, y, z, of site i.
+
+    Each Pauli acts on the z-basis amplitudes by index arithmetic: sigma^x
+    flips the site's bit, sigma^z multiplies by (-1)^bit, and
+    sigma^y = -i sigma^z sigma^x.
+    """
     num_sites = state.num_sites
     psi = state.amplitudes
     vecs = np.empty((3 * num_sites, psi.size), dtype=complex)
-    for site in range(1, num_sites + 1):
-        for a, pauli in enumerate(_PAULIS):
-            vecs[3 * (site - 1) + a] = apply_matrix_at_site(
-                psi, num_sites, site, pauli
-            )
+    sign = np.array([[1.0], [-1.0]])  # (-1)^bit
+    for site in range(num_sites):
+        # axis 1 of the view is the bit of site + 1 (site 1 is the most significant)
+        view = psi.reshape(2**site, 2, -1)
+        x, y, z = vecs[3 * site : 3 * site + 3].reshape(3, *view.shape)
+        x[...] = view[:, ::-1]
+        y[...] = -1j * sign * x
+        z[...] = sign * view
     means = (vecs @ psi.conj()).real
     gram = (vecs.conj() @ vecs.T).real
     gamma = gram - np.outer(means, means)
@@ -147,23 +146,14 @@ def _initial_directions(top_vector: np.ndarray, rng: np.random.Generator) -> np.
     and the per-site normalized top eigenvector of Gamma first, then uniform
     random."""
     num_sites = top_vector.size // 3
-    starts = []
-    for axis in range(3):
-        d = np.zeros((num_sites, 3))
-        d[:, axis] = 1.0
-        starts.append(d)
+    fixed = np.empty((4, num_sites, 3))
+    fixed[:3] = np.eye(3)[:, None]
     top = top_vector.reshape(num_sites, 3)
     norms = np.linalg.norm(top, axis=1, keepdims=True)
-    z_field = starts[2]
-    starts.append(np.where(norms > 1e-12, top / np.maximum(norms, 1e-300), z_field))
-    dirs = np.empty((DEFAULT_RESTARTS, num_sites, 3))
-    for r in range(DEFAULT_RESTARTS):
-        if r < len(starts):
-            dirs[r] = starts[r]
-        else:
-            raw = rng.normal(size=(num_sites, 3))
-            dirs[r] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return dirs
+    fixed[3] = np.where(norms > 1e-12, top / np.maximum(norms, 1e-300), fixed[2])
+    raw = rng.normal(size=(max(DEFAULT_RESTARTS - 4, 0), num_sites, 3))
+    random = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    return np.concatenate([fixed[:DEFAULT_RESTARTS], random])
 
 
 def maximize_qfi(state: StateVector, seed: int = 0) -> QfiResult:

@@ -6,7 +6,6 @@ from kicked_ising.core import (
     Axis,
     DensityMatrix,
     StateVector,
-    apply_matrix_at_site,
     fidelity,
     make_ghz,
     make_polarized_state,
@@ -130,7 +129,7 @@ class TestConstructors:
         # rotation of the z GHZ
         amps = make_ghz(2, Axis.parse("z")).amplitudes
         for site in (1, 2):
-            amps = apply_matrix_at_site(amps, 2, site, pauli_rotation("y", np.pi / 4))
+            amps = site_operator(pauli_rotation("y", np.pi / 4), site, 2) @ amps
         state = StateVector(2, amps)
         assert fidelity(state, make_ghz(2, Axis.parse("x"))) == pytest.approx(
             1.0, abs=1e-12
@@ -168,7 +167,7 @@ class TestConstructors:
 class TestGates:
     def test_site_rotation_x_on_zero(self):
         amps = make_polarized_state(1, Axis.parse("z+")).amplitudes
-        out = apply_matrix_at_site(amps, 1, 1, pauli_rotation("x", np.pi / 4))
+        out = site_operator(pauli_rotation("x", np.pi / 4), 1, 1) @ amps
         np.testing.assert_allclose(
             out, [1 / np.sqrt(2), -1j / np.sqrt(2)], atol=1e-15
         )
@@ -176,40 +175,15 @@ class TestGates:
     def test_site_rotation_zero_angle(self):
         rng = np.random.default_rng(1)
         psi = random_state(rng, 3)
-        out = apply_matrix_at_site(psi, 3, 2, pauli_rotation("y", 0.0))
+        out = site_operator(pauli_rotation("y", 0.0), 2, 3) @ psi
         np.testing.assert_allclose(out, psi, atol=1e-15)
 
     def test_site_rotation_z_phase(self):
         amps = make_polarized_state(1, Axis.parse("z+")).amplitudes
-        out = apply_matrix_at_site(amps, 1, 1, pauli_rotation("z", np.pi / 4))
+        out = site_operator(pauli_rotation("z", np.pi / 4), 1, 1) @ amps
         np.testing.assert_allclose(
             out, [np.exp(-1j * np.pi / 4), 0], atol=1e-15
         )
-
-    def test_site_rotation_bad_site(self):
-        amps = make_polarized_state(2, Axis.parse("z+")).amplitudes
-        with pytest.raises(IndexError):
-            apply_matrix_at_site(amps, 2, 3, pauli_rotation("x", 0.1))
-
-    def test_apply_matrix_matches_kron_oracle(self):
-        rng = np.random.default_rng(2)
-        for num_sites in (1, 2, 3, 4):
-            psi = random_state(rng, num_sites)
-            mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for site in range(1, num_sites + 1):
-                got = apply_matrix_at_site(psi, num_sites, site, mat)
-                want = site_operator(mat, site, num_sites) @ psi
-                np.testing.assert_allclose(got, want, atol=1e-13)
-
-    def test_apply_matrix_batched_columns(self):
-        rng = np.random.default_rng(3)
-        batch = np.stack([random_state(rng, 3) for _ in range(5)], axis=1)
-        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = apply_matrix_at_site(batch, 3, 2, mat)
-        for j in range(5):
-            np.testing.assert_allclose(
-                got[:, j], apply_matrix_at_site(batch[:, j], 3, 2, mat), atol=1e-13
-            )
 
     def test_inverse_rotation_recovers_z(self):
         # every polarized state rotates back onto z+ with one site-wise
@@ -226,7 +200,7 @@ class TestGates:
         for name, (letter, angle) in inverse.items():
             amps = make_polarized_state(3, Axis.parse(name)).amplitudes
             for site in (1, 2, 3):
-                amps = apply_matrix_at_site(amps, 3, site, pauli_rotation(letter, angle))
+                amps = site_operator(pauli_rotation(letter, angle), site, 3) @ amps
             state = StateVector(3, amps)
             assert fidelity(state, target) == pytest.approx(1.0, abs=1e-12)
 

@@ -348,6 +348,21 @@ class TestSummary:
         window = rows[0].detected_projective_period
         assert periods == [1] * (window - 1)
 
+    def test_finds_each_operators_period_once(self, tmp_path, monkeypatch):
+        specs = []
+        real = experiment.detect_period
+
+        def counting(spec, cap):
+            specs.append(spec)
+            return real(spec, cap)
+
+        monkeypatch.setattr(experiment, "detect_period", counting)
+        rows, _ = generate_summary(
+            ["U0", "Ux"], [4], ["open", "closed"], ["y+", "z+", "x-"], out_dir=tmp_path
+        )
+        assert len(rows) == 12
+        assert len(specs) == len(set(specs)) == 4
+
     def test_rejects_out_of_range_size(self, tmp_path):
         out = tmp_path / "sweep"
         with pytest.raises(ValueError, match="sizes"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kicked_ising.core import StateVector, apply_matrix_at_site, partial_trace
+from kicked_ising.core import StateVector, partial_trace
 from kicked_ising.entanglement import _entropy_table, entropy, geometric_measure
 from kicked_ising.floquet import _one_period, _site_powers
 from kicked_ising.qfi import covariance_matrix, maximize_qfi
@@ -21,6 +21,7 @@ from kicked_ising.spectral import quasi_energies
 from oracles import (
     max_schmidt_coefficient,
     random_state,
+    site_operator,
     subset_entropy,
     unitarity_deviation,
 )
@@ -78,7 +79,7 @@ def test_block_layer_matches_one_site_at_a_time(num_sites, seed, batch):
     for amps in (columns[:, 0], columns):
         expected = amps
         for site in range(1, num_sites + 1):
-            expected = apply_matrix_at_site(expected, num_sites, site, matrix)
+            expected = site_operator(matrix, site, num_sites) @ expected
         got = _one_period((powers,), amps, num_sites)
         assert got.shape == amps.shape
         assert np.abs(got - expected).max() < 1e-13
@@ -91,7 +92,7 @@ def test_geometric_measure_is_unchanged_by_local_unitaries(num_sites, seed):
     amps = random_state(rng, num_sites)
     rotated = amps
     for site in range(1, num_sites + 1):
-        rotated = apply_matrix_at_site(rotated, num_sites, site, random_unitary(rng))
+        rotated = site_operator(random_unitary(rng), site, num_sites) @ rotated
     before = geometric_measure(StateVector(num_sites, amps), seed=seed)
     after = geometric_measure(StateVector(num_sites, rotated), seed=seed)
     assert abs(before.e_g - after.e_g) < 1e-6
@@ -112,7 +113,7 @@ def test_qfi_maximum_is_bounded_stationary_and_locally_invariant(num_sites, seed
     amps = random_state(rng, num_sites)
     rotated = amps
     for site in range(1, num_sites + 1):
-        rotated = apply_matrix_at_site(rotated, num_sites, site, random_unitary(rng))
+        rotated = site_operator(random_unitary(rng), site, num_sites) @ rotated
     state = StateVector(num_sites, amps)
     result = maximize_qfi(state, seed=seed)
     assert result.converged

@@ -5,7 +5,7 @@ import pytest
 
 from kicked_ising import qfi
 from kicked_ising.core import Axis, StateVector, make_ghz, make_polarized_state, make_psi_o
-from kicked_ising.floquet import FloquetSpec, Model, apply_floquet
+from kicked_ising.floquet import Boundary, FloquetSpec, Model, apply_floquet
 from kicked_ising.qfi import (
     CovarianceMatrix,
     DirectionField,
@@ -15,7 +15,7 @@ from kicked_ising.qfi import (
     producibility_bound,
 )
 
-from oracles import grid_max_qfi, random_state, site_operator
+from oracles import gamma_oracle, grid_max_qfi, random_state, site_operator
 
 PAULIS = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -72,6 +72,25 @@ class TestCovarianceMatrix:
                     block, np.eye(3) - np.outer(m, m), atol=1e-10
                 )
                 assert np.trace(block) == pytest.approx(3 - m @ m, abs=1e-10)
+
+    def test_matches_the_dense_oracle_entry_by_entry(self):
+        rng = np.random.default_rng(33)
+        states = [StateVector(L, random_state(rng, L)) for L in range(1, 7)]
+        start = make_polarized_state(5, Axis.parse("y+"))
+        for model in Model:
+            for boundary in Boundary:
+                spec = FloquetSpec(model, 5, boundary)
+                states += [apply_floquet(spec, start, n) for n in (1, 2, 3)]
+        for state in states:
+            L, amps = state.num_sites, state.amplitudes
+            cov = covariance_matrix(state)
+            means = [
+                np.vdot(amps, site_operator(PAULIS[letter], site, L) @ amps).real
+                for site in range(1, L + 1)
+                for letter in "xyz"
+            ]
+            assert np.abs(cov.means - means).max() < 1e-12
+            assert np.abs(cov.gamma - gamma_oracle(amps, L)).max() < 1e-12
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(31)
