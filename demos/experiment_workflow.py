@@ -27,12 +27,12 @@ with tempfile.TemporaryDirectory(prefix="kicked_ising_demo_") as tmp:
 
     config = ExperimentConfig(
         model=Model.U0,
-        num_sites=6,
-        initial_axis="y+",
-        n_max=6,
+        size=6,
+        initial="y+",
+        periods=6,
         measures=("aee", "geom", "qfi"),
         seed=1,
-        out_dir=out / "run",
+        out=out / "run",
     )
     files = run_experiment(config)
     print("single run wrote:")
@@ -43,11 +43,11 @@ with tempfile.TemporaryDirectory(prefix="kicked_ising_demo_") as tmp:
     print(files["qfi"].read_text())
 
     rows, path = generate_summary(
-        models=["U0"],
-        sizes=[4, 6],
-        boundaries=["open"],
-        axes=["y+"],
-        out_dir=out / "sweep",
+        model=["U0"],
+        size=[4, 6],
+        boundary=["open"],
+        initial=["y+"],
+        out=out / "sweep",
     )
     print("sweep table:")
     print(path.read_text())

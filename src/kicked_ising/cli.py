@@ -31,9 +31,9 @@ def _split(text: str) -> list[str]:
 
 
 class _Key(NamedTuple):
-    """One setting, given as a flag or as a config-file key."""
+    """One setting, given as a flag or as a config-file key; the
+    ExperimentConfig field of the same name holds its default."""
 
-    field: str  # the ExperimentConfig field it sets; that field holds the default
     help: str
     commands: tuple[str, ...]  # the subcommands that read it
     parse: Callable[[str], object] = str
@@ -42,27 +42,18 @@ class _Key(NamedTuple):
 
 _ALL_COMMANDS = ("spectrum", "evolve", "measure", "summary")
 _KEYS = {
-    "model": _Key("model", " or ".join(m.value for m in Model), _ALL_COMMANDS, grid=True),
-    "size": _Key(
-        "num_sites", f"number of sites, 2..{DENSE_MAX_SITES}", _ALL_COMMANDS, int, grid=True
-    ),
-    "boundary": _Key(
-        "boundary", " or ".join(b.value for b in Boundary), _ALL_COMMANDS, grid=True
-    ),
+    "model": _Key(" or ".join(m.value for m in Model), _ALL_COMMANDS, grid=True),
+    "size": _Key(f"number of sites, 2..{DENSE_MAX_SITES}", _ALL_COMMANDS, int, grid=True),
+    "boundary": _Key(" or ".join(b.value for b in Boundary), _ALL_COMMANDS, grid=True),
     "initial": _Key(
-        "initial_axis",
-        "initial product axis, e.g. z+, y-",
-        ("evolve", "measure", "summary"),
-        grid=True,
+        "initial product axis, e.g. z+, y-", ("evolve", "measure", "summary"), grid=True
     ),
-    "periods": _Key("n_max", "number of Floquet periods", ("evolve", "measure"), int),
-    "measures": _Key(
-        "measures", "comma list from: " + ", ".join(MEASURES), ("measure",), _split
-    ),
-    "seed": _Key("seed", "optimizer seed, 0..2**64-1", _ALL_COMMANDS, int),
-    "out": _Key("out_dir", "output directory", _ALL_COMMANDS),
+    "periods": _Key("number of Floquet periods", ("evolve", "measure"), int),
+    "measures": _Key("comma list from: " + ", ".join(MEASURES), ("measure",), _split),
+    "seed": _Key("optimizer seed, 0..2**64-1", _ALL_COMMANDS, int),
+    "out": _Key("output directory", _ALL_COMMANDS),
 }
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -100,7 +91,7 @@ def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-        elif key not in settings and _FIELD_DEFAULTS[_KEYS[key].field] is MISSING:
+        elif key not in settings and _DEFAULTS[key] is MISSING:
             raise ValueError(f"{key} is required (flag --{key} or config)")
     return settings
 
@@ -115,16 +106,12 @@ def _parse(key: str, text: str):
 def _setting(settings: dict[str, str], key: str):
     """The parsed value of ``key``, or its ExperimentConfig default if unset."""
     if key not in settings:
-        return _FIELD_DEFAULTS[_KEYS[key].field]
+        return _DEFAULTS[key]
     return _parse(key, settings[key])
 
 
 def _single_config(settings: dict[str, str], **fixed) -> ExperimentConfig:
-    values = {
-        spec.field: _parse(key, settings[key])
-        for key, spec in _KEYS.items()
-        if key in settings
-    }
+    values = {key: _parse(key, text) for key, text in settings.items()}
     return ExperimentConfig(**{**values, **fixed})
 
 
@@ -153,24 +140,20 @@ def _cmd_measure(settings: dict[str, str]) -> int:
 
 def _cmd_summary(settings: dict[str, str]) -> int:
     """peak certified depth per (model, size, boundary, initial)"""
-    def grid(key: str) -> list:
+    def value(key: str):
+        if not _KEYS[key].grid:
+            return _setting(settings, key)
         if key not in settings:
             return [_setting(settings, key)]
         return [_parse(key, v) for v in _split(settings[key])]
 
-    rows, path = generate_summary(
-        models=grid("model"),
-        sizes=grid("size"),
-        boundaries=grid("boundary"),
-        axes=grid("initial"),
-        out_dir=_setting(settings, "out"),
-        seed=_setting(settings, "seed"),
-    )
+    keys = [key for key, spec in _KEYS.items() if "summary" in spec.commands]
+    rows, path = generate_summary(**{key: value(key) for key in keys})
     for row in rows:
         peaks = ",".join(str(n) for n in row.peak_depth_periods)
         print(
-            f"{row.model.value} L={row.num_sites} {row.boundary.value} "
-            f"{row.initial_axis}: peak depth {row.peak_depth} at n={{{peaks}}}"
+            f"{row.model.value} L={row.size} {row.boundary.value} "
+            f"{row.initial}: peak depth {row.peak_depth} at n={{{peaks}}}"
         )
     print(f"wrote {path}")
     return 0

@@ -38,7 +38,11 @@ _MEASURE_INDEX = {m: i for i, m in enumerate(MEASURES)}
 
 
 def _fmt(x: float) -> str:
-    return "%.12g" % x
+    # |x| < 1e-13 is rounding residue on an exact zero, and 11 digits keep
+    # exact values on a 12-digit rounding boundary (fidelities 2^-k) from
+    # following the last bits: so the text does not change with the order
+    # of floating-point evaluation (checked against a per-site kernel)
+    return "0" if abs(x) < 1e-13 else "%.11g" % x
 
 
 def _derive_seed(base: int, measure: str, n: int) -> int:
@@ -68,32 +72,34 @@ def _coerce_enum(value, enum_cls):
 class ExperimentConfig:
     """One run: which operator, which initial state, how long, what to record.
 
-    String values are accepted for model, boundary and initial_axis and
-    coerced, so configs can come straight from text files or flags.
+    The fields are the CLI's keys. String values are accepted for model,
+    boundary and initial and coerced, so configs can come straight from
+    text files or flags. Every error names the field it rejects.
     """
 
     model: Model
-    num_sites: int
+    size: int
     boundary: Boundary = Boundary.OPEN
-    initial_axis: Axis = Axis("z", +1)
-    n_max: int = 0
+    initial: Axis = Axis("z", +1)
+    periods: int = 0
     measures: tuple[str, ...] = ("aee",)
     seed: int = 0
-    out_dir: Path = Path("runs")
+    out: Path = Path("runs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _coerce_enum(self.model, Model))
         object.__setattr__(self, "boundary", _coerce_enum(self.boundary, Boundary))
-        if not isinstance(self.initial_axis, Axis):
-            object.__setattr__(self, "initial_axis", Axis.parse(str(self.initial_axis)))
-        for name in ("num_sites", "n_max", "seed"):
+        if not isinstance(self.initial, Axis):
+            try:
+                object.__setattr__(self, "initial", Axis.parse(str(self.initial)))
+            except ValueError as exc:
+                raise ValueError(f"initial: {exc}") from None
+        for name in ("size", "periods", "seed"):
             object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
-        if not 2 <= self.num_sites <= DENSE_MAX_SITES:
-            raise ValueError(
-                f"num_sites: must be in 2..{DENSE_MAX_SITES}, got {self.num_sites}"
-            )
-        if self.n_max < 0:
-            raise ValueError(f"n_max: must be >= 0, got {self.n_max}")
+        if not 2 <= self.size <= DENSE_MAX_SITES:
+            raise ValueError(f"size: must be in 2..{DENSE_MAX_SITES}, got {self.size}")
+        if self.periods < 0:
+            raise ValueError(f"periods: must be >= 0, got {self.periods}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed: must be in 0..2**64-1, got {self.seed}")
         if isinstance(self.measures, str):
@@ -110,25 +116,32 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"measures: {repeated} listed more than once")
         object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        # Path("") is the current directory: an empty setting would write there
+        if str(self.out) == "":
+            raise ValueError("out: must be a nonempty path")
+        object.__setattr__(self, "out", Path(self.out))
 
     def floquet_spec(self) -> FloquetSpec:
-        return FloquetSpec(self.model, self.num_sites, self.boundary)
+        return FloquetSpec(self.model, self.size, self.boundary)
 
 
 def _states(config: ExperimentConfig):
-    """(n, state) for n = 0..n_max: the polarized chain, then one period a step."""
+    """(n, state) for n = 0..periods: the polarized chain, then one period a step."""
     spec = config.floquet_spec()
-    state = make_polarized_state(config.num_sites, config.initial_axis)
+    state = make_polarized_state(config.size, config.initial)
     yield 0, state
-    for n in range(1, config.n_max + 1):
+    for n in range(1, config.periods + 1):
         state = apply_floquet(spec, state, 1)
         yield n, state
 
 
-def _json_text(value) -> str:
-    """Manifest form of the config values json cannot encode: enums by
-    value, axes and paths as text."""
+def _text(value) -> str:
+    """Text of one config or summary value: enums by value, a tuple as its
+    items joined by ';', None as empty, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(_text(v) for v in value)
     return value.value if isinstance(value, enum.Enum) else str(value)
 
 
@@ -142,7 +155,7 @@ def _write_manifest(config: ExperimentConfig, out: Path, unread: tuple[str, ...]
     }
     doc = {"config": settings, "version": __version__, "seed": config.seed}
     path = out / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_text) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_text) + "\n")
     return path
 
 
@@ -154,14 +167,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
-    """Evolve for n = 0..n_max, appending one row per period per measure.
+    """Evolve for n = 0..periods, appending one row per period per measure.
 
     The spectrum, when requested, is written once (it belongs to the
     operator, not to a period); asked for alone, nothing is evolved.
     Returns measure name -> file path, plus the manifest under the key
     "manifest".
     """
-    out = config.out_dir
+    out = config.out
     out.mkdir(parents=True, exist_ok=True)
     rows: dict[str, list[list[str]]] = {m: [] for m in config.measures}
     per_period = set(rows) != {"spectrum"}
@@ -191,7 +204,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         path = out / f"{measure}.csv"
         _write_csv(path, _HEADERS[measure], rows[measure])
         files[measure] = path
-    unread = () if per_period else ("initial_axis", "n_max")
+    unread = () if per_period else ("initial", "periods")
     files["manifest"] = _write_manifest(config, out, unread)
     return files
 
@@ -199,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
     """Plain evolution: per-period overlap with the initial state plus a
     dump of the final amplitudes. Ignores config.measures."""
-    out = config.out_dir
+    out = config.out
     out.mkdir(parents=True, exist_ok=True)
     states = _states(config)
     _, initial = next(states)
@@ -225,23 +238,26 @@ def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Peak certified depth over one projective period of one configuration."""
+    """Peak certified depth over one projective period of one configuration.
+
+    The fields are the columns of ``summary.csv``, in order.
+    """
 
     model: Model
-    num_sites: int
+    size: int
     boundary: Boundary
-    initial_axis: Axis
+    initial: Axis
     peak_depth: int
     peak_depth_periods: tuple[int, ...]
-    detected_projective_period: int | None
-    exact_identity_period: int | None
+    projective_period: int | None
+    exact_period: int | None
     notes: str
 
 
 def generate_summary(
-    models, sizes, boundaries, axes, out_dir: Path, seed: int = 0
+    model, size, boundary, initial, out: Path, seed: int = 0
 ) -> tuple[list[SummaryRow], Path]:
-    """Scan every (model, size, boundary, axis) cell.
+    """Scan every (model, size, boundary, initial) cell of the four lists.
 
     Each cell evolves over one detected projective period (capped at
     SUMMARY_PERIOD_CAP periods when none is found) and records the peak
@@ -249,53 +265,31 @@ def generate_summary(
     cell is validated, and a value listed twice rejected, before anything
     is computed or written.
     """
-    grid = {"models": models, "sizes": sizes, "boundaries": boundaries, "axes": axes}
+    grid = {"model": model, "size": size, "boundary": boundary, "initial": initial}
     for name, values in grid.items():
         if len(values) == 0:
             raise ValueError(f"{name}: at least one value is required")
-    try:
-        configs = [ExperimentConfig(*cell, seed=seed) for cell in product(*grid.values())]
-    except ValueError as exc:
-        # A bad size is reported under this function's argument name.
-        raise ValueError(str(exc).replace("num_sites:", "sizes:", 1)) from None
-    # The lists fill ExperimentConfig's first four fields. Of n values each
-    # fills len(configs) / n cells, after coercion: "u0" repeats "U0".
-    for (name, values), field in zip(grid.items(), fields(ExperimentConfig)):
-        cells = Counter(getattr(config, field.name) for config in configs)
+    configs = [
+        ExperimentConfig(**dict(zip(grid, cell)), seed=seed, out=out)
+        for cell in product(*grid.values())
+    ]
+    # Of n values each fills len(configs) / n cells, after coercion: "u0"
+    # repeats "U0".
+    for name, values in grid.items():
+        cells = Counter(getattr(config, name) for config in configs)
         repeated = [v for v, k in cells.items() if k * len(values) > len(configs)]
         if repeated:
-            shown = [v if isinstance(v, int) else _json_text(v) for v in repeated]
+            shown = [v if isinstance(v, int) else _text(v) for v in repeated]
             raise ValueError(f"{name}: {shown} listed more than once")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = configs[0].out
+    out.mkdir(parents=True, exist_ok=True)
     # the period depends on the operator alone, so each is found once
     specs = dict.fromkeys(config.floquet_spec() for config in configs)
     reports = {spec: detect_period(spec, SUMMARY_PERIOD_CAP) for spec in specs}
     rows = [_summary_cell(config, reports[config.floquet_spec()]) for config in configs]
-    path = out_dir / "summary.csv"
-    _write_csv(
-        path,
-        [
-            "model", "size", "boundary", "initial", "peak_depth",
-            "peak_depth_periods", "projective_period", "exact_period", "notes",
-        ],
-        [
-            [
-                r.model.value,
-                str(r.num_sites),
-                r.boundary.value,
-                str(r.initial_axis),
-                str(r.peak_depth),
-                ";".join(str(n) for n in r.peak_depth_periods),
-                "" if r.detected_projective_period is None
-                else str(r.detected_projective_period),
-                "" if r.exact_identity_period is None
-                else str(r.exact_identity_period),
-                r.notes,
-            ]
-            for r in rows
-        ],
-    )
+    path = out / "summary.csv"
+    header = [f.name for f in fields(SummaryRow)]
+    _write_csv(path, header, [[_text(getattr(r, name)) for name in header] for r in rows])
     return rows, path
 
 
@@ -303,24 +297,24 @@ def _summary_cell(config: ExperimentConfig, report: PeriodReport) -> SummaryRow:
     window = report.period if report.period is not None else SUMMARY_PERIOD_CAP
     depths = [
         maximize_qfi(state, seed=_derive_seed(config.seed, "qfi", n)).depth
-        for n, state in _states(replace(config, n_max=window - 1))
+        for n, state in _states(replace(config, periods=window - 1))
     ]
     peak = max(depths)
     peaks = tuple(n for n, d in enumerate(depths) if d == peak)
     if peak == 1:
         notes = "no bound violated; depth 1 is a floor, not a separability proof"
-    elif 2 * peak < config.num_sites:
+    elif 2 * peak < config.size:
         notes = "peak depth below half the chain"
     else:
         notes = ""
     return SummaryRow(
         model=config.model,
-        num_sites=config.num_sites,
+        size=config.size,
         boundary=config.boundary,
-        initial_axis=config.initial_axis,
+        initial=config.initial,
         peak_depth=peak,
         peak_depth_periods=peaks,
-        detected_projective_period=report.period,
-        exact_identity_period=report.exact_period,
+        projective_period=report.period,
+        exact_period=report.exact_period,
         notes=notes,
     )

@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from kicked_ising import cli
 from kicked_ising.cli import build_parser, main, parse_config_file
+from kicked_ising.core import DENSE_MAX_SITES
+from kicked_ising.experiment import MEASURES, ExperimentConfig, SummaryRow
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,9 +76,9 @@ class TestSubcommands:
             "measure": ["--initial", "y+", "--periods", "2", "--measures", "aee,qfi"],
         }
         read = {
-            "spectrum": "boundary measures model num_sites out_dir seed",
-            "evolve": "boundary initial_axis model n_max num_sites out_dir seed",
-            "measure": "boundary initial_axis measures model n_max num_sites out_dir seed",
+            "spectrum": "boundary measures model out seed size",
+            "evolve": "boundary initial model out periods seed size",
+            "measure": "boundary initial measures model out periods seed size",
         }
         for command, extra in runs.items():
             out = tmp_path / command
@@ -194,23 +198,20 @@ class TestErrors:
             "size: expected an integer, got 'x'",
         )
 
-    @pytest.mark.parametrize(
-        "key, name", [("model", "models"), ("size", "sizes"),
-                      ("boundary", "boundaries"), ("initial", "axes")]
-    )
-    def test_empty_summary_list(self, tmp_path, capsys, key, name):
+    @pytest.mark.parametrize("key", ["model", "size", "boundary", "initial"])
+    def test_empty_summary_list(self, tmp_path, capsys, key):
         out = tmp_path / "out"
         argv = ["summary", "--model", "U0", "--size", "4", "--out", str(out)]
         self.check_error(
-            capsys, [*argv, f"--{key}", ","], f"{name}: at least one value is required"
+            capsys, [*argv, f"--{key}", ","], f"{key}: at least one value is required"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, values, message",
-        [("model", "U0,u0", "models: ['U0']"), ("size", "4,4", "sizes: [4]"),
-         ("boundary", "open,OPEN", "boundaries: ['open']"),
-         ("initial", "y+,Y+", "axes: ['y+']")],
+        [("model", "U0,u0", "model: ['U0']"), ("size", "4,4", "size: [4]"),
+         ("boundary", "open,OPEN", "boundary: ['open']"),
+         ("initial", "y+,Y+", "initial: ['y+']")],
     )
     def test_repeated_summary_value(self, tmp_path, capsys, key, values, message):
         out = tmp_path / "out"
@@ -264,6 +265,19 @@ class TestErrors:
         assert err == f"error: {path}:4: key 'size' repeated (first set on line 2)\n"
         assert not out.exists()
 
+    def test_empty_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # "" would be Path("."), the current directory
+        config = tmp_path / "e.cfg"
+        config.write_text("model = U0\nsize = 4\nout =\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for argv in (["spectrum", "--config", str(config)],
+                     ["spectrum", "--model", "U0", "--size", "4", "--out", ""]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: out: must be a nonempty path\n"
+        assert not any(cwd.iterdir())
+
     def test_missing_config_file(self, tmp_path, capsys):
         self.check_error(
             capsys,
@@ -273,6 +287,72 @@ class TestErrors:
 
 
 ALL_FLAGS = "model size boundary initial periods measures seed out config".split()
+
+# A bad value of each key and the error it gives; a summary grid gets it
+# after a good value in its comma list.
+BAD_VALUES = {
+    "model": ("U0", "U9", "model: 'U9' is not one of U0, Ux"),
+    "size": ("4", "13", f"size: must be in 2..{DENSE_MAX_SITES}, got 13"),
+    "boundary": ("open", "ring", "boundary: 'ring' is not one of open, closed"),
+    "initial": ("z+", "q", "initial: cannot parse axis from 'q'"),
+    "periods": (None, "-1", "periods: must be >= 0, got -1"),
+    "measures": (None, "bogus", f"measures: unknown ['bogus'], choose from {MEASURES}"),
+    "seed": (None, "-1", "seed: must be in 0..2**64-1, got -1"),
+    "out": (None, "", "out: must be a nonempty path"),
+}
+
+
+class TestVocabulary:
+    def test_one_name_per_setting(self, tmp_path):
+        # a CLI key, a config-file key, a config field and a manifest key
+        # are one name, and so are a summary.csv column and a SummaryRow field
+        assert set(cli._KEYS) == {f.name for f in fields(ExperimentConfig)}
+        argv = ["summary", "--model", "U0", "--size", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header = first_line(tmp_path / "summary.csv").split(",")
+        assert header == [f.name for f in fields(SummaryRow)]
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for key, spec in cli._KEYS.items() for command in spec.commands],
+    )
+    def test_a_bad_value_is_reported_under_its_key(
+        self, tmp_path, monkeypatch, capsys, command, key
+    ):
+        good, bad, message = BAD_VALUES[key]
+        if command == "summary" and cli._KEYS[key].grid:
+            bad = f"{good},{bad}"
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--model", "U0", "--size", "4", "--out", "out", f"--{key}", bad]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("spectrum", []),
+            ("evolve", ["--initial", "y-", "--periods", "5"]),
+            ("measure", ["--initial", "y+", "--periods", "3", "--measures", "qfi,aee"]),
+        ],
+    )
+    def test_a_manifest_reruns_as_a_config_file(self, tmp_path, command, extra):
+        out = tmp_path / "run"
+        argv = [command, "--model", "Ux", "--size", "4", "--boundary", "closed"]
+        assert main([*argv, *extra, "--seed", "9", "--out", str(out)]) == 0
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        settings = json.loads(written["manifest.json"])["config"]
+        lines = [
+            f"{key} = {','.join(value) if isinstance(value, list) else value}"
+            for key, value in settings.items()
+        ]
+        config = tmp_path / "manifest.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        # a spectrum run records measures = spectrum, a key only measure
+        # reads, and measure --measures spectrum is the same run
+        rerun = "measure" if command == "spectrum" else command
+        assert main([rerun, "--config", str(config)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
 
 class TestParser:

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_ising import __version__, experiment
+from kicked_ising import __version__, experiment, floquet
+from kicked_ising.cli import main
 from kicked_ising.core import DEFAULT_TOL, Axis
 from kicked_ising.entanglement import geometric_measure
 from kicked_ising.experiment import (
@@ -17,6 +18,7 @@ from kicked_ising.experiment import (
 )
 from kicked_ising.floquet import Boundary, Model
 from kicked_ising.qfi import maximize_qfi
+from oracles import site_operator
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -40,11 +42,11 @@ def count_periods(monkeypatch) -> list[int]:
 class TestConfig:
     def test_string_coercion(self):
         config = ExperimentConfig(
-            model="u0", num_sites=4, boundary="closed", initial_axis="y-"
+            model="u0", size=4, boundary="closed", initial="y-"
         )
         assert config.model is Model.U0
         assert config.boundary is Boundary.CLOSED
-        assert config.initial_axis == Axis("y", -1)
+        assert config.initial == Axis("y", -1)
         spec = config.floquet_spec()
         assert spec.model is Model.U0
         assert spec.boundary is Boundary.CLOSED
@@ -52,36 +54,36 @@ class TestConfig:
 
     def test_rejects_out_of_range_size(self):
         for bad in (1, 13):
-            with pytest.raises(ValueError, match="num_sites"):
-                ExperimentConfig(model=Model.U0, num_sites=bad)
+            with pytest.raises(ValueError, match="^size: must be in 2..12"):
+                ExperimentConfig(model=Model.U0, size=bad)
 
     def test_rejects_negative_window(self):
-        with pytest.raises(ValueError, match="n_max"):
-            ExperimentConfig(model=Model.U0, num_sites=4, n_max=-1)
+        with pytest.raises(ValueError, match="^periods: must be >= 0, got -1"):
+            ExperimentConfig(model=Model.U0, size=4, periods=-1)
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError, match="measures"):
-            ExperimentConfig(model=Model.U0, num_sites=4, measures=("bogus",))
+            ExperimentConfig(model=Model.U0, size=4, measures=("bogus",))
         # a bare string is one name, not the sequence of its letters
         with pytest.raises(ValueError, match="measures: expected a sequence of names"):
-            ExperimentConfig(model=Model.U0, num_sites=4, measures="aee")
+            ExperimentConfig(model=Model.U0, size=4, measures="aee")
 
     def test_rejects_repeated_measures(self):
         with pytest.raises(ValueError, match="measures"):
-            ExperimentConfig(model=Model.U0, num_sites=4, measures=("aee", "qfi", "aee"))
+            ExperimentConfig(model=Model.U0, size=4, measures=("aee", "qfi", "aee"))
 
     def test_rejects_empty_measures(self):
         with pytest.raises(ValueError, match="measures"):
-            ExperimentConfig(model=Model.U0, num_sites=4, measures=())
+            ExperimentConfig(model=Model.U0, size=4, measures=())
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_out_of_range_seed(self, seed):
         with pytest.raises(ValueError, match=r"^seed: must be in 0\.\.2\*\*64-1"):
-            ExperimentConfig(model=Model.U0, num_sites=4, seed=seed)
+            ExperimentConfig(model=Model.U0, size=4, seed=seed)
 
     def test_seed_range_ends_are_accepted(self):
         for seed in (0, 2**64 - 1):
-            assert ExperimentConfig(model=Model.U0, num_sites=4, seed=seed).seed == seed
+            assert ExperimentConfig(model=Model.U0, size=4, seed=seed).seed == seed
 
     def test_derived_seeds_do_not_wrap_at_2_63(self):
         derive = experiment._derive_seed
@@ -103,17 +105,17 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, bad",
         [
-            ("num_sites", 8.0),
-            ("num_sites", True),
-            ("n_max", 2.0),
-            ("n_max", True),
+            ("size", 8.0),
+            ("size", True),
+            ("periods", 2.0),
+            ("periods", True),
             ("seed", 1.5),
             ("seed", "3"),
             ("seed", False),
         ],
     )
     def test_rejects_non_integers_before_writing(self, tmp_path, field, bad):
-        settings = dict(model=Model.U0, num_sites=4, out_dir=tmp_path / "run")
+        settings = dict(model=Model.U0, size=4, out=tmp_path / "run")
         settings[field] = bad
         with pytest.raises(ValueError, match=f"^{field}: must be an integer, got "):
             run_experiment(ExperimentConfig(**settings))
@@ -122,20 +124,28 @@ class TestConfig:
     def test_numpy_integers_reach_the_manifest_as_integers(self, tmp_path):
         config = ExperimentConfig(
             model=Model.U0,
-            num_sites=np.int64(4),
-            n_max=np.int64(1),
+            size=np.int64(4),
+            periods=np.int64(1),
             seed=np.uint64(7),
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         assert all(
-            type(value) is int for value in (config.num_sites, config.n_max, config.seed)
+            type(value) is int for value in (config.size, config.periods, config.seed)
         )
         doc = json.loads(run_experiment(config)["manifest"].read_text())
-        assert (doc["config"]["num_sites"], doc["config"]["n_max"], doc["seed"]) == (4, 1, 7)
+        assert (doc["config"]["size"], doc["config"]["periods"], doc["seed"]) == (4, 1, 7)
+
+    def test_rejects_an_empty_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="^out: must be a nonempty path$"):
+            ExperimentConfig(model=Model.U0, size=4, out="")
+        with pytest.raises(ValueError, match="^out: must be a nonempty path$"):
+            generate_summary(["U0"], [4], ["open"], ["z+"], out="")
+        assert not any(tmp_path.iterdir())
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
-            ExperimentConfig(model="U9", num_sites=4)
+            ExperimentConfig(model="U9", size=4)
 
     def test_optimizers_share_one_tolerance(self):
         # both stop on core's DEFAULT_TOL and take only the state and a seed;
@@ -154,9 +164,9 @@ class TestRunExperiment:
     def test_initial_product_state_rows(self, tmp_path):
         config = ExperimentConfig(
             model=Model.U0,
-            num_sites=4,
+            size=4,
             measures=("aee", "geom", "qfi"),
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         files = run_experiment(config)
         aee = read_rows(files["aee"])
@@ -175,10 +185,10 @@ class TestRunExperiment:
     def test_row_counts_and_spectrum(self, tmp_path):
         config = ExperimentConfig(
             model=Model.UX,
-            num_sites=4,
-            n_max=3,
+            size=4,
+            periods=3,
             measures=("aee", "qfi", "spectrum"),
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         files = run_experiment(config)
         assert len(read_rows(files["aee"])) == 4 * 3
@@ -194,7 +204,7 @@ class TestRunExperiment:
     ):
         periods = count_periods(monkeypatch)
         config = ExperimentConfig(
-            model=Model.U0, num_sites=4, n_max=3, measures=measures, out_dir=tmp_path
+            model=Model.U0, size=4, periods=3, measures=measures, out=tmp_path
         )
         run_experiment(config)
         assert periods == [1] * calls
@@ -202,11 +212,11 @@ class TestRunExperiment:
     def test_kicked_transverse_chain_reaches_ghz(self, tmp_path):
         config = ExperimentConfig(
             model=Model.U0,
-            num_sites=4,
-            initial_axis="y+",
-            n_max=4,
+            size=4,
+            initial="y+",
+            periods=4,
             measures=("geom", "qfi"),
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         files = run_experiment(config)
         qfi = read_rows(files["qfi"])
@@ -223,12 +233,12 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         config = ExperimentConfig(
             model=Model.U0,
-            num_sites=4,
-            initial_axis="y+",
-            n_max=2,
+            size=4,
+            initial="y+",
+            periods=2,
             measures=("aee", "geom", "qfi", "spectrum"),
             seed=7,
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         files = run_experiment(config)
         first = {name: path.read_bytes() for name, path in files.items()}
@@ -238,26 +248,26 @@ class TestRunExperiment:
 
     def test_other_measures_do_not_shift_the_stream(self, tmp_path):
         base = dict(
-            model=Model.U0, num_sites=4, initial_axis="y+", n_max=2, seed=3
+            model=Model.U0, size=4, initial="y+", periods=2, seed=3
         )
         files_all = run_experiment(
             ExperimentConfig(
-                measures=("aee", "geom", "qfi"), out_dir=tmp_path / "all", **base
+                measures=("aee", "geom", "qfi"), out=tmp_path / "all", **base
             )
         )
         files_qfi = run_experiment(
-            ExperimentConfig(measures=("qfi",), out_dir=tmp_path / "solo", **base)
+            ExperimentConfig(measures=("qfi",), out=tmp_path / "solo", **base)
         )
         assert files_all["qfi"].read_bytes() == files_qfi["qfi"].read_bytes()
 
     def test_manifest_contents(self, tmp_path):
         config = ExperimentConfig(
-            model=Model.UX, num_sites=5, seed=11, out_dir=tmp_path
+            model=Model.UX, size=5, seed=11, out=tmp_path
         )
         files = run_experiment(config)
         doc = json.loads(files["manifest"].read_text())
         assert doc["config"]["model"] == "Ux"
-        assert doc["config"]["num_sites"] == 5
+        assert doc["config"]["size"] == 5
         assert doc["seed"] == 11
         assert "version" in doc
         assert list(doc) == sorted(doc)
@@ -266,29 +276,29 @@ class TestRunExperiment:
     def test_manifest_records_every_field(self, tmp_path):
         config = ExperimentConfig(
             model="Ux",
-            num_sites=5,
+            size=5,
             boundary="closed",
-            initial_axis="x-",
-            n_max=2,
+            initial="x-",
+            periods=2,
             measures=("qfi", "aee"),
             seed=11,
-            out_dir=tmp_path,
+            out=tmp_path,
         )
         files = run_experiment(config)
         assert files["manifest"].read_text() == (
             "{\n"
             '  "config": {\n'
             '    "boundary": "closed",\n'
-            '    "initial_axis": "x-",\n'
+            '    "initial": "x-",\n'
             '    "measures": [\n'
             '      "qfi",\n'
             '      "aee"\n'
             "    ],\n"
             '    "model": "Ux",\n'
-            '    "n_max": 2,\n'
-            '    "num_sites": 5,\n'
-            f'    "out_dir": {json.dumps(str(tmp_path))},\n'
-            '    "seed": 11\n'
+            f'    "out": {json.dumps(str(tmp_path))},\n'
+            '    "periods": 2,\n'
+            '    "seed": 11,\n'
+            '    "size": 5\n'
             "  },\n"
             '  "seed": 11,\n'
             f'  "version": "{__version__}"\n'
@@ -299,7 +309,7 @@ class TestRunExperiment:
 class TestRunTrajectory:
     def test_exact_revival(self, tmp_path):
         config = ExperimentConfig(
-            model=Model.U0, num_sites=4, n_max=16, out_dir=tmp_path
+            model=Model.U0, size=4, periods=16, out=tmp_path
         )
         files = run_trajectory(config)
         rows = read_rows(files["trajectory"])
@@ -318,7 +328,7 @@ class TestRunTrajectory:
 
     def test_one_period_per_step(self, tmp_path, monkeypatch):
         periods = count_periods(monkeypatch)
-        config = ExperimentConfig(model=Model.UX, num_sites=4, n_max=3, out_dir=tmp_path)
+        config = ExperimentConfig(model=Model.UX, size=4, periods=3, out=tmp_path)
         run_trajectory(config)
         assert periods == [1, 1, 1]
 
@@ -326,14 +336,14 @@ class TestRunTrajectory:
 class TestSummary:
     def test_single_cell(self, tmp_path):
         rows, path = generate_summary(
-            ["U0"], [4], ["open"], ["y+"], out_dir=tmp_path
+            ["U0"], [4], ["open"], ["y+"], out=tmp_path
         )
         assert len(rows) == 1
         row = rows[0]
         assert row.peak_depth == 4
         assert row.peak_depth_periods == (4, 5, 12, 13)
-        assert row.detected_projective_period == 16
-        assert row.exact_identity_period == 16
+        assert row.projective_period == 16
+        assert row.exact_period == 16
         assert row.notes == ""
 
         table = read_rows(path)
@@ -344,8 +354,8 @@ class TestSummary:
 
     def test_one_period_per_step(self, tmp_path, monkeypatch):
         periods = count_periods(monkeypatch)
-        rows, _ = generate_summary(["U0"], [4], ["open"], ["y+"], out_dir=tmp_path)
-        window = rows[0].detected_projective_period
+        rows, _ = generate_summary(["U0"], [4], ["open"], ["y+"], out=tmp_path)
+        window = rows[0].projective_period
         assert periods == [1] * (window - 1)
 
     def test_finds_each_operators_period_once(self, tmp_path, monkeypatch):
@@ -358,29 +368,63 @@ class TestSummary:
 
         monkeypatch.setattr(experiment, "detect_period", counting)
         rows, _ = generate_summary(
-            ["U0", "Ux"], [4], ["open", "closed"], ["y+", "z+", "x-"], out_dir=tmp_path
+            ["U0", "Ux"], [4], ["open", "closed"], ["y+", "z+", "x-"], out=tmp_path
         )
         assert len(rows) == 12
         assert len(specs) == len(set(specs)) == 4
 
     def test_rejects_out_of_range_size(self, tmp_path):
         out = tmp_path / "sweep"
-        with pytest.raises(ValueError, match="sizes"):
-            generate_summary(["U0"], [4, 13], ["open"], ["z+"], out_dir=out)
+        with pytest.raises(ValueError, match=r"^size: must be in 2\.\.12, got 13$"):
+            generate_summary(["U0"], [4, 13], ["open"], ["z+"], out=out)
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "grid, message",
         [
-            ((["U0", "u0"], [4], ["open"], ["y+"]), "models: ['U0']"),
-            ((["U0"], [4, 5, 4], ["open"], ["y+"]), "sizes: [4]"),
-            ((["U0"], [4], ["open", "OPEN"], ["y+"]), "boundaries: ['open']"),
-            ((["U0"], [4], ["open"], ["y+", "Y+"]), "axes: ['y+']"),
+            ((["U0", "u0"], [4], ["open"], ["y+"]), "model: ['U0']"),
+            ((["U0"], [4, 5, 4], ["open"], ["y+"]), "size: [4]"),
+            ((["U0"], [4], ["open", "OPEN"], ["y+"]), "boundary: ['open']"),
+            ((["U0"], [4], ["open"], ["y+", "Y+"]), "initial: ['y+']"),
         ],
     )
     def test_rejects_repeated_values(self, tmp_path, grid, message):
         out = tmp_path / "sweep"
         with pytest.raises(ValueError) as exc:
-            generate_summary(*grid, out_dir=out)
+            generate_summary(*grid, out=out)
         assert str(exc.value) == f"{message} listed more than once"
         assert not out.exists()
+
+
+def per_site_period(program, amps, num_sites):
+    """``floquet._one_period`` with each 2x2 layer applied site by site as a
+    dense ``site_operator``: the same period, another evaluation order."""
+    for layer in program:
+        if isinstance(layer, np.ndarray):
+            amps = amps * (layer if amps.ndim == 1 else layer[:, None])
+            continue
+        for site in range(1, num_sites + 1):
+            amps = site_operator(layer[1], site, num_sites) @ amps
+    return amps
+
+
+class TestCsvText:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--model", "Ux", "--size", "7", "--initial", "z+", "--periods", "120"],
+            ["measure", "--model", "Ux", "--size", "6", "--boundary", "closed",
+             "--initial", "y+", "--periods", "10", "--seed", "3",
+             "--measures", "aee,geom,qfi"],
+        ],
+        ids=["evolve", "measure"],
+    )
+    def test_kernels_write_the_same_csvs(self, tmp_path, monkeypatch, argv):
+        # rounding noise of a different kernel must not reach the text
+        assert main([*argv, "--out", str(tmp_path / "block")]) == 0
+        monkeypatch.setattr(floquet, "_one_period", per_site_period)
+        assert main([*argv, "--out", str(tmp_path / "site")]) == 0
+        written = sorted((tmp_path / "block").glob("*.csv"))
+        assert len(written) == (2 if argv[0] == "evolve" else 3)
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "site" / path.name).read_bytes(), path.name

@@ -10,7 +10,9 @@ from kicked_ising.floquet import (
     DENSE_MAX_SITES,
     FloquetSpec,
     KICK_ANGLE,
+    MODEL_SYMMETRIES,
     Model,
+    Symmetry,
     _block_program,
     apply_floquet,
     build_dense,
@@ -148,6 +150,25 @@ class TestCliffordTable:
             want = u @ pauli_dense(p) @ u.conj().T
             got = pauli_dense(conjugate_through_period(p, spec))
             assert np.abs(got - want).max() < 1e-12
+
+
+class TestModelSymmetries:
+    # an unlisted symmetry wastes block structure and a listed one the period
+    # lacks mixes sectors, so both directions are checked
+    @pytest.mark.parametrize("num_sites", range(3, 7))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_listed_exactly_when_the_period_has_them(self, num_sites, model, boundary):
+        spec = FloquetSpec(model, num_sites, boundary)
+        listed = MODEL_SYMMETRIES[model]
+        parity = (1, np.zeros(num_sites, dtype=int), np.ones(num_sites, dtype=int))
+        coefficient, x, z = conjugate_through_period(parity, spec)
+        keeps_parity = coefficient == 1 and not x.any() and z.all()
+        assert keeps_parity == (Symmetry.Z_PARITY in listed)
+        mirror = [int(f"{j:0{num_sites}b}"[::-1], 2) for j in range(2**num_sites)]
+        u = build_dense(spec)
+        reflects = np.abs(u[np.ix_(mirror, mirror)] - u).max() < 1e-12
+        assert reflects == (Symmetry.REFLECTION in listed)
 
 
 class TestKernelProperties:
