@@ -19,6 +19,7 @@ from .core import DENSE_MAX_SITES
 from .experiment import (
     MEASURES,
     ExperimentConfig,
+    _run_experiment,
     generate_summary,
     run_experiment,
     run_trajectory,
@@ -122,7 +123,8 @@ def _report(files: dict[str, Path]) -> None:
 
 def _cmd_spectrum(settings: dict[str, str]) -> int:
     """write the quasi-energy histogram of the operator"""
-    _report(run_experiment(_single_config(settings, measures=("spectrum",))))
+    config = _single_config(settings, measures=("spectrum",))
+    _report(_run_experiment(config, unread=("measures",)))
     return 0
 
 

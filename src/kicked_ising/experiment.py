@@ -174,6 +174,13 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     Returns measure name -> file path, plus the manifest under the key
     "manifest".
     """
+    return _run_experiment(config, unread=())
+
+
+def _run_experiment(config: ExperimentConfig, unread: tuple[str, ...]) -> dict[str, Path]:
+    """``run_experiment`` with the fields ``unread`` also left out of the
+    manifest: the ``spectrum`` subcommand fixes ``measures``, so its
+    manifest records only the keys it reads."""
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     rows: dict[str, list[list[str]]] = {m: [] for m in config.measures}
@@ -204,7 +211,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         path = out / f"{measure}.csv"
         _write_csv(path, _HEADERS[measure], rows[measure])
         files[measure] = path
-    unread = () if per_period else ("initial", "periods")
+    if not per_period:
+        unread += ("initial", "periods")
     files["manifest"] = _write_manifest(config, out, unread)
     return files
 

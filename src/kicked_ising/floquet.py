@@ -55,9 +55,12 @@ KICK_ANGLE = np.pi / 4
 # broken symmetry leaks weight of order the sector dimension).
 LEAK_TOLERANCE = 1e-9
 
-# Basis columns that ``build_dense`` advances through one period at a time;
-# bounds its (2^L, chunk) work arrays.
-_BUILD_CHUNK = 512
+# Columns per step of the two dense loops: the basis columns ``build_dense``
+# advances through one period at a time, and the Gram slices of
+# ``spectral._block_thetas``. It bounds their (2^L, chunk) and (d, chunk)
+# work arrays. A multiple of the BLAS column tile gives bit-identical
+# blocks at any value; sizes such as 1 or 7 move the last bits.
+_BUILD_CHUNK = 64
 
 # Most sites one 2^w x 2^w product of a rotation layer acts on.
 _BLOCK_SITES = 4

@@ -9,10 +9,13 @@ identity) directly from the spectrum.
 ``floquet_spectrum`` diagonalizes one symmetry-sector block at a time
 (``floquet.MODEL_SYMMETRIES``): reflection and Z parity for U_0, four
 blocks of about 2^L/4; reflection only for U_x, whose x field and y kick
-anticommute with Z parity, two blocks of about 2^L/2. ``build_dense``
-checks each block's sector leak; here each block is checked unitary, and
-its eigenvalues against its traces. The eigensolver costs O(d^3) per block
-of dimension d: about 1/16 of the whole-matrix cost for U_0, 1/4 for U_x.
+anticommute with Z parity, two blocks of about 2^L/2. Each block is
+built, checked and diagonalized, and released before the next is built,
+so one block and (2^L, chunk) and (d, chunk) work arrays are alive at a
+time. ``build_dense`` checks each block's sector leak; here each block is
+checked unitary, and its eigenvalues against its traces. The eigensolver
+costs O(d^3) per block of dimension d: about 1/16 of the whole-matrix
+cost for U_0, 1/4 for U_x.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import FloquetSpec, build_dense
+from .floquet import _BUILD_CHUNK, FloquetSpec, build_dense
 
 CLUSTER_TOLERANCE = 1e-7
 # Cluster centers closer to zero than this are rounding noise of a level
@@ -107,29 +110,44 @@ def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
     """
     if len(blocks) == 0:
         raise ValueError("quasi_energies needs at least one block")
-    thetas = np.sort(np.concatenate([_block_thetas(b) for b in blocks]))
+    return _pooled([_block_thetas(b) for b in blocks])
+
+
+def _pooled(parts: list[np.ndarray]) -> QuasiSpectrum:
+    """One spectrum from the phases of the blocks of one unitary."""
+    thetas = np.sort(np.concatenate(parts))
     return QuasiSpectrum(thetas, _cluster_circular(thetas))
 
 
 def _block_thetas(block: np.ndarray) -> np.ndarray:
     """Phases of one block B from its eigenvalues alone, checked on the way.
 
-    ||B^H B - I||_F is formed directly and rejected above 1e-10 before the
-    eigensolver runs. A unitary B is normal, so by Bauer-Fike the backward
-    stable QR of ``eigvals`` gives each eigenvalue within about eps*d with
-    no eigenvectors; the power sums sum(lam) = Tr B and sum(lam^2) = Tr B^2,
-    matched within 1e-9 in O(d^2), tie the returned multiset to this block.
+    ||B^H B - I||_F^2 is summed over row slices of the Gram product, its
+    upper triangle only, so no d x d temporary is formed; B is rejected
+    above 1e-10 before the eigensolver runs. A unitary B is normal, so by
+    Bauer-Fike the backward stable QR of ``eigvals`` gives each eigenvalue
+    within about eps*d with no eigenvectors; the power sums sum(lam) = Tr B
+    and sum(lam^2) = Tr B^2, matched within 1e-9 in O(d^2), tie the
+    returned multiset to this block.
     """
     mat = np.asarray(block, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    gram = mat.conj().T @ mat
-    gram[np.diag_indices_from(gram)] -= 1
-    dev = float(np.linalg.norm(gram))
+    dev2 = 0.0
+    for start in range(0, len(mat), _BUILD_CHUNK):
+        # rows start.. of B^H B - I from the diagonal on; the matrix is
+        # Hermitian, so each entry right of the slice's square stands for two
+        gram = mat[:, start : start + _BUILD_CHUNK].conj().T @ mat[:, start:]
+        rows = np.arange(len(gram))
+        gram[rows, rows] -= 1
+        sq = gram.real**2 + gram.imag**2
+        dev2 += 2 * sq.sum() - sq[:, : len(gram)].sum()
+    dev = float(np.sqrt(dev2))
     if dev > 1e-10:
         raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
     lam = np.linalg.eigvals(mat)
-    miss = max(abs(lam.sum() - np.trace(mat)), abs(np.sum(lam**2) - np.sum(mat * mat.T)))
+    trace2 = np.einsum("ij,ji->", mat, mat)  # Tr B^2 with no d x d product
+    miss = max(abs(lam.sum() - np.trace(mat)), abs(np.sum(lam**2) - trace2))
     if miss > 1e-9:
         raise ValueError(f"eigenvalue power sums miss the traces by {miss:.3e}")
     thetas = -np.angle(lam)
@@ -139,9 +157,11 @@ def _block_thetas(block: np.ndarray) -> np.ndarray:
 
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     """Quasi-energies of the operator built from ``spec`` (L <= 12), one
-    symmetry-sector block at a time."""
-    blocks = [build_dense(spec, sector=sector) for sector in spec.sectors()]
-    return quasi_energies(blocks)
+    symmetry-sector block at a time: each block is dropped once its
+    phases are read."""
+    return _pooled(
+        [quasi_energies([build_dense(spec, sector=s)]).thetas for s in spec.sectors()]
+    )
 
 
 def _real_gcd(a: float, b: float) -> float:

@@ -76,7 +76,7 @@ class TestSubcommands:
             "measure": ["--initial", "y+", "--periods", "2", "--measures", "aee,qfi"],
         }
         read = {
-            "spectrum": "boundary measures model out seed size",
+            "spectrum": "boundary model out seed size",
             "evolve": "boundary initial model out periods seed size",
             "measure": "boundary initial measures model out periods seed size",
         }
@@ -334,6 +334,7 @@ class TestVocabulary:
             ("spectrum", []),
             ("evolve", ["--initial", "y-", "--periods", "5"]),
             ("measure", ["--initial", "y+", "--periods", "3", "--measures", "qfi,aee"]),
+            ("measure", ["--measures", "spectrum"]),
         ],
     )
     def test_a_manifest_reruns_as_a_config_file(self, tmp_path, command, extra):
@@ -348,10 +349,7 @@ class TestVocabulary:
         ]
         config = tmp_path / "manifest.cfg"
         config.write_text("\n".join(lines) + "\n")
-        # a spectrum run records measures = spectrum, a key only measure
-        # reads, and measure --measures spectrum is the same run
-        rerun = "measure" if command == "spectrum" else command
-        assert main([rerun, "--config", str(config)]) == 0
+        assert main([command, "--config", str(config)]) == 0
         assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kicked_ising import floquet
 from kicked_ising.core import Axis, PAULI_X, StateVector, fidelity, make_polarized_state
 from kicked_ising.floquet import (
     Boundary,
@@ -216,6 +217,28 @@ class TestKernelProperties:
     def test_build_dense_size_cap(self):
         with pytest.raises(ValueError):
             build_dense(FloquetSpec(Model.U0, DENSE_MAX_SITES + 1))
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, model, boundary):
+        # Each column runs through the period on its own. Chunks of 64, 512
+        # and 4096 columns give the same bytes: each is a multiple of the
+        # BLAS kernel's column tile (4 for OpenBLAS zgemm on Haswell). At 1
+        # or 7, some columns go through a narrower kernel that rounds
+        # differently, by a few ulps.
+        for num_sites in range(2, 9):
+            spec = FloquetSpec(model, num_sites, boundary)
+            sectors = (None, *spec.sectors())
+            built = {}
+            for chunk in (1, 7, 64, 512, 4096):
+                monkeypatch.setattr(floquet, "_BUILD_CHUNK", chunk)
+                built[chunk] = [build_dense(spec, s) for s in sectors]
+            for chunk, blocks in built.items():
+                for block, ref in zip(blocks, built[4096]):
+                    if chunk % 64 == 0:
+                        assert block.tobytes() == ref.tobytes(), (num_sites, chunk)
+                    else:
+                        assert np.abs(block - ref).max() < 4e-16, (num_sites, chunk)
 
 
 class TestFactorization:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kicked_ising.spectral import (
     quasi_energies,
 )
 
-from oracles import schur_thetas
+from oracles import schur_thetas, unitarity_deviation
 
 
 def ladder(centers, counts):
@@ -167,13 +168,16 @@ class TestSymmetrySectors:
     @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
     def test_block_phases_match_the_schur_oracle(self, model, boundary, num_sites):
         spec = FloquetSpec(model, num_sites, boundary)
+        blocks = [build_dense(spec, sector=sector) for sector in spec.sectors()]
         oracle = []
-        for sector in spec.sectors():
-            block = build_dense(spec, sector=sector)
+        for block in blocks:
             oracle.append(schur_thetas(block))
             ours = _block_thetas(block)
             assert circle_distance(on_circle(ours), on_circle(oracle[-1])).max() < 1e-12
-        clusters = floquet_spectrum(spec).clusters
+        # one block at a time gives the bytes of all blocks at once
+        spectrum = floquet_spectrum(spec)
+        assert spectrum.thetas.tobytes() == quasi_energies(blocks).thetas.tobytes()
+        clusters = spectrum.clusters
         expected = _cluster_circular(np.sort(np.concatenate(oracle)))
         assert [m for _, m in clusters] == [m for _, m in expected]
         assert circle_distance([c for c, _ in clusters], [c for c, _ in expected]).max() < 1e-12
@@ -210,6 +214,52 @@ class TestSymmetrySectors:
         wrong = symmetry_sectors(6, (Symmetry.REFLECTION, Symmetry.Z_PARITY))
         with pytest.raises(ValueError, match="not invariant"):
             build_dense(spec, sector=wrong[0])
+
+
+class TestOneBlockAtATime:
+    def test_working_set_is_one_block(self):
+        # tracemalloc sees numpy's arrays but not the LAPACK workspace inside
+        # eigvals, so this bounds the numpy arrays only: about one block and
+        # a few (2^L, 64) work arrays, whatever the chunk constant says
+        spec = FloquetSpec(Model.U0, 10)
+        spec.sectors(), _block_program(spec)  # cached tables are not work
+        block_bytes = max(sector.dim for sector in spec.sectors()) ** 2 * 16
+        chunk_bytes = 2**spec.num_sites * 64 * 16
+        tracemalloc.start()
+        try:
+            floquet_spectrum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block_bytes + 4 * chunk_bytes
+
+    @pytest.mark.parametrize("dim", [63, 64, 65, 129])
+    def test_unitarity_check_across_gram_slices(self, dim):
+        # ||B^H B - I|| is summed over 64-row slices of the upper triangle
+        # of B^H B; a unitary passes, and a change to one column on either
+        # side of a slice edge is rejected whenever the direct deviation is
+        # over the bound
+        rng = np.random.default_rng(dim)
+
+        def gaussian(cols):
+            return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+
+        q, _ = np.linalg.qr(gaussian(dim))
+        quasi_energies([q])
+        outcomes = set()
+        for col in sorted({0, 62, 63, 64, 65, dim - 1} & set(range(dim))):
+            for eps in (2e-12, 4e-12, 8e-12, 1.6e-11):
+                u = q.copy()
+                u[:, col] += eps * gaussian(1)[:, 0]
+                deviation = unitarity_deviation(u)
+                if deviation > 1.01e-10:
+                    with pytest.raises(ValueError, match="not unitary"):
+                        quasi_energies([u])
+                    outcomes.add("rejected")
+                elif deviation < 0.99e-10:
+                    quasi_energies([u])
+                    outcomes.add("accepted")
+        assert outcomes == {"accepted", "rejected"}
 
 
 class TestSpacing:
