@@ -32,6 +32,7 @@ from .experiment import (
     SummaryRow,
     generate_summary,
     run_experiment,
+    run_spectrum,
     run_trajectory,
 )
 from .floquet import (
@@ -86,6 +87,7 @@ __all__ = [
     "SummaryRow",
     "generate_summary",
     "run_experiment",
+    "run_spectrum",
     "run_trajectory",
     "KICK_ANGLE",
     "MODEL_SYMMETRIES",

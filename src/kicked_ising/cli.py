@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple
 from .core import DENSE_MAX_SITES
 from .experiment import (
     MEASURES,
+    RUN_SETTINGS,
     ExperimentConfig,
-    _run_experiment,
     generate_summary,
     run_experiment,
+    run_spectrum,
     run_trajectory,
 )
 from .floquet import Boundary, Model
@@ -33,26 +34,23 @@ def _split(text: str) -> list[str]:
 
 class _Key(NamedTuple):
     """One setting, given as a flag or as a config-file key; the
-    ExperimentConfig field of the same name holds its default."""
+    ExperimentConfig field of the same name holds its default, and
+    ``experiment.RUN_SETTINGS`` names the subcommands that read it."""
 
     help: str
-    commands: tuple[str, ...]  # the subcommands that read it
     parse: Callable[[str], object] = str
     grid: bool = False  # ``summary`` takes a comma list and scans every value
 
 
-_ALL_COMMANDS = ("spectrum", "evolve", "measure", "summary")
 _KEYS = {
-    "model": _Key(" or ".join(m.value for m in Model), _ALL_COMMANDS, grid=True),
-    "size": _Key(f"number of sites, 2..{DENSE_MAX_SITES}", _ALL_COMMANDS, int, grid=True),
-    "boundary": _Key(" or ".join(b.value for b in Boundary), _ALL_COMMANDS, grid=True),
-    "initial": _Key(
-        "initial product axis, e.g. z+, y-", ("evolve", "measure", "summary"), grid=True
-    ),
-    "periods": _Key("number of Floquet periods", ("evolve", "measure"), int),
-    "measures": _Key("comma list from: " + ", ".join(MEASURES), ("measure",), _split),
-    "seed": _Key("optimizer seed, 0..2**64-1", _ALL_COMMANDS, int),
-    "out": _Key("output directory", _ALL_COMMANDS),
+    "model": _Key(" or ".join(m.value for m in Model), grid=True),
+    "size": _Key(f"number of sites, 2..{DENSE_MAX_SITES}", int, grid=True),
+    "boundary": _Key(" or ".join(b.value for b in Boundary), grid=True),
+    "initial": _Key("initial product axis, e.g. z+, y-", grid=True),
+    "periods": _Key("number of Floquet periods", int),
+    "measures": _Key("comma list from: " + ", ".join(MEASURES), _split),
+    "seed": _Key("optimizer seed, 0..2**64-1", int),
+    "out": _Key("output directory"),
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
@@ -81,7 +79,7 @@ def parse_config_file(path: Path) -> dict[str, str]:
 def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
     """The config file, then explicit flags, over the keys the subcommand
     reads. Unset keys are left out, so the ExperimentConfig defaults apply."""
-    keys = [key for key, spec in _KEYS.items() if args.command in spec.commands]
+    keys = RUN_SETTINGS[args.command]
     settings: dict[str, str] = {}
     if args.config is not None:
         settings = parse_config_file(Path(args.config))
@@ -111,9 +109,8 @@ def _setting(settings: dict[str, str], key: str):
     return _parse(key, settings[key])
 
 
-def _single_config(settings: dict[str, str], **fixed) -> ExperimentConfig:
-    values = {key: _parse(key, text) for key, text in settings.items()}
-    return ExperimentConfig(**{**values, **fixed})
+def _single_config(settings: dict[str, str]) -> ExperimentConfig:
+    return ExperimentConfig(**{key: _parse(key, text) for key, text in settings.items()})
 
 
 def _report(files: dict[str, Path]) -> None:
@@ -123,8 +120,7 @@ def _report(files: dict[str, Path]) -> None:
 
 def _cmd_spectrum(settings: dict[str, str]) -> int:
     """write the quasi-energy histogram of the operator"""
-    config = _single_config(settings, measures=("spectrum",))
-    _report(_run_experiment(config, unread=("measures",)))
+    _report(run_spectrum(_single_config(settings)))
     return 0
 
 
@@ -149,8 +145,7 @@ def _cmd_summary(settings: dict[str, str]) -> int:
             return [_setting(settings, key)]
         return [_parse(key, v) for v in _split(settings[key])]
 
-    keys = [key for key, spec in _KEYS.items() if "summary" in spec.commands]
-    rows, path = generate_summary(**{key: value(key) for key in keys})
+    rows, path = generate_summary(**{key: value(key) for key in RUN_SETTINGS["summary"]})
     for row in rows:
         peaks = ",".join(str(n) for n in row.peak_depth_periods)
         print(
@@ -178,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__)
-        for key, spec in _KEYS.items():
-            if name not in spec.commands:
-                continue
+        for key in RUN_SETTINGS[name]:
+            spec = _KEYS[key]
             lists = spec.grid and name == "summary"
             suffix = " (comma list allowed)" if lists else ""
             p.add_argument(f"--{key}", help=spec.help + suffix)

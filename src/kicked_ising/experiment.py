@@ -1,10 +1,11 @@
 """Experiment orchestration.
 
-Configure a chain, evolve it one period at a time, record the requested
-measures, and export headered CSV files plus a JSON manifest. Output is
-deterministic for a fixed config: optimizer seeds are derived from
-(config seed, measure, period), so reruns are byte-identical and rows do
-not depend on which other measures are enabled.
+Configure a chain, then evolve it one period at a time and record the
+requested measures, or take its operator's quasi-energy spectrum. Once a
+run has computed, it writes headered CSV files plus a JSON manifest.
+Output is deterministic for a fixed config: optimizer seeds are derived
+from (config seed, measure, period), so reruns are byte-identical and
+rows do not depend on which other measures are enabled.
 """
 
 from __future__ import annotations
@@ -25,14 +26,28 @@ from .floquet import Boundary, FloquetSpec, Model, apply_floquet
 from .qfi import maximize_qfi
 from .spectral import PeriodReport, detect_period, floquet_spectrum
 
-MEASURES = ("aee", "geom", "qfi", "spectrum")
+MEASURES = ("aee", "geom", "qfi")
 SUMMARY_PERIOD_CAP = 200
 
+# The settings each run reads, by subcommand: its flags and config-file
+# keys, the keywords of ``generate_summary``, and a manifest's config block.
+RUN_SETTINGS = {
+    "spectrum": ("model", "size", "boundary", "seed", "out"),
+    "evolve": ("model", "size", "boundary", "initial", "periods", "seed", "out"),
+    "measure": (
+        "model", "size", "boundary", "initial", "periods", "measures", "seed", "out"
+    ),
+    "summary": ("model", "size", "boundary", "initial", "seed", "out"),
+}
+
+# The header of each CSV a run writes, by file name.
 _HEADERS = {
     "aee": ["n", "l", "S", "S_over_l"],
     "geom": ["n", "lambda", "e_g", "converged"],
     "qfi": ["n", "f_q", "depth", "violated_ks"],
     "spectrum": ["theta", "multiplicity"],
+    "trajectory": ["n", "fidelity"],
+    "final_state": ["basis_index", "re", "im"],
 }
 _MEASURE_INDEX = {m: i for i, m in enumerate(MEASURES)}
 
@@ -145,20 +160,6 @@ def _text(value) -> str:
     return value.value if isinstance(value, enum.Enum) else str(value)
 
 
-def _write_manifest(config: ExperimentConfig, out: Path, unread: tuple[str, ...]) -> Path:
-    """manifest.json: the config fields the run reads (all but ``unread``),
-    the package version and the seed."""
-    from . import __version__
-
-    settings = {
-        f.name: getattr(config, f.name) for f in fields(config) if f.name not in unread
-    }
-    doc = {"config": settings, "version": __version__, "seed": config.seed}
-    path = out / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_text) + "\n")
-    return path
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -166,26 +167,42 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+def _write_run(config: ExperimentConfig, run: str, tables: dict) -> dict[str, Path]:
+    """Create ``config.out``, write each name's rows as ``<name>.csv``, then
+    manifest.json: the settings ``run`` reads, the package version and the
+    seed. Returns name -> path, the manifest under "manifest"."""
+    from . import __version__
+
+    out = config.out
+    out.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, rows in tables.items():
+        files[name] = out / f"{name}.csv"
+        _write_csv(files[name], _HEADERS[name], rows)
+    settings = {key: getattr(config, key) for key in RUN_SETTINGS[run]}
+    doc = {"config": settings, "version": __version__, "seed": config.seed}
+    path = files["manifest"] = out / "manifest.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_text) + "\n")
+    return files
+
+
+def run_spectrum(config: ExperimentConfig) -> dict[str, Path]:
+    """The quasi-energy histogram of the operator: one (theta, multiplicity)
+    row per degeneracy cluster. Nothing is evolved. Returns "spectrum" and
+    "manifest" -> file path."""
+    spectrum = floquet_spectrum(config.floquet_spec())
+    rows = [[_fmt(center), str(count)] for center, count in spectrum.clusters]
+    return _write_run(config, "spectrum", {"spectrum": rows})
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Evolve for n = 0..periods, appending one row per period per measure.
 
-    The spectrum, when requested, is written once (it belongs to the
-    operator, not to a period); asked for alone, nothing is evolved.
     Returns measure name -> file path, plus the manifest under the key
     "manifest".
     """
-    return _run_experiment(config, unread=())
-
-
-def _run_experiment(config: ExperimentConfig, unread: tuple[str, ...]) -> dict[str, Path]:
-    """``run_experiment`` with the fields ``unread`` also left out of the
-    manifest: the ``spectrum`` subcommand fixes ``measures``, so its
-    manifest records only the keys it reads."""
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     rows: dict[str, list[list[str]]] = {m: [] for m in config.measures}
-    per_period = set(rows) != {"spectrum"}
-    for n, state in _states(config) if per_period else ():
+    for n, state in _states(config):
         if "aee" in rows:
             report = aee_report(state)
             for l in sorted(report.per_l):
@@ -200,48 +217,20 @@ def _run_experiment(config: ExperimentConfig, unread: tuple[str, ...]) -> dict[s
             q = maximize_qfi(state, seed=_derive_seed(config.seed, "qfi", n))
             violated = ";".join(str(k) for k, _, flag in q.bound_table if flag)
             rows["qfi"].append([str(n), _fmt(q.f_q), str(q.depth), violated])
-    if "spectrum" in rows:
-        spectrum = floquet_spectrum(config.floquet_spec())
-        rows["spectrum"] = [
-            [_fmt(center), str(count)] for center, count in spectrum.clusters
-        ]
-
-    files: dict[str, Path] = {}
-    for measure in config.measures:
-        path = out / f"{measure}.csv"
-        _write_csv(path, _HEADERS[measure], rows[measure])
-        files[measure] = path
-    if not per_period:
-        unread += ("initial", "periods")
-    files["manifest"] = _write_manifest(config, out, unread)
-    return files
+    return _write_run(config, "measure", rows)
 
 
 def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
     """Plain evolution: per-period overlap with the initial state plus a
     dump of the final amplitudes. Ignores config.measures."""
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     states = _states(config)
     _, initial = next(states)
     state = initial
     rows = [["0", _fmt(1.0)]]
     for n, state in states:
         rows.append([str(n), _fmt(fidelity(initial, state))])
-    trajectory = out / "trajectory.csv"
-    _write_csv(trajectory, ["n", "fidelity"], rows)
-    final = out / "final_state.csv"
-    _write_csv(
-        final,
-        ["basis_index", "re", "im"],
-        [
-            [str(j), _fmt(a.real), _fmt(a.imag)]
-            for j, a in enumerate(state.amplitudes)
-        ],
-    )
-    files = {"trajectory": trajectory, "final_state": final}
-    files["manifest"] = _write_manifest(config, out, unread=("measures",))
-    return files
+    final = [[str(j), _fmt(a.real), _fmt(a.imag)] for j, a in enumerate(state.amplitudes)]
+    return _write_run(config, "evolve", {"trajectory": rows, "final_state": final})
 
 
 @dataclass(frozen=True)
@@ -289,12 +278,12 @@ def generate_summary(
         if repeated:
             shown = [v if isinstance(v, int) else _text(v) for v in repeated]
             raise ValueError(f"{name}: {shown} listed more than once")
-    out = configs[0].out
-    out.mkdir(parents=True, exist_ok=True)
     # the period depends on the operator alone, so each is found once
     specs = dict.fromkeys(config.floquet_spec() for config in configs)
     reports = {spec: detect_period(spec, SUMMARY_PERIOD_CAP) for spec in specs}
     rows = [_summary_cell(config, reports[config.floquet_spec()]) for config in configs]
+    out = configs[0].out
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "summary.csv"
     header = [f.name for f in fields(SummaryRow)]
     _write_csv(path, header, [[_text(getattr(r, name)) for name in header] for r in rows])

@@ -21,6 +21,7 @@ cost for U_0, 1/4 for U_x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +40,16 @@ PERIOD_TOLERANCE = 1e-7
 class QuasiSpectrum:
     """Sorted quasi-energies with degeneracy clusters.
 
-    ``clusters`` is a list of (center, multiplicity) sorted by center;
-    multiplicities add up to the Hilbert-space dimension 2^L.
+    ``clusters`` is a list of (center, multiplicity) sorted by center,
+    formed on first read; multiplicities add up to the Hilbert-space
+    dimension 2^L.
     """
 
     thetas: np.ndarray = field(repr=False)
-    clusters: list[tuple[float, int]]
+
+    @cached_property
+    def clusters(self) -> list[tuple[float, int]]:
+        return _cluster_circular(self.thetas)
 
     @property
     def dim(self) -> int:
@@ -110,13 +115,7 @@ def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
     """
     if len(blocks) == 0:
         raise ValueError("quasi_energies needs at least one block")
-    return _pooled([_block_thetas(b) for b in blocks])
-
-
-def _pooled(parts: list[np.ndarray]) -> QuasiSpectrum:
-    """One spectrum from the phases of the blocks of one unitary."""
-    thetas = np.sort(np.concatenate(parts))
-    return QuasiSpectrum(thetas, _cluster_circular(thetas))
+    return QuasiSpectrum(np.sort(np.concatenate([_block_thetas(b) for b in blocks])))
 
 
 def _block_thetas(block: np.ndarray) -> np.ndarray:
@@ -158,10 +157,9 @@ def _block_thetas(block: np.ndarray) -> np.ndarray:
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     """Quasi-energies of the operator built from ``spec`` (L <= 12), one
     symmetry-sector block at a time: each block is dropped once its
-    phases are read."""
-    return _pooled(
-        [quasi_energies([build_dense(spec, sector=s)]).thetas for s in spec.sectors()]
-    )
+    phases are read, and the pooled phases are clustered once."""
+    parts = [quasi_energies([build_dense(spec, sector=s)]).thetas for s in spec.sectors()]
+    return QuasiSpectrum(np.sort(np.concatenate(parts)))
 
 
 def _real_gcd(a: float, b: float) -> float:

@@ -11,9 +11,11 @@ from kicked_ising.cli import main
 from kicked_ising.core import DEFAULT_TOL, Axis
 from kicked_ising.entanglement import geometric_measure
 from kicked_ising.experiment import (
+    RUN_SETTINGS,
     ExperimentConfig,
     generate_summary,
     run_experiment,
+    run_spectrum,
     run_trajectory,
 )
 from kicked_ising.floquet import Boundary, Model
@@ -62,8 +64,10 @@ class TestConfig:
             ExperimentConfig(model=Model.U0, size=4, periods=-1)
 
     def test_rejects_unknown_measure(self):
-        with pytest.raises(ValueError, match="measures"):
-            ExperimentConfig(model=Model.U0, size=4, measures=("bogus",))
+        # the spectrum belongs to the operator: a run of its own, not a measure
+        for name in ("bogus", "spectrum"):
+            with pytest.raises(ValueError, match=rf"measures: unknown \['{name}'\]"):
+                ExperimentConfig(model=Model.U0, size=4, measures=(name,))
         # a bare string is one name, not the sequence of its letters
         with pytest.raises(ValueError, match="measures: expected a sequence of names"):
             ExperimentConfig(model=Model.U0, size=4, measures="aee")
@@ -182,32 +186,26 @@ class TestRunExperiment:
         assert qfi[0]["depth"] == "1"
         assert qfi[0]["violated_ks"] == ""
 
-    def test_row_counts_and_spectrum(self, tmp_path):
+    def test_row_counts(self, tmp_path):
         config = ExperimentConfig(
             model=Model.UX,
             size=4,
             periods=3,
-            measures=("aee", "qfi", "spectrum"),
+            measures=("aee", "qfi"),
             out=tmp_path,
         )
         files = run_experiment(config)
+        assert sorted(files) == ["aee", "manifest", "qfi"]
         assert len(read_rows(files["aee"])) == 4 * 3
         assert len(read_rows(files["qfi"])) == 4
-        spectrum = read_rows(files["spectrum"])
-        assert sum(int(r["multiplicity"]) for r in spectrum) == 16
 
-    @pytest.mark.parametrize(
-        "measures, calls", [(("spectrum",), 0), (("aee", "spectrum"), 3)]
-    )
-    def test_evolves_only_for_per_period_measures(
-        self, tmp_path, monkeypatch, measures, calls
-    ):
+    def test_one_period_per_step(self, tmp_path, monkeypatch):
         periods = count_periods(monkeypatch)
         config = ExperimentConfig(
-            model=Model.U0, size=4, periods=3, measures=measures, out=tmp_path
+            model=Model.U0, size=4, periods=3, measures=("aee",), out=tmp_path
         )
         run_experiment(config)
-        assert periods == [1] * calls
+        assert periods == [1, 1, 1]
 
     def test_kicked_transverse_chain_reaches_ghz(self, tmp_path):
         config = ExperimentConfig(
@@ -236,7 +234,7 @@ class TestRunExperiment:
             size=4,
             initial="y+",
             periods=2,
-            measures=("aee", "geom", "qfi", "spectrum"),
+            measures=("aee", "geom", "qfi"),
             seed=7,
             out=tmp_path,
         )
@@ -304,6 +302,57 @@ class TestRunExperiment:
             f'  "version": "{__version__}"\n'
             "}\n"
         )
+
+
+class TestRunSpectrum:
+    def test_evolves_nothing_and_counts_every_level(self, tmp_path, monkeypatch):
+        periods = count_periods(monkeypatch)
+        config = ExperimentConfig(model=Model.UX, size=4, periods=3, out=tmp_path)
+        files = run_spectrum(config)
+        assert periods == []
+        assert sorted(files) == ["manifest", "spectrum"]
+        rows = read_rows(files["spectrum"])
+        assert sum(int(r["multiplicity"]) for r in rows) == 2**4
+        doc = json.loads(files["manifest"].read_text())
+        assert sorted(doc["config"]) == sorted(RUN_SETTINGS["spectrum"])
+
+    def test_byte_identical_reruns(self, tmp_path):
+        config = ExperimentConfig(
+            model=Model.U0, size=6, boundary="closed", seed=7, out=tmp_path
+        )
+        files = run_spectrum(config)
+        first = {name: path.read_bytes() for name, path in files.items()}
+        files = run_spectrum(config)
+        assert {name: path.read_bytes() for name, path in files.items()} == first
+
+
+def summarize(config):
+    """``generate_summary`` over the one cell of ``config``."""
+    cell = ([config.model], [config.size], [config.boundary], [config.initial])
+    return generate_summary(*cell, config.out)
+
+
+class TestRunsWriteOnlyWhatTheyComputed:
+    @pytest.mark.parametrize(
+        "run, step",
+        [
+            (run_experiment, "aee_report"),
+            (run_trajectory, "fidelity"),
+            (run_spectrum, "floquet_spectrum"),
+            (summarize, "detect_period"),
+        ],
+        ids=["measure", "evolve", "spectrum", "summary"],
+    )
+    def test_a_run_that_fails_leaves_no_output(self, tmp_path, monkeypatch, run, step):
+        def fail(*args, **kwargs):
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(experiment, step, fail)
+        out = tmp_path / "out"
+        config = ExperimentConfig(model=Model.U0, size=4, periods=2, out=out)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run(config)
+        assert not out.exists()
 
 
 class TestRunTrajectory:

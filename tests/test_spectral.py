@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kicked_ising import spectral
 from kicked_ising.core import DENSE_MAX_SITES
 from kicked_ising.floquet import (
     Boundary,
@@ -29,11 +30,7 @@ from oracles import schur_thetas, unitarity_deviation
 
 
 def ladder(centers, counts):
-    thetas = np.repeat(np.asarray(centers, dtype=float), counts)
-    return QuasiSpectrum(
-        thetas=thetas,
-        clusters=list(zip([float(c) for c in centers], counts)),
-    )
+    return QuasiSpectrum(np.repeat(np.asarray(centers, dtype=float), counts))
 
 
 def whole(matrix):
@@ -232,6 +229,29 @@ class TestOneBlockAtATime:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * block_bytes + 4 * chunk_bytes
+
+    def test_one_call_per_block_and_one_clustering(self, monkeypatch):
+        # each sector block goes through its own quasi_energies call, and
+        # only the pooled phases are clustered, on first read
+        spec = FloquetSpec(Model.U0, 6)
+        calls = []
+
+        def counting(name):
+            real = getattr(spectral, name)
+
+            def wrapped(arg):
+                calls.append(name)
+                return real(arg)
+
+            monkeypatch.setattr(spectral, name, wrapped)
+
+        counting("quasi_energies")
+        counting("_cluster_circular")
+        spectrum = floquet_spectrum(spec)
+        assert calls == ["quasi_energies"] * len(spec.sectors())
+        assert spectrum.clusters is spectrum.clusters
+        assert sum(m for _, m in spectrum.clusters) == 2**6
+        assert calls.count("_cluster_circular") == 1
 
     @pytest.mark.parametrize("dim", [63, 64, 65, 129])
     def test_unitarity_check_across_gram_slices(self, dim):
