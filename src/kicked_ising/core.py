@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 # Size limits, in sites. A state vector holds 2^L amplitudes; a dense
-# operator holds 4^L entries and is built only for spectra, so runs that may
-# ask for a spectrum stop there too.
+# operator holds 4^L entries. Only spectrum and summary build one, yet
+# ExperimentConfig caps every run at DENSE_MAX_SITES (see ROADMAP item 9).
 MAX_SITES = 14
 DENSE_MAX_SITES = 12
 
@@ -89,7 +89,7 @@ class Axis:
         return self.letter + ("+" if self.sign > 0 else "-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of an L-site chain as 2^L complex amplitudes (z basis)."""
 
@@ -108,12 +108,8 @@ class StateVector:
             raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_sites
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Reduced state of l sites: Hermitian, unit-trace, PSD 2^l x 2^l matrix.
 

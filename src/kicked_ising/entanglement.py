@@ -151,7 +151,7 @@ def detect_bell_pairs(state: StateVector) -> list[tuple[int, int]] | None:
     return [tuple(pair) for pair in pairs.tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricResult:
     """Outcome of the product-overlap maximization.
 

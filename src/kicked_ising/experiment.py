@@ -256,9 +256,11 @@ def generate_summary(
 ) -> tuple[list[SummaryRow], Path]:
     """Scan every (model, size, boundary, initial) cell of the four lists.
 
-    Each cell evolves over one detected projective period (capped at
+    Each cell evolves over one detected projective period T (capped at
     SUMMARY_PERIOD_CAP periods when none is found) and records the peak
-    certified entanglement depth and every period attaining it. Every
+    certified entanglement depth, every period attaining it, and the exact
+    period: the smallest kT, with k <= SUMMARY_PERIOD_CAP, such that
+    U^{kT} = I (744 = 8 * 93 for closed Ux at L = 11, past the cap). Every
     cell is validated, and a value listed twice rejected, before anything
     is computed or written.
     """

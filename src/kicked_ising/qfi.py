@@ -20,7 +20,7 @@ DEFAULT_MAX_ITER = 1000
 DEFAULT_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionField:
     """One unit 3-vector per site, stored as an (L, 3) real array."""
 
@@ -41,7 +41,7 @@ class DirectionField:
         return self.n_hats.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """gamma[(i,a),(j,b)] = (1/2)<{sigma_i^a, sigma_j^b}> - <sigma_i^a><sigma_j^b>.
 
@@ -78,7 +78,7 @@ class CovarianceMatrix:
         return self.means.size // 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QfiResult:
     """Maximized QFI with its certifying data.
 

@@ -36,7 +36,7 @@ SPACING_TOLERANCE = 1e-6
 PERIOD_TOLERANCE = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiSpectrum:
     """Sorted quasi-energies with degeneracy clusters.
 
@@ -50,10 +50,6 @@ class QuasiSpectrum:
     @cached_property
     def clusters(self) -> list[tuple[float, int]]:
         return _cluster_circular(self.thetas)
-
-    @property
-    def dim(self) -> int:
-        return self.thetas.size
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,9 @@ class PeriodReport:
     """Projective and exact-identity recurrence of a Floquet operator.
 
     ``period`` is the smallest n <= max_n with U^n = phase * I within
-    ``PERIOD_TOLERANCE`` in Frobenius norm; ``exact_period`` additionally
-    requires the phase to be 1. Either is None when no such n exists in
-    range.
+    ``PERIOD_TOLERANCE`` in Frobenius norm. ``exact_period`` is the
+    smallest k * period, with k <= max_n, such that U^{k * period} = I;
+    it may exceed max_n. Either is None when none is found.
     """
 
     period: int | None
@@ -203,34 +199,29 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
 
     The Frobenius distance of U^n from phase*I equals
     sqrt(sum_k |e^{-i n theta_k} - phase|^2) because U is normal, so the
-    scan needs only the quasi-energies, never a matrix power.
+    scan needs only the quasi-energies, never a matrix power. U^n is
+    proportional to I only at multiples of the projective period T, so
+    ``exact_period`` is the smallest kT, with k <= max_n, such that U^{kT} = I.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     th = np.asarray(thetas, dtype=float)
-    period = exact_period = None
-    phase = complex(1.0)
-    deviation = exact_deviation = float("inf")
-    for n in range(1, max_n + 1):
-        z = np.exp(-1j * n * th)
+    for period in range(1, max_n + 1):
+        z = np.exp(-1j * period * th)
         mean = z.mean()
         if abs(mean) > 1e-12:
-            best = mean / abs(mean)
-            dev = float(np.sqrt(np.sum(np.abs(z - best) ** 2)))
-            if period is None and dev < PERIOD_TOLERANCE:
-                period, phase, deviation = n, complex(best), dev
-            dev1 = float(np.sqrt(np.sum(np.abs(z - 1.0) ** 2)))
-            if exact_period is None and dev1 < PERIOD_TOLERANCE:
-                exact_period, exact_deviation = n, dev1
-        if period is not None and exact_period is not None:
-            break
-    return PeriodReport(
-        period=period,
-        phase=phase,
-        deviation=deviation,
-        exact_period=exact_period,
-        exact_deviation=exact_deviation,
-    )
+            phase = mean / abs(mean)
+            deviation = float(np.sqrt(np.sum(np.abs(z - phase) ** 2)))
+            if deviation < PERIOD_TOLERANCE:
+                break
+    else:
+        return PeriodReport(None, complex(1.0), float("inf"), None, float("inf"))
+    for n in range(period, (max_n + 1) * period, period):
+        z = np.exp(-1j * n * th)
+        exact_deviation = float(np.sqrt(np.sum(np.abs(z - 1.0) ** 2)))
+        if exact_deviation < PERIOD_TOLERANCE:
+            return PeriodReport(period, complex(phase), deviation, n, exact_deviation)
+    return PeriodReport(period, complex(phase), deviation, None, float("inf"))
 
 
 def detect_period(spec: FloquetSpec, max_n: int) -> PeriodReport:

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from kicked_ising.core import PAULI_X, PAULI_Y, PAULI_Z
 from kicked_ising.floquet import PERIOD_LAYERS, FloquetSpec, Model
+from kicked_ising.spectral import PERIOD_TOLERANCE, PeriodReport
 
 
 def site_operator(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
@@ -137,6 +138,37 @@ def schur_thetas(block: np.ndarray) -> np.ndarray:
     """Quasi-energies -arg(lambda) read off the diagonal of the complex
     Schur form of ``block``."""
     return -np.angle(np.diag(scipy.linalg.schur(block, output="complex")[0]))
+
+
+def scan_period_oracle(thetas: np.ndarray, max_n: int) -> PeriodReport:
+    """Both recurrences by testing every n = 1..max_n for U^n = phase*I and
+    for U^n = I, so an exact period past max_n is never found."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be positive, got {max_n}")
+    th = np.asarray(thetas, dtype=float)
+    period = exact_period = None
+    phase = complex(1.0)
+    deviation = exact_deviation = float("inf")
+    for n in range(1, max_n + 1):
+        z = np.exp(-1j * n * th)
+        mean = z.mean()
+        if abs(mean) > 1e-12:
+            best = mean / abs(mean)
+            dev = float(np.sqrt(np.sum(np.abs(z - best) ** 2)))
+            if period is None and dev < PERIOD_TOLERANCE:
+                period, phase, deviation = n, complex(best), dev
+            dev1 = float(np.sqrt(np.sum(np.abs(z - 1.0) ** 2)))
+            if exact_period is None and dev1 < PERIOD_TOLERANCE:
+                exact_period, exact_deviation = n, dev1
+        if period is not None and exact_period is not None:
+            break
+    return PeriodReport(
+        period=period,
+        phase=phase,
+        deviation=deviation,
+        exact_period=exact_period,
+        exact_deviation=exact_deviation,
+    )
 
 
 def nn_bell_product(num_sites: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,7 +27,7 @@ from kicked_ising.spectral import (
     quasi_energies,
 )
 
-from oracles import schur_thetas, unitarity_deviation
+from oracles import scan_period_oracle, schur_thetas, unitarity_deviation
 
 
 def ladder(centers, counts):
@@ -369,3 +370,31 @@ class TestPeriods:
     def test_rejects_empty_scan(self):
         with pytest.raises(ValueError):
             detect_period_from_thetas(np.zeros(2), 0)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("num_sites", range(2, 9))
+    def test_matches_the_scan_of_every_n(self, model, num_sites, boundary):
+        thetas = floquet_spectrum(FloquetSpec(model, num_sites, boundary)).thetas
+        for max_n in (200, 50):
+            report = detect_period_from_thetas(thetas, max_n)
+            scanned = scan_period_oracle(thetas, max_n)
+            if scanned.exact_period is None and report.exact_period is not None:
+                # the scan stops at max_n; the multiples of the period go on
+                assert report.exact_period > max_n
+                assert report.exact_period % report.period == 0
+                assert report.exact_deviation < spectral.PERIOD_TOLERANCE
+                report = dataclasses.replace(
+                    report, exact_period=None, exact_deviation=float("inf")
+                )
+            assert report == scanned
+
+    def test_exact_period_past_the_scan(self):
+        # 3 theta = pi/4 (mod 2 pi) on both levels, and U^3 = e^{-i pi/4} I
+        # first returns to I at k = 8
+        thetas = np.pi / 12 + np.array([0.0, 2 * np.pi / 3])
+        report = detect_period_from_thetas(thetas, 10)
+        assert report.period == 3
+        assert report.phase == pytest.approx(np.exp(-0.25j * np.pi), abs=1e-12)
+        assert report.exact_period == 24
+        assert report.exact_deviation < spectral.PERIOD_TOLERANCE
