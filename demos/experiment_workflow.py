@@ -6,8 +6,8 @@ The experiment layer wraps the library in reproducible file-based runs:
 a configuration (from Python, a key=value file, or the command line)
 produces one CSV per requested measure plus a manifest of the settings
 the run reads, the package version and the seed. The summary sweep
-writes its table only, with no manifest. Identical configurations
-produce byte-identical files.
+writes its table and a manifest of every value it scanned. Identical
+configurations produce byte-identical files.
 
 The same run is available from the shell as
 

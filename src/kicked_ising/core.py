@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -192,6 +193,28 @@ def _bit_table(n: int) -> np.ndarray:
     return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
+@functools.lru_cache(maxsize=128)
+def _gather_tables(
+    num_sites: int, shape: tuple[int, int], sites: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of each subset's reduced matrix, for a (C, l)
+    int64 array of subsets given by its bytes: rows (C, 2^l, 1) and columns
+    (C, 1, 2^(L-l)), whose sums index the amplitudes. Read-only, built once
+    per content."""
+    L = num_sites
+    subsets = np.frombuffer(sites, dtype=np.int64).reshape(shape)
+    count, l = shape
+    rest_mask = np.ones((count, L), dtype=bool)
+    np.put_along_axis(rest_mask, subsets - 1, False, axis=1)
+    rest = np.nonzero(rest_mask)[1].reshape(count, L - l) + 1
+    # row a, column b of subset c's matrix is the amplitude whose kept sites
+    # spell a and whose other sites spell b, both most significant first
+    rows = (_bit_table(l) @ (1 << (L - subsets)).T).T[:, :, None]
+    cols = (_bit_table(L - l) @ (1 << (L - rest)).T).T[:, None, :]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def partial_trace(
     state: StateVector, kept_sites: Sequence[int] | np.ndarray
 ) -> DensityMatrix:
@@ -207,22 +230,17 @@ def partial_trace(
         raise ValueError("kept_sites must be nonempty")
     if kept.ndim not in (1, 2) or kept.dtype.kind not in "iu":
         raise ValueError(f"kept_sites must be site numbers, got {kept.tolist()}")
-    subsets = np.atleast_2d(kept)
+    # int64, so that neither the checks nor 1 << (L - site) wrap around in a
+    # narrow or unsigned integer type
+    subsets = np.atleast_2d(kept).astype(np.int64, copy=False)
     if ((subsets < 1) | (subsets > L)).any():
         raise ValueError(f"kept_sites must lie in [1, {L}], got {kept.tolist()}")
     if (np.diff(subsets, axis=1) <= 0).any():
         raise ValueError(f"kept_sites must be strictly increasing, got {kept.tolist()}")
-    count, l = subsets.shape
-    rest_mask = np.ones((count, L), dtype=bool)
-    np.put_along_axis(rest_mask, subsets - 1, False, axis=1)
-    rest = np.nonzero(rest_mask)[1].reshape(count, L - l) + 1
-    # row a, column b of subset c's matrix is the amplitude whose kept sites
-    # spell a and whose other sites spell b, both most significant first
-    rows = _bit_table(l) @ (1 << (L - subsets)).T
-    cols = _bit_table(L - l) @ (1 << (L - rest)).T
-    mats = state.amplitudes[rows.T[:, :, None] + cols.T[:, None, :]]
+    rows, cols = _gather_tables(L, subsets.shape, subsets.tobytes())
+    mats = state.amplitudes[rows + cols]
     rho = mats @ mats.conj().swapaxes(-1, -2)
-    return DensityMatrix(l, rho if kept.ndim == 2 else rho[0])
+    return DensityMatrix(subsets.shape[1], rho if kept.ndim == 2 else rho[0])
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -11,6 +11,7 @@ Entropies are in bits (log base 2), so one Bell pair contributes exactly
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,11 +44,17 @@ def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def _subsets(num_sites: int, l: int) -> np.ndarray:
-    """(C(L, l), l) array of all size-l site subsets, in combinations order."""
-    return np.array(
+@functools.cache
+def _subsets(num_sites: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C(L, l), l) array of all size-l site subsets, in combinations order,
+    and the bitmask of each (site s is bit L - s, as in the basis labels).
+    Built once per (L, l); both arrays are read-only."""
+    subsets = np.array(
         list(itertools.combinations(range(1, num_sites + 1), l)), dtype=int
     ).reshape(-1, l)
+    masks = (1 << (num_sites - subsets)).sum(axis=1)
+    subsets.flags.writeable = masks.flags.writeable = False
+    return subsets, masks
 
 
 @dataclass(frozen=True)
@@ -63,17 +70,16 @@ class AeeReport:
     per_l: dict[int, tuple[float, float, int]]
 
 
-def _cuts(num_sites: int, l: int) -> np.ndarray:
-    """Size-l subsets, one per bipartition: at l = L/2 only those holding site 1."""
-    subsets = _subsets(num_sites, l)
+@functools.cache
+def _cuts(num_sites: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Size-l subsets and their bitmasks, one per bipartition: at l = L/2
+    only those holding site 1. Built once per (L, l); read-only."""
+    subsets, masks = _subsets(num_sites, l)
     if 2 * l == num_sites:
-        subsets = subsets[subsets[:, 0] == 1]
-    return subsets
-
-
-def _masks(subsets: np.ndarray, num_sites: int) -> np.ndarray:
-    """Bitmask of each subset row; site s is bit L - s, as in the basis labels."""
-    return (1 << (num_sites - subsets)).sum(axis=1)
+        holds_one = subsets[:, 0] == 1
+        subsets, masks = subsets[holds_one], masks[holds_one]
+        subsets.flags.writeable = masks.flags.writeable = False
+    return subsets, masks
 
 
 def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
@@ -89,8 +95,7 @@ def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
     table = np.full(full + 1, np.nan)
     table[[0, full]] = 0.0
     for k in range(1, min(max_size, num_sites // 2) + 1):
-        cuts = _cuts(num_sites, k)
-        masks = _masks(cuts, num_sites)
+        cuts, masks = _cuts(num_sites, k)
         table[masks] = table[full ^ masks] = entropy(partial_trace(state, cuts))
     return table
 
@@ -98,7 +103,7 @@ def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
 def _size_mean(table: np.ndarray, num_sites: int, l: int) -> float:
     """Mean table entry over the size-l subsets, as a running total from 0.0
     in combinations order."""
-    values = table[_masks(_subsets(num_sites, l), num_sites)]
+    values = table[_subsets(num_sites, l)[1]]
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1]) / values.size
 
 
@@ -141,8 +146,8 @@ def detect_bell_pairs(state: StateVector) -> list[tuple[int, int]] | None:
     if num_sites < 2:
         return None
     table = _entropy_table(state, 2)
-    pairs = _subsets(num_sites, 2)
-    pure = table[_masks(pairs, num_sites)] < BELL_TOLERANCE
+    pairs, masks = _subsets(num_sites, 2)
+    pure = table[masks] < BELL_TOLERANCE
     entangled = table[1 << (num_sites - pairs[:, 0])] > 1 - BELL_TOLERANCE
     pairs = pairs[pure & entangled]
     covered = pairs.ravel().tolist()
@@ -189,9 +194,42 @@ def _balanced_cut_tops(state: StateVector):
     """Yield the largest eigenvalue of each balanced cut's reduced state
     (the squared largest Schmidt coefficient), 32 cuts per reduction, so a
     scan that finds a witness early reduces few cuts."""
-    cuts = _cuts(state.num_sites, state.num_sites // 2)
+    cuts, _ = _cuts(state.num_sites, state.num_sites // 2)
     for start in range(0, len(cuts), 32):
         yield partial_trace(state, cuts[start : start + 32]).eigenvalues[:, -1]
+
+
+def _sweep(
+    psi: np.ndarray, old: np.ndarray, norms: np.ndarray, guarded: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep of every restart in ``old`` (L, B, 2): each site in turn
+    becomes the normalized contraction of psi with the other sites' vectors,
+    the new ones before it and the old ones after it. Writes each site's
+    contraction norm into ``norms`` (L, B, 1) and returns the new vectors
+    and each restart's overlap. Unguarded, a zero norm divides by zero;
+    guarded, such a site keeps its old vector.
+    """
+    num_sites, batch = old.shape[:2]
+    conj = old.conj()[:, :, :, None, None]
+    # suffix[k] = conj(phi_k) x ... x conj(phi_L) of the old vectors, suffix[L] = 1
+    suffix = [np.ones((batch, 1, 1), dtype=complex)] * (num_sites + 1)
+    for site in range(num_sites - 1, 0, -1):
+        suffix[site] = (conj[site] * suffix[site + 1][:, None]).reshape(batch, -1, 1)
+    new = np.empty_like(old)
+    # psi contracted with the new conj(phi) of the sites already updated
+    prefixed = psi
+    for site in range(num_sites):
+        left = prefixed.reshape(-1, 2, 2 ** (num_sites - site - 1))
+        env = (left @ suffix[site + 1])[:, :, 0]
+        sq = env.real**2 + env.imag**2
+        norm = np.sqrt(sq[:, :1] + sq[:, 1:], out=norms[site])
+        if guarded:
+            ok = norm > 1e-300
+            new[site] = np.where(ok, env / np.maximum(norm, 1e-300), old[site])
+        else:
+            np.divide(env, norm, out=new[site])
+        prefixed = new[site].conj()[:, None, :] @ left
+    return new, prefixed[:, 0, 0].real
 
 
 def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
@@ -221,38 +259,39 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
     phis = _initial_product_batch(state, np.random.default_rng(seed))
     lam = np.zeros(DEFAULT_RESTARTS)
     done = np.zeros(DEFAULT_RESTARTS, dtype=bool)
+    # the batch of restarts still sweeping, gathered only when it shrinks
+    active = np.arange(DEFAULT_RESTARTS)
+    local, lam_active = phis[:, active], lam[active]
+    norms = np.empty((num_sites, DEFAULT_RESTARTS, 1))
+    batch_norms = norms
     half = num_sites // 2
     tops = _balanced_cut_tops(state)
     witness = math.inf  # smallest top eigenvalue of the cuts examined so far
     tested = -math.inf  # lambda_c at the last certificate test
     certified = False
     for sweeps in range(1, DEFAULT_MAX_ITER + 1):
-        active = np.flatnonzero(~done)
-        batch = active.size
-        local = phis[:, active]
-        # suffix[k] = conj(phi_k) x ... x conj(phi_L) of the old vectors, suffix[L] = 1
-        suffix = [np.ones((batch, 1), dtype=complex)] * (num_sites + 1)
-        for site in range(num_sites - 1, 0, -1):
-            outer = local[site].conj()[:, :, None] * suffix[site + 1][:, None, :]
-            suffix[site] = outer.reshape(batch, -1)
-        # psi contracted with the new conj(phi) of the sites already updated
-        prefixed = psi[None, :]
-        for site in range(num_sites):
-            left = prefixed.reshape(-1, 2, 2 ** (num_sites - site - 1))
-            env = (left @ suffix[site + 1][:, :, None])[:, :, 0]
-            norms = np.sqrt((env.real**2 + env.imag**2).sum(axis=1, keepdims=True))
-            ok = norms > 1e-300
-            local[site] = np.where(ok, env / np.maximum(norms, 1e-300), local[site])
-            prefixed = (local[site].conj()[:, None, :] @ left)[:, 0]
-        phis[:, active] = local
-        new_lam = prefixed[:, 0].real
-        if np.any(new_lam < lam[active] - 1e-9):
+        # one guard check per sweep: a sweep that met a zero contraction is
+        # run again with a per-site guard that keeps the old vector there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new, new_lam = _sweep(psi, local, batch_norms, guarded=False)
+        if not (batch_norms > 1e-300).all():
+            new, new_lam = _sweep(psi, local, batch_norms, guarded=True)
+        if (new_lam < lam_active - 1e-9).any():
             raise AssertionError("overlap decreased during an exact local update")
-        done[active[new_lam - lam[active] < DEFAULT_TOL]] = True
-        lam[active] = new_lam
+        stalled = new_lam - lam_active < DEFAULT_TOL
+        local, lam_active = new, new_lam
+        # the best converged overlap lambda_c can only rise when a restart stops
+        if not stalled.any():
+            continue
+        phis[:, active] = local
+        lam[active] = lam_active
+        done[active[stalled]] = True
+        active = active[~stalled]
+        local, lam_active = local[:, ~stalled], lam_active[~stalled]
+        batch_norms = norms[:, : active.size]
         if done.all():
             break
-        lam_c = float(lam[done].max()) if done.any() else -math.inf
+        lam_c = float(lam[done].max())
         if lam_c <= tested:
             continue
         tested = lam_c
@@ -269,6 +308,8 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
         if witness <= bound:
             certified = True
             break
+    phis[:, active] = local
+    lam[active] = lam_active
 
     best = int(np.argmax(np.where(done, lam, -np.inf) if certified else lam))
     # rounding can push an overlap a few ulp above 1; 1 is the true ceiling

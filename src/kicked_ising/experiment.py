@@ -40,6 +40,25 @@ RUN_SETTINGS = {
     "summary": ("model", "size", "boundary", "initial", "seed", "out"),
 }
 
+
+@dataclass(frozen=True)
+class SummaryRow:
+    """Peak certified depth over one projective period of one configuration.
+
+    The fields are the columns of ``summary.csv``, in order.
+    """
+
+    model: Model
+    size: int
+    boundary: Boundary
+    initial: Axis
+    peak_depth: int
+    peak_depth_periods: tuple[int, ...]
+    projective_period: int | None
+    exact_period: int | None
+    notes: str
+
+
 # The header of each CSV a run writes, by file name.
 _HEADERS = {
     "aee": ["n", "l", "S", "S_over_l"],
@@ -48,6 +67,7 @@ _HEADERS = {
     "spectrum": ["theta", "multiplicity"],
     "trajectory": ["n", "fidelity"],
     "final_state": ["basis_index", "re", "im"],
+    "summary": [f.name for f in fields(SummaryRow)],
 }
 _MEASURE_INDEX = {m: i for i, m in enumerate(MEASURES)}
 
@@ -167,10 +187,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _write_run(config: ExperimentConfig, run: str, tables: dict) -> dict[str, Path]:
+def _write_run(
+    config: ExperimentConfig, run: str, tables: dict, grid: dict | None = None
+) -> dict[str, Path]:
     """Create ``config.out``, write each name's rows as ``<name>.csv``, then
     manifest.json: the settings ``run`` reads, the package version and the
-    seed. Returns name -> path, the manifest under "manifest"."""
+    seed. A summary passes the values it scanned of each ``grid`` key, which
+    replace the config's one value. Returns name -> path, the manifest under
+    "manifest"."""
     from . import __version__
 
     out = config.out
@@ -180,6 +204,7 @@ def _write_run(config: ExperimentConfig, run: str, tables: dict) -> dict[str, Pa
         files[name] = out / f"{name}.csv"
         _write_csv(files[name], _HEADERS[name], rows)
     settings = {key: getattr(config, key) for key in RUN_SETTINGS[run]}
+    settings.update(grid or {})
     doc = {"config": settings, "version": __version__, "seed": config.seed}
     path = files["manifest"] = out / "manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_text) + "\n")
@@ -233,24 +258,6 @@ def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
     return _write_run(config, "evolve", {"trajectory": rows, "final_state": final})
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """Peak certified depth over one projective period of one configuration.
-
-    The fields are the columns of ``summary.csv``, in order.
-    """
-
-    model: Model
-    size: int
-    boundary: Boundary
-    initial: Axis
-    peak_depth: int
-    peak_depth_periods: tuple[int, ...]
-    projective_period: int | None
-    exact_period: int | None
-    notes: str
-
-
 def generate_summary(
     model, size, boundary, initial, out: Path, seed: int = 0
 ) -> tuple[list[SummaryRow], Path]:
@@ -262,7 +269,8 @@ def generate_summary(
     period: the smallest kT, with k <= SUMMARY_PERIOD_CAP, such that
     U^{kT} = I (744 = 8 * 93 for closed Ux at L = 11, past the cap). Every
     cell is validated, and a value listed twice rejected, before anything
-    is computed or written.
+    is computed or written. Writes summary.csv and a manifest.json whose
+    config block lists every scanned value of the four keys.
     """
     grid = {"model": model, "size": size, "boundary": boundary, "initial": initial}
     for name, values in grid.items():
@@ -273,23 +281,23 @@ def generate_summary(
         for cell in product(*grid.values())
     ]
     # Of n values each fills len(configs) / n cells, after coercion: "u0"
-    # repeats "U0".
+    # repeats "U0". The manifest records each key's values after coercion,
+    # in the order given.
+    scanned = {}
     for name, values in grid.items():
         cells = Counter(getattr(config, name) for config in configs)
         repeated = [v for v, k in cells.items() if k * len(values) > len(configs)]
         if repeated:
             shown = [v if isinstance(v, int) else _text(v) for v in repeated]
             raise ValueError(f"{name}: {shown} listed more than once")
+        scanned[name] = tuple(cells)
     # the period depends on the operator alone, so each is found once
     specs = dict.fromkeys(config.floquet_spec() for config in configs)
     reports = {spec: detect_period(spec, SUMMARY_PERIOD_CAP) for spec in specs}
     rows = [_summary_cell(config, reports[config.floquet_spec()]) for config in configs]
-    out = configs[0].out
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "summary.csv"
-    header = [f.name for f in fields(SummaryRow)]
-    _write_csv(path, header, [[_text(getattr(r, name)) for name in header] for r in rows])
-    return rows, path
+    table = [[_text(getattr(r, name)) for name in _HEADERS["summary"]] for r in rows]
+    files = _write_run(configs[0], "summary", {"summary": table}, scanned)
+    return rows, files["summary"]
 
 
 def _summary_cell(config: ExperimentConfig, report: PeriodReport) -> SummaryRow:

@@ -340,6 +340,7 @@ class TestVocabulary:
             ("spectrum", []),
             ("evolve", ["--initial", "y-", "--periods", "5"]),
             ("measure", ["--initial", "y+", "--periods", "3", "--measures", "qfi,aee"]),
+            ("summary", ["--initial", "y+,z-"]),
         ],
     )
     def test_a_manifest_reruns_as_a_config_file(self, tmp_path, command, extra):
@@ -350,7 +351,7 @@ class TestVocabulary:
         settings = json.loads(written["manifest.json"])["config"]
         assert sorted(settings) == sorted(RUN_SETTINGS[command])
         lines = [
-            f"{key} = {','.join(value) if isinstance(value, list) else value}"
+            f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
             for key, value in settings.items()
         ]
         config = tmp_path / "manifest.cfg"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kicked_ising import core
 from kicked_ising.core import (
     PAULI,
     Axis,
@@ -15,6 +18,15 @@ from kicked_ising.core import (
 )
 
 from oracles import random_state, site_operator
+
+
+def reduced_by_reshape(amplitudes: np.ndarray, num_sites: int, kept) -> np.ndarray:
+    """The reduced matrix on ``kept`` from psi as a tensor, kept axes first."""
+    tensor = np.moveaxis(
+        amplitudes.reshape((2,) * num_sites), [s - 1 for s in kept], range(len(kept))
+    )
+    mat = tensor.reshape(2 ** len(kept), -1)
+    return mat @ mat.conj().T
 
 
 class TestAxis:
@@ -245,6 +257,54 @@ class TestPartialTrace:
             np.testing.assert_allclose(
                 rho, partial_trace(psi, tuple(subset)).elements, atol=1e-15
             )
+
+    def test_gather_tables_are_read_only(self):
+        psi = StateVector(4, random_state(np.random.default_rng(8), 4))
+        partial_trace(psi, [[1, 3], [2, 4]])
+        subsets = np.array([[1, 3], [2, 4]], dtype=np.int64)
+        for table in core._gather_tables(4, subsets.shape, subsets.tobytes()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_tables_are_keyed_by_content(self):
+        # the caller's array changes in place between calls: the second
+        # reduction is that of the new subsets, not a stale cache entry
+        psi = StateVector(5, random_state(np.random.default_rng(9), 5))
+        kept = np.array([[1, 2], [3, 5]])
+        first = partial_trace(psi, kept).elements
+        kept[0] = [2, 4]
+        second = partial_trace(psi, kept).elements
+        np.testing.assert_array_equal(first[1], second[1])
+        assert not np.array_equal(first[0], second[0])
+        np.testing.assert_allclose(
+            second[0], reduced_by_reshape(psi.amplitudes, 5, (2, 4)), atol=1e-14
+        )
+
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    def test_cached_and_uncached_reductions_are_bit_identical(self, num_sites):
+        psi = StateVector(num_sites, random_state(np.random.default_rng(10), num_sites))
+        # every subset of each size the program reduces (its cuts' smaller sides)
+        for l in range(1, num_sites // 2 + 1):
+            subsets = np.array(list(itertools.combinations(range(1, num_sites + 1), l)))
+            core._gather_tables.cache_clear()
+            built = partial_trace(psi, subsets)
+            hits = core._gather_tables.cache_info().hits
+            cached = partial_trace(psi, subsets)
+            assert core._gather_tables.cache_info().hits == hits + 1
+            assert cached.elements.tobytes() == built.elements.tobytes()
+            assert cached.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+
+    def test_narrow_integer_subsets(self):
+        # site numbers of any integer type reduce as int64 ones do; uint8
+        # once shifted 1 << 9 out of range at L = 10, and an unsigned
+        # difference hid a decreasing subset
+        psi = StateVector(10, random_state(np.random.default_rng(11), 10))
+        for dtype in (np.uint8, np.int8, np.uint16, np.int32):
+            narrow = partial_trace(psi, np.array([[1, 3], [2, 10]], dtype=dtype))
+            wide = partial_trace(psi, np.array([[1, 3], [2, 10]]))
+            assert narrow.elements.tobytes() == wide.elements.tobytes()
+            with pytest.raises(ValueError, match="strictly increasing"):
+                partial_trace(psi, np.array([3, 1], dtype=dtype))
 
     def test_complement_entropy_symmetry(self):
         # pure-state Schmidt symmetry: both halves of any cut have the

@@ -22,6 +22,7 @@ from kicked_ising.entanglement import (
 )
 from kicked_ising.floquet import Boundary, FloquetSpec, Model, apply_floquet
 
+import oracles
 from oracles import (
     broken_pair_aee,
     broken_pair_count_mean,
@@ -175,6 +176,21 @@ class TestAverageEntropy:
         s, s_norm = average_entanglement_entropy(state, 2)
         assert report.per_l[2][0] == pytest.approx(s, abs=1e-12)
         assert report.per_l[2][1] == pytest.approx(s_norm, abs=1e-12)
+
+    @pytest.mark.parametrize("num_sites, l", [(6, 2), (6, 3), (7, 3)])
+    def test_cut_tables_are_built_once_and_read_only(self, num_sites, l):
+        subsets, masks = entanglement._subsets(num_sites, l)
+        cuts, cut_masks = entanglement._cuts(num_sites, l)
+        assert entanglement._cuts(num_sites, l)[0] is cuts
+        expected = list(itertools.combinations(range(1, num_sites + 1), l))
+        assert subsets.tolist() == [list(c) for c in expected]
+        assert masks.tolist() == [sum(1 << (num_sites - s) for s in c) for c in expected]
+        halves = [list(c) for c in expected if 2 * l != num_sites or c[0] == 1]
+        assert cuts.tolist() == halves
+        assert cut_masks.tolist() == [sum(1 << (num_sites - s) for s in c) for c in halves]
+        for table in (subsets, masks, cuts, cut_masks):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     @pytest.mark.parametrize("num_sites", [7, 8])
     def test_report_reduces_each_size_once(self, num_sites, monkeypatch):
@@ -388,6 +404,54 @@ class TestGeometricMeasure:
         assert not result.certified
         assert result.converged
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+    @pytest.mark.parametrize(
+        "states",
+        [
+            lambda: u0_build_up(),
+            lambda: build_up(FloquetSpec(Model.UX, 6, Boundary.CLOSED), "z+"),
+            lambda: [
+                StateVector(n, random_state(np.random.default_rng(40 + n), n))
+                for n in range(2, 8)
+            ],
+            lambda: [make_ghz(6, Axis.parse("z")), make_psi_o(8)],
+        ],
+        ids=["u0_y+_8", "ux_z+_6_closed", "random_2_7", "ghz6_psi_o8"],
+    )
+    def test_matches_the_earlier_ascent(self, states, seed):
+        for n, state in enumerate(states()):
+            assert_same_result(
+                geometric_measure(state, seed=seed),
+                oracles.geometric_measure_oracle(state, seed=seed),
+                f"state {n}",
+            )
+
+    def test_a_zero_contraction_keeps_the_old_vector(self, monkeypatch):
+        # restart 1 starts orthogonal to |0000> at site 2, so its first site
+        # contracts to zero: the sweep is replayed under the per-site guard
+        real = entanglement._initial_product_batch
+
+        def orthogonal_at_site_2(state, rng):
+            phis = real(state, rng)
+            phis[1, 1] = [0, 1]
+            return phis
+
+        for module in (entanglement, oracles):
+            monkeypatch.setattr(module, "_initial_product_batch", orthogonal_at_site_2)
+        runs = []
+        sweep = entanglement._sweep
+
+        def recording(*args, guarded):
+            runs.append(guarded)
+            return sweep(*args, guarded=guarded)
+
+        monkeypatch.setattr(entanglement, "_sweep", recording)
+        state = make_polarized_state(4, Axis.parse("z+"))
+        result = geometric_measure(state)
+        assert runs[:3] == [False, True, False]
+        assert_same_result(result, oracles.geometric_measure_oracle(state), "z+")
+        assert not np.isnan(np.array(result.product_state)).any()
+
     def test_overlap_above_a_cut_bound_raises(self, monkeypatch):
         # a cut whose Schmidt coefficient lies below a found overlap means
         # the reduced states or the overlaps are wrong
@@ -398,10 +462,28 @@ class TestGeometricMeasure:
             geometric_measure(make_ghz(6, Axis.parse("z")))
 
 
-def u0_build_up() -> list[StateVector]:
-    """The U0 L=8 chain from y+, after n = 0..8 periods."""
-    spec = FloquetSpec(Model.U0, 8)
-    states = [make_polarized_state(8, Axis.parse("y+"))]
-    for _ in range(8):
+def build_up(spec: FloquetSpec, axis: str) -> list[StateVector]:
+    """The chain polarized along ``axis``, after n = 0..L periods of ``spec``."""
+    states = [make_polarized_state(spec.num_sites, Axis.parse(axis))]
+    for _ in range(spec.num_sites):
         states.append(apply_floquet(spec, states[-1], 1))
     return states
+
+
+def u0_build_up() -> list[StateVector]:
+    """The U0 L=8 chain from y+, after n = 0..8 periods."""
+    return build_up(FloquetSpec(Model.U0, 8), "y+")
+
+
+def assert_same_result(new, old, label: str) -> None:
+    """Every field equal bit for bit, the product state by its bytes."""
+    assert (new.lambda_, new.e_g, new.converged, new.certified, new.sweeps) == (
+        old.lambda_,
+        old.e_g,
+        old.converged,
+        old.certified,
+        old.sweeps,
+    ), label
+    assert [phi.tobytes() for phi in new.product_state] == [
+        phi.tobytes() for phi in old.product_state
+    ], label

@@ -401,6 +401,19 @@ class TestSummary:
         assert table[0]["peak_depth_periods"] == "4;5;12;13"
         assert table[0]["projective_period"] == "16"
 
+    def test_manifest_lists_the_scanned_values(self, tmp_path):
+        _, path = generate_summary(["u0"], [4, 2], ["OPEN"], ["Y+", "z-"], tmp_path, 3)
+        doc = json.loads((path.parent / "manifest.json").read_text())
+        assert doc["config"] == {
+            "model": ["U0"],
+            "size": [4, 2],
+            "boundary": ["open"],
+            "initial": ["y+", "z-"],
+            "seed": 3,
+            "out": str(tmp_path),
+        }
+        assert doc["seed"] == 3
+
     def test_one_period_per_step(self, tmp_path, monkeypatch):
         periods = count_periods(monkeypatch)
         rows, _ = generate_summary(["U0"], [4], ["open"], ["y+"], out=tmp_path)
