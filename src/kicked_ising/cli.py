@@ -4,7 +4,10 @@ Subcommands: ``spectrum`` (quasi-energy histogram), ``evolve`` (overlap
 trajectory and final amplitudes), ``measure`` (per-period entanglement
 measures), ``summary`` (peak-depth table over a parameter grid).
 Settings come from ``--config`` key=value files and/or flags; flags win.
-Exit code 0 on success, 2 with a one-line diagnostic on bad input.
+The CLI only merges the two and dispatches: the merged text goes to
+``ExperimentConfig`` (to ``generate_summary`` for ``summary``), which
+parses and checks every value. Exit code 0 on success, 2 with a one-line
+diagnostic on bad input.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ import argparse
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .core import DENSE_MAX_SITES
 from .experiment import (
     MEASURES,
     RUN_SETTINGS,
+    SUMMARY_GRID,
     ExperimentConfig,
     generate_summary,
     run_experiment,
@@ -27,32 +30,30 @@ from .experiment import (
 )
 from .floquet import Boundary, Model
 
-
-def _split(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
-
-
-class _Key(NamedTuple):
-    """One setting, given as a flag or as a config-file key; the
-    ExperimentConfig field of the same name holds its default, and
-    ``experiment.RUN_SETTINGS`` names the subcommands that read it."""
-
-    help: str
-    parse: Callable[[str], object] = str
-    grid: bool = False  # ``summary`` takes a comma list and scans every value
-
-
-_KEYS = {
-    "model": _Key(" or ".join(m.value for m in Model), grid=True),
-    "size": _Key(f"number of sites, 2..{DENSE_MAX_SITES}", int, grid=True),
-    "boundary": _Key(" or ".join(b.value for b in Boundary), grid=True),
-    "initial": _Key("initial product axis, e.g. z+, y-", grid=True),
-    "periods": _Key("number of Floquet periods", int),
-    "measures": _Key("comma list from: " + ", ".join(MEASURES), _split),
-    "seed": _Key("optimizer seed, 0..2**64-1", int),
-    "out": _Key("output directory"),
+# The help of each setting. The ExperimentConfig field of the same name
+# parses it and holds its default; experiment.RUN_SETTINGS names the
+# subcommands that read it.
+_HELP = {
+    "model": " or ".join(m.value for m in Model),
+    "size": f"number of sites, 2..{DENSE_MAX_SITES}",
+    "boundary": " or ".join(b.value for b in Boundary),
+    "initial": "initial product axis, e.g. z+, y-",
+    "periods": "number of Floquet periods",
+    "measures": "comma list from: " + ", ".join(MEASURES),
+    "seed": "optimizer seed, 0..2**64-1",
+    "out": "output directory",
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# Each subcommand's help and its run.
+_COMMANDS = {
+    "spectrum": ("write the quasi-energy histogram of the operator", run_spectrum),
+    "evolve": ("evolve and record the overlap with the initial state", run_trajectory),
+    "measure": ("record per-period entanglement measures", run_experiment),
+    "summary": (
+        f"peak certified depth per ({', '.join(SUMMARY_GRID)})", generate_summary
+    ),
+}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -95,75 +96,6 @@ def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
     return settings
 
 
-def _parse(key: str, text: str):
-    try:
-        return _KEYS[key].parse(text)
-    except ValueError:  # only the integer keys can fail to parse
-        raise ValueError(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _setting(settings: dict[str, str], key: str):
-    """The parsed value of ``key``, or its ExperimentConfig default if unset."""
-    if key not in settings:
-        return _DEFAULTS[key]
-    return _parse(key, settings[key])
-
-
-def _single_config(settings: dict[str, str]) -> ExperimentConfig:
-    return ExperimentConfig(**{key: _parse(key, text) for key, text in settings.items()})
-
-
-def _report(files: dict[str, Path]) -> None:
-    for name in sorted(files):
-        print(f"wrote {files[name]}")
-
-
-def _cmd_spectrum(settings: dict[str, str]) -> int:
-    """write the quasi-energy histogram of the operator"""
-    _report(run_spectrum(_single_config(settings)))
-    return 0
-
-
-def _cmd_evolve(settings: dict[str, str]) -> int:
-    """evolve and record the overlap with the initial state"""
-    _report(run_trajectory(_single_config(settings)))
-    return 0
-
-
-def _cmd_measure(settings: dict[str, str]) -> int:
-    """record per-period entanglement measures"""
-    _report(run_experiment(_single_config(settings)))
-    return 0
-
-
-def _cmd_summary(settings: dict[str, str]) -> int:
-    """peak certified depth per (model, size, boundary, initial)"""
-    def value(key: str):
-        if not _KEYS[key].grid:
-            return _setting(settings, key)
-        if key not in settings:
-            return [_setting(settings, key)]
-        return [_parse(key, v) for v in _split(settings[key])]
-
-    rows, path = generate_summary(**{key: value(key) for key in RUN_SETTINGS["summary"]})
-    for row in rows:
-        peaks = ",".join(str(n) for n in row.peak_depth_periods)
-        print(
-            f"{row.model.value} L={row.size} {row.boundary.value} "
-            f"{row.initial}: peak depth {row.peak_depth} at n={{{peaks}}}"
-        )
-    print(f"wrote {path}")
-    return 0
-
-
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "measure": _cmd_measure,
-    "summary": _cmd_summary,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kicked-ising",
@@ -171,22 +103,38 @@ def build_parser() -> argparse.ArgumentParser:
         "entanglement measures, depth summaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+    for name, (about, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
         for key in RUN_SETTINGS[name]:
-            spec = _KEYS[key]
-            lists = spec.grid and name == "summary"
+            lists = name == "summary" and key in SUMMARY_GRID
             suffix = " (comma list allowed)" if lists else ""
-            p.add_argument(f"--{key}", help=spec.help + suffix)
+            p.add_argument(f"--{key}", help=_HELP[key] + suffix)
         p.add_argument("--config", help="key=value settings file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _, run = _COMMANDS[args.command]
+    # call through this module's name for the run, so that a wrapper put on
+    # it, as perfbench's tracer puts one, sees the call
+    run = globals()[run.__name__]
     try:
         settings = _merge_settings(args)
-        return _COMMANDS[args.command](settings)
+        if run is generate_summary:
+            rows, path = generate_summary(**settings)
+            for row in rows:
+                peaks = ",".join(str(n) for n in row.peak_depth_periods)
+                print(
+                    f"{row.model.value} L={row.size} {row.boundary.value} "
+                    f"{row.initial}: peak depth {row.peak_depth} at n={{{peaks}}}"
+                )
+            files = {"summary": path}
+        else:
+            files = run(ExperimentConfig(**settings))
+        for name in sorted(files):
+            print(f"wrote {files[name]}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0

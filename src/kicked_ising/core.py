@@ -105,7 +105,7 @@ class StateVector:
                 f"expected {2 ** self.num_sites} amplitudes, got shape {amps.shape}"
             )
         nrm2 = float(np.vdot(amps, amps).real)
-        if abs(nrm2 - 1.0) > 1e-9:
+        if not abs(nrm2 - 1.0) <= 1e-9:  # NaN fails every comparison
             raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -132,14 +132,14 @@ class DensityMatrix:
             raise ValueError(
                 f"expected a {d}x{d} matrix or a stack of them, got shape {rho.shape}"
             )
-        if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
+        if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-12:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
         worst = complex(tr[np.abs(tr - 1.0).argmax()])
-        if abs(worst - 1.0) > 1e-12:
+        if not abs(worst - 1.0) <= 1e-12:
             raise ValueError(f"density matrix trace is {worst!r}, expected 1")
         evals = np.linalg.eigvalsh(rho)
-        if float(evals.min()) < -1e-10:
+        if not float(evals.min()) >= -1e-10:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "elements", rho)
         object.__setattr__(self, "eigenvalues", evals)

@@ -24,6 +24,7 @@ DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
 # a pair is pure, and a site maximally mixed, within this many bits
 BELL_TOLERANCE = 1e-6
+_CUT_CHUNK = 64  # cuts per partial_trace call of the entropy table
 
 
 def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
@@ -88,7 +89,8 @@ def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
     Entries with min(|A|, L - |A|) <= ``max_size`` are filled, the rest are
     NaN; the empty set and the whole chain hold 0. A pure state has
     S(A) = S(complement of A), so each bipartition is reduced once, on its
-    smaller side, in one batched call per size, and fills both entries.
+    smaller side, in batched calls of ``_CUT_CHUNK`` cuts, and fills both
+    entries.
     """
     num_sites = state.num_sites
     full = (1 << num_sites) - 1
@@ -96,7 +98,10 @@ def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
     table[[0, full]] = 0.0
     for k in range(1, min(max_size, num_sites // 2) + 1):
         cuts, masks = _cuts(num_sites, k)
-        table[masks] = table[full ^ masks] = entropy(partial_trace(state, cuts))
+        for start in range(0, len(cuts), _CUT_CHUNK):
+            chunk = slice(start, start + _CUT_CHUNK)
+            values = entropy(partial_trace(state, cuts[chunk]))
+            table[masks[chunk]] = table[full ^ masks[chunk]] = values
     return table
 
 

@@ -28,6 +28,8 @@ from .spectral import PeriodReport, detect_period, floquet_spectrum
 
 MEASURES = ("aee", "geom", "qfi")
 SUMMARY_PERIOD_CAP = 200
+# The keys ``summary`` scans: one value list each, every combination a cell.
+SUMMARY_GRID = ("model", "size", "boundary", "initial")
 
 # The settings each run reads, by subcommand: its flags and config-file
 # keys, the keywords of ``generate_summary``, and a manifest's config block.
@@ -37,7 +39,7 @@ RUN_SETTINGS = {
     "measure": (
         "model", "size", "boundary", "initial", "periods", "measures", "seed", "out"
     ),
-    "summary": ("model", "size", "boundary", "initial", "seed", "out"),
+    "summary": (*SUMMARY_GRID, "seed", "out"),
 }
 
 
@@ -92,6 +94,11 @@ def _derive_seed(base: int, measure: str, n: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _split(text: str) -> list[str]:
+    """The items of a comma list, stripped, empty ones dropped."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _coerce_enum(value, enum_cls):
     if isinstance(value, enum_cls):
         return value
@@ -107,9 +114,12 @@ def _coerce_enum(value, enum_cls):
 class ExperimentConfig:
     """One run: which operator, which initial state, how long, what to record.
 
-    The fields are the CLI's keys. String values are accepted for model,
-    boundary and initial and coerced, so configs can come straight from
-    text files or flags. Every error names the field it rejects.
+    The fields are the CLI's keys. Every field also takes its text, as a
+    config file or a flag gives it: ``size``, ``periods`` and ``seed`` as
+    decimal integers, ``measures`` as a comma list. So
+    ``ExperimentConfig(**parse_config_file(path))`` is a config file's run,
+    and a manifest's ``config`` block reruns as keywords. Every error names
+    the field it rejects.
     """
 
     model: Model
@@ -130,18 +140,20 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"initial: {exc}") from None
         for name in ("size", "periods", "seed"):
-            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
+            value = getattr(self, name)
+            try:  # text by int; _as_integer then rejects floats and bools
+                value = int(value) if isinstance(value, str) else value
+            except ValueError:
+                raise ValueError(f"{name}: expected an integer, got {value!r}") from None
+            object.__setattr__(self, name, _as_integer(name, value))
         if not 2 <= self.size <= DENSE_MAX_SITES:
             raise ValueError(f"size: must be in 2..{DENSE_MAX_SITES}, got {self.size}")
         if self.periods < 0:
             raise ValueError(f"periods: must be >= 0, got {self.periods}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed: must be in 0..2**64-1, got {self.seed}")
-        if isinstance(self.measures, str):
-            raise ValueError(
-                f"measures: expected a sequence of names, got the string {self.measures!r}"
-            )
-        measures = tuple(self.measures)
+        measures = self.measures
+        measures = tuple(_split(measures) if isinstance(measures, str) else measures)
         if not measures:
             raise ValueError("measures: at least one measure is required")
         unknown = sorted(set(measures) - set(MEASURES))
@@ -259,20 +271,29 @@ def run_trajectory(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def generate_summary(
-    model, size, boundary, initial, out: Path, seed: int = 0
+    model,
+    size,
+    boundary=(ExperimentConfig.boundary,),
+    initial=(ExperimentConfig.initial,),
+    out: Path = ExperimentConfig.out,
+    seed: int = ExperimentConfig.seed,
 ) -> tuple[list[SummaryRow], Path]:
     """Scan every (model, size, boundary, initial) cell of the four lists.
 
-    Each cell evolves over one detected projective period T (capped at
-    SUMMARY_PERIOD_CAP periods when none is found) and records the peak
-    certified entanglement depth, every period attaining it, and the exact
-    period: the smallest kT, with k <= SUMMARY_PERIOD_CAP, such that
-    U^{kT} = I (744 = 8 * 93 for closed Ux at L = 11, past the cap). Every
-    cell is validated, and a value listed twice rejected, before anything
-    is computed or written. Writes summary.csv and a manifest.json whose
-    config block lists every scanned value of the four keys.
+    The keys are ``SUMMARY_GRID``. A list may be given as the text of a
+    comma list, and every value as text, as ``ExperimentConfig`` takes it;
+    the defaults are its defaults. Each cell evolves over one detected
+    projective period T (capped at SUMMARY_PERIOD_CAP periods when none is
+    found) and records the peak certified entanglement depth, every period
+    attaining it, and the exact period: the smallest kT, with
+    k <= SUMMARY_PERIOD_CAP, such that U^{kT} = I (744 = 8 * 93 for closed
+    Ux at L = 11, past the cap). Every cell is validated, and a value
+    listed twice rejected, before anything is computed or written. Writes
+    summary.csv and a manifest.json whose config block lists every scanned
+    value of the four keys.
     """
-    grid = {"model": model, "size": size, "boundary": boundary, "initial": initial}
+    grid = dict(zip(SUMMARY_GRID, (model, size, boundary, initial)))
+    grid = {name: _split(v) if isinstance(v, str) else v for name, v in grid.items()}
     for name, values in grid.items():
         if len(values) == 0:
             raise ValueError(f"{name}: at least one value is required")

@@ -269,6 +269,7 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
         raise ValueError(
             f"spec is for {spec.num_sites} sites but state has {state.num_sites}"
         )
+    n = _as_integer("n", n)
     if n < 0:
         raise ValueError(f"period count must be nonnegative, got {n}")
     amps, program = state.amplitudes, _block_program(spec)

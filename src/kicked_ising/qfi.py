@@ -32,7 +32,7 @@ class DirectionField:
             raise ValueError(f"expected (L, 3) directions, got shape {arr.shape}")
         norms = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(norms - 1.0).max())
-        if worst > 1e-12:
+        if not worst <= 1e-12:  # NaN fails every comparison
             raise ValueError(f"direction norms deviate from 1 by {worst:.3e}")
         object.__setattr__(self, "n_hats", arr)
 
@@ -59,17 +59,17 @@ class CovarianceMatrix:
         dim = means.size
         if gamma.shape != (dim, dim) or dim % 3 != 0:
             raise ValueError(f"inconsistent shapes {gamma.shape} / {means.shape}")
-        if float(np.abs(gamma - gamma.T).max()) > 1e-12:
+        if not float(np.abs(gamma - gamma.T).max()) <= 1e-12:
             raise ValueError("covariance matrix is not symmetric")
         for i in range(dim // 3):
             m = means[3 * i : 3 * i + 3]
             block = gamma[3 * i : 3 * i + 3, 3 * i : 3 * i + 3]
             dev = float(np.abs(block - (np.eye(3) - np.outer(m, m))).max())
-            if dev > 1e-10:
+            if not dev <= 1e-10:
                 raise ValueError(f"site {i + 1} diagonal block off by {dev:.3e}")
         evals, evecs = np.linalg.eigh(gamma)
         low = float(evals.min())
-        if low < -1e-9:
+        if not low >= -1e-9:
             raise ValueError(f"covariance matrix has eigenvalue {low:.3e}")
         object.__setattr__(self, "top_vector", evecs[:, -1])
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,7 +12,14 @@ import pytest
 from kicked_ising import cli
 from kicked_ising.cli import build_parser, main, parse_config_file
 from kicked_ising.core import DENSE_MAX_SITES
-from kicked_ising.experiment import RUN_SETTINGS, ExperimentConfig, SummaryRow
+from kicked_ising.experiment import (
+    RUN_SETTINGS,
+    SUMMARY_GRID,
+    ExperimentConfig,
+    SummaryRow,
+    generate_summary,
+    run_experiment,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +75,24 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "U0 L=4 open y+: peak depth 4 at n={4,5,12,13}" in out
         assert first_line(tmp_path / "summary.csv").startswith("model,size,boundary")
+
+    @pytest.mark.parametrize(
+        "command, run",
+        [("spectrum", "run_spectrum"), ("evolve", "run_trajectory"),
+         ("measure", "run_experiment"), ("summary", "generate_summary")],
+    )
+    def test_runs_are_called_through_the_module(self, tmp_path, monkeypatch, command, run):
+        # perfbench's tracer wraps each run where cli binds it
+        calls = []
+        real = getattr(cli, run)
+
+        def wrapped(*args, **kwargs):
+            calls.append(run)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, run, wrapped)
+        assert main([command, "--model", "U0", "--size", "2", "--out", str(tmp_path)]) == 0
+        assert calls == [run]
 
     def test_manifests_record_the_settings_each_run_reads(self, tmp_path):
         common = ["--model", "U0", "--size", "4", "--seed", "17"]
@@ -311,8 +337,8 @@ class TestVocabulary:
     def test_one_name_per_setting(self, tmp_path):
         # a CLI key, a config-file key, a config field and a manifest key
         # are one name, and so are a summary.csv column and a SummaryRow field
-        assert set(cli._KEYS) == {f.name for f in fields(ExperimentConfig)}
-        assert set().union(*RUN_SETTINGS.values()) == set(cli._KEYS)
+        assert set(cli._HELP) == {f.name for f in fields(ExperimentConfig)}
+        assert set().union(*RUN_SETTINGS.values()) == set(cli._HELP)
         argv = ["summary", "--model", "U0", "--size", "2", "--out", str(tmp_path)]
         assert main(argv) == 0
         header = first_line(tmp_path / "summary.csv").split(",")
@@ -326,7 +352,7 @@ class TestVocabulary:
         self, tmp_path, monkeypatch, capsys, command, key
     ):
         good, bad, message = BAD_VALUES[key]
-        if command == "summary" and cli._KEYS[key].grid:
+        if command == "summary" and key in SUMMARY_GRID:
             bad = f"{good},{bad}"
         monkeypatch.chdir(tmp_path)
         argv = [command, "--model", "U0", "--size", "4", "--out", "out", f"--{key}", bad]
@@ -358,6 +384,67 @@ class TestVocabulary:
         config.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(config)]) == 0
         assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
+def snapshot(out: Path) -> dict[str, bytes]:
+    """Every file of a run's directory, which is then removed."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    shutil.rmtree(out)
+    return files
+
+
+class TestOneParser:
+    """``ExperimentConfig`` and ``generate_summary`` parse the settings' text,
+    so a config file or a manifest runs the same from Python as from the CLI."""
+
+    def test_a_config_file_runs_from_python(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "run"
+        path.write_text(
+            "model = Ux\nsize = 4\nboundary = closed\ninitial = y-\nperiods = 3\n"
+            f"measures = qfi, aee,geom\nseed = 7\nout = {out}\n"
+        )
+        assert main(["measure", "--config", str(path)]) == 0
+        written = snapshot(out)
+        run_experiment(ExperimentConfig(**parse_config_file(path)))
+        assert snapshot(out) == written
+
+    def test_a_summary_config_file_runs_from_python(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        out = tmp_path / "grid"
+        path.write_text(f"model = U0,Ux\nsize = 3, 4\ninitial = y+\nseed = 2\nout = {out}\n")
+        assert main(["summary", "--config", str(path)]) == 0
+        written = snapshot(out)
+        generate_summary(**parse_config_file(path))
+        assert snapshot(out) == written
+
+    def test_a_manifest_config_block_reruns_as_keywords(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["--model", "U0", "--size", "5", "--initial", "x+", "--periods", "2"]
+        extra = ["--measures", "geom,qfi", "--seed", "12", "--out", str(out)]
+        assert main(["measure", *argv, *extra]) == 0
+        written = snapshot(out)
+        config = json.loads(written["manifest.json"])["config"]
+        run_experiment(ExperimentConfig(**config))
+        assert snapshot(out) == written
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("spectrum", ["manifest.json", "spectrum.csv"]),
+            ("evolve", ["final_state.csv", "manifest.json", "trajectory.csv"]),
+            ("measure", ["aee.csv", "manifest.json"]),
+            ("summary", ["manifest.json", "summary.csv"]),
+        ],
+    )
+    def test_defaults_write_under_runs(self, tmp_path, monkeypatch, capsys, command, names):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--model", "U0", "--size", "4"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["runs"]
+        assert sorted(path.name for path in (tmp_path / "runs").iterdir()) == names
+        wrote = [line for line in capsys.readouterr().out.splitlines() if "wrote" in line]
+        shown = [n for n in names if command != "summary" or n == "summary.csv"]
+        assert wrote == [f"wrote {Path('runs', name)}" for name in shown]
 
 
 class TestParser:

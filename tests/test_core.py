@@ -71,6 +71,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(15, np.zeros(2**15))
 
+    # NaN fails every comparison, so a check written as "deviation > tol"
+    # passes it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", [slice(None), slice(0, 1)])
+    def test_rejects_non_finite_amplitudes(self, bad, where):
+        amps = np.full(4, 0.5, dtype=complex)
+        amps[where] = bad
+        with pytest.raises(ValueError, match="^state is not normalized"):
+            StateVector(2, amps)
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
@@ -97,6 +107,17 @@ class TestDensityMatrix:
         stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])])
         with pytest.raises(ValueError, match=message):
             DensityMatrix(1, stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(Ellipsis,), (0, 0), (1, 0)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rejects_non_finite_entries(self, bad, where, stacked):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[where] = bad
+        if stacked:
+            rho = np.stack([np.eye(2) / 2, rho])
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            DensityMatrix(1, rho)
 
     def test_accepts_a_stack(self):
         stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])

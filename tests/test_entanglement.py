@@ -117,6 +117,15 @@ class TestStackedPath:
             s_rest, _ = average_entanglement_entropy(state, num_sites - l)
             assert abs(s - s_rest) < 1e-12
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_chunked_table_matches_one_call_per_size(self, monkeypatch, model):
+        # L = 10 reduces up to 210 cuts per size, so 64-cut chunks split it
+        state = evolved_from_y(model, Boundary.OPEN, 10)
+        chunked = entanglement._entropy_table(state, 5)
+        monkeypatch.setattr(entanglement, "_CUT_CHUNK", 10**9)
+        whole = entanglement._entropy_table(state, 5)
+        assert chunked.tobytes() == whole.tobytes()
+
     def test_single_matrix_gives_a_float(self):
         assert isinstance(entropy(np.eye(2) / 2), float)
         assert entropy(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])).shape == (2,)

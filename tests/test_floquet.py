@@ -214,6 +214,18 @@ class TestKernelProperties:
         with pytest.raises(ValueError):
             apply_floquet(FloquetSpec(Model.U0, 4), psi, -1)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 1.0, "1"])
+    def test_apply_floquet_rejects_non_integer_periods(self, n):
+        # as FloquetSpec's num_sites: True would run one period, 2.5 fail in range
+        psi = make_polarized_state(4, Axis.parse("z+"))
+        spec = FloquetSpec(Model.U0, 4)
+        with pytest.raises(ValueError, match=f"^n: must be an integer, got {n!r}$"):
+            apply_floquet(spec, psi, n)
+        assert np.array_equal(
+            apply_floquet(spec, psi, np.int64(2)).amplitudes,
+            apply_floquet(spec, psi, 2).amplitudes,
+        )
+
     def test_build_dense_size_cap(self):
         with pytest.raises(ValueError):
             build_dense(FloquetSpec(Model.U0, DENSE_MAX_SITES + 1))

@@ -52,6 +52,14 @@ class TestDirectionField:
         with pytest.raises(ValueError):
             DirectionField(np.array([[0.0, 0.0, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(Ellipsis,), (0, 2)])
+    def test_rejects_non_finite_rows(self, bad, where):
+        arr = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        arr[where] = bad
+        with pytest.raises(ValueError, match="^direction norms deviate from 1"):
+            DirectionField(arr)
+
 
 class TestCovarianceMatrix:
     def test_single_site_z_plus(self):
@@ -103,6 +111,15 @@ class TestCovarianceMatrix:
         bad[0, 1] += 1e-6
         with pytest.raises(ValueError):
             CovarianceMatrix(gamma=bad, means=good.means)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (0, 0), (Ellipsis,)])
+    def test_construction_rejects_non_finite_entries(self, bad, where):
+        good = covariance_matrix(make_ghz(2, Axis.parse("z")))
+        gamma = good.gamma.copy()
+        gamma[where] = bad
+        with pytest.raises(ValueError, match="^covariance matrix is not symmetric$"):
+            CovarianceMatrix(gamma=gamma, means=good.means)
 
     def test_construction_validates_diagonal_blocks(self):
         good = covariance_matrix(make_ghz(2, Axis.parse("z")))
