@@ -295,7 +295,11 @@ def generate_summary(
     grid = dict(zip(SUMMARY_GRID, (model, size, boundary, initial)))
     grid = {name: _split(v) if isinstance(v, str) else v for name, v in grid.items()}
     for name, values in grid.items():
-        if len(values) == 0:
+        try:
+            count = len(values)
+        except TypeError:
+            raise ValueError(f"{name}: expected a list of values, got {values!r}") from None
+        if count == 0:
             raise ValueError(f"{name}: at least one value is required")
     configs = [
         ExperimentConfig(**dict(zip(grid, cell)), seed=seed, out=out)

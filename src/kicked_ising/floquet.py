@@ -12,11 +12,27 @@ Operator products act right to left, so each period starts with the kick.
 ``PERIOD_LAYERS`` states each period once, as symbolic layers in the order
 they act: a Pauli rotation or a Hadamard at every site, or a diagonal
 phase (H_xx and H_x are diagonal in the x basis, H_z in the z basis).
-Every layer is a Clifford gate. ``_block_program`` turns the symbols into
-numbers, and everything runs matrix-free: a 2x2 layer M runs as one
-product per block of up to four sites with its Kronecker power M (x) ...
-(x) M, so one period costs O(L * 2^L). The same loop runs the program on
-state vectors and on the basis columns of ``build_dense``.
+Every layer is a Clifford gate, and at the kick angle pi/4 each period
+reduces to diagonal phases separated by Hadamard layers H = H_1 (x) ...
+(x) H_L (Dehaene & De Moor, PRA 68, 042318 (2003)). ``_block_program``
+derives this Walsh-Hadamard normal form: a rotation about z is the field
+phase, about x the field phase between two Hadamards, and about y the
+parity phase (-1)^#down followed by a Hadamard, since
+exp(-i*pi/4*s^y) = H Z. Adjacent Hadamards cancel and adjacent phases
+add, so U_0 = H D_I H D_F (two tables, two Hadamards) and
+U_x = H D Z^(x)L with Z^(x)L folded into D (one table, one Hadamard).
+States run through the program matrix-free: a Hadamard layer runs as one
+product per block of up to four sites with its Kronecker power, so one
+period costs O(L * 2^L).
+
+``build_dense`` needs no period run at all. Writing |a & b| for the
+number of sites where both a and b have bit 1, with m Hadamards:
+
+* m = 1, U = D_1 H D_0:     U[a, b] = D_1(a) 2^(-L/2) (-1)^|a & b| D_0(b)
+* m = 2, U = D_2 H D_1 H D_0: U[a, b] = D_2(a) c(a XOR b) D_0(b)
+
+with c = H D_1 H e_0, one period's middle run once on the basis state 0.
+A sector block B^H U B is then gathered entry by entry.
 
 Symmetry sectors. Both operators commute with the site reflection
 i <-> L+1-i (basis index j <-> its bit reversal), for either boundary.
@@ -25,7 +41,8 @@ and H_z; U_x does not, because the parity anticommutes with s^x and s^y
 and so flips the sign of H_x and H_y. ``MODEL_SYMMETRIES`` records this.
 ``build_dense`` builds the operator one sector block at a time
 (``FloquetSpec.sectors``) as a plain array, and rejects a sector that U
-does not leave invariant.
+does not leave invariant: as U is unitary, ||U B||_F^2 = d, so the
+weight a d-dimensional block leaks is d - ||B^H U B||_F^2.
 """
 
 from __future__ import annotations
@@ -36,33 +53,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    DENSE_MAX_SITES,
-    StateVector,
-    _as_integer,
-    _bit_table,
-    _kron_power,
-    pauli_rotation,
-)
+from .core import DENSE_MAX_SITES, StateVector, _as_integer, _bit_table, _kron_power
 
 # Kick angle and, equally, the phase per unit Ising coupling. The model is
 # fixed at unit interaction strength, so this one constant scales every
 # exponential in both protocols.
 KICK_ANGLE = np.pi / 4
 
-# Largest weight ||U B||_F^2 - ||B^H U B||_F^2 a sector block may leak. The
-# two norms agree to ~1e-13 at 2^12 columns, far below any real leak (a
-# broken symmetry leaks weight of order the sector dimension).
+# Largest weight d - ||B^H U B||_F^2 a d-dimensional sector block may leak.
+# The two agree within 5e-13 at L = 12, far below any real leak (a broken
+# symmetry leaks weight of order the sector dimension).
 LEAK_TOLERANCE = 1e-9
 
-# Columns per step of the two dense loops: the basis columns ``build_dense``
-# advances through one period at a time, and the Gram slices of
-# ``spectral._block_thetas``. It bounds their (2^L, chunk) and (d, chunk)
-# work arrays. A multiple of the BLAS column tile gives bit-identical
-# blocks at any value; sizes such as 1 or 7 move the last bits.
+# Columns per step of the two dense loops: the block columns ``build_dense``
+# gathers at a time, and the Gram slices of ``spectral._block_thetas``. It
+# bounds their (d, chunk) work arrays. Every entry of a block is computed
+# on its own, so the value moves no bit of any block.
 _BUILD_CHUNK = 64
 
-# Most sites one 2^w x 2^w product of a rotation layer acts on.
+# Most sites one 2^w x 2^w product of a Hadamard layer acts on.
 _BLOCK_SITES = 4
 
 _HALF = 1 / np.sqrt(2)
@@ -163,20 +172,6 @@ class Sector:
     def label(self) -> str:
         return " ".join(sym.value + "+-"[charge < 0] for sym, charge in self.charges)
 
-    def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Dense (2^L, stop - start) array of basis columns start..stop-1."""
-        index, weight = self.index[:, start:stop], self.weight[:, start:stop]
-        cols = np.zeros((2 ** self.num_sites, index.shape[1]), dtype=complex)
-        k = np.arange(index.shape[1])
-        cols[index[0], k] = weight[0]
-        cols[index[1], k] += weight[1]
-        return cols
-
-    def project(self, amps: np.ndarray) -> np.ndarray:
-        """B^H amps for a (2^L, batch) array: gathers two rows per column of B."""
-        w0, w1 = self.weight[:, :, None]
-        return w0 * amps[self.index[0]] + w1 * amps[self.index[1]]
-
 
 @lru_cache(maxsize=None)
 def symmetry_sectors(
@@ -223,28 +218,54 @@ def _site_powers(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _block_program(spec: FloquetSpec) -> tuple:
-    """``PERIOD_LAYERS`` of the spec's model as numbers, in the order they act.
+    """``PERIOD_LAYERS`` of the spec's model in Walsh-Hadamard normal form.
 
-    A rotation or Hadamard layer is the ``_site_powers`` of its 2x2 matrix.
-    A phase layer is the read-only table exp(-i*KICK_ANGLE*E) that multiplies
-    the 2^L amplitudes, with E summed in int8 from the sigma^z values (-1)^bit.
+    The layers, in the order they act, are phase tables separated by
+    Hadamard layers (see the module docstring). A phase is summed in int8
+    energies, in units of KICK_ANGLE, from the sigma^z values (-1)^bit, and
+    becomes the read-only table exp(-i*KICK_ANGLE*E) that multiplies the
+    2^L amplitudes. A Hadamard layer is the ``_site_powers`` of the 2x2
+    Hadamard.
     """
     L = spec.num_sites
     idx = np.arange(2**L)
     spins = [1 - 2 * ((idx >> (L - s)) & 1).astype(np.int8) for s in range(1, L + 1)]
-    program = []
-    for layer in PERIOD_LAYERS[spec.model]:
+    field = sum(spins)
+
+    def steps(layer) -> list:
+        """One symbolic layer as int8 energies and "hadamard", in order."""
         if layer == "hadamard":
-            program.append(_site_powers(_HADAMARD))
-        elif layer[0] == "rotate":
-            program.append(_site_powers(pauli_rotation(layer[1], KICK_ANGLE)))
+            return ["hadamard"]
+        if layer[0] == "rotate":
+            if layer[1] == "z":
+                return [field]
+            if layer[1] == "x":
+                return ["hadamard", field, "hadamard"]
+            # Z^(x)L = (-1)^#down, the energy 4 #down = 2 (L - field)
+            return [2 * (L - field), "hadamard"]
+        energy = np.zeros(2**L, dtype=np.int8)
+        if "ising" in layer[1]:
+            energy += sum(spins[i - 1] * spins[j - 1] for i, j in spec.bonds())
+        if "field" in layer[1]:
+            energy += field
+        return [energy]
+
+    layers: list = []
+    for step in (step for layer in PERIOD_LAYERS[spec.model] for step in steps(layer)):
+        same = bool(layers) and isinstance(step, str) == isinstance(layers[-1], str)
+        if same and isinstance(step, str):
+            layers.pop()
+        elif same:
+            layers[-1] = layers[-1] + step
         else:
-            energy = np.zeros(2**L, dtype=np.int8)
-            if "ising" in layer[1]:
-                energy += sum(spins[i - 1] * spins[j - 1] for i, j in spec.bonds())
-            if "field" in layer[1]:
-                energy += sum(spins)
-            table = np.exp(-1j * KICK_ANGLE * energy)
+            layers.append(step)
+    hadamards = _site_powers(_HADAMARD)
+    program = []
+    for layer in layers:
+        if isinstance(layer, str):
+            program.append(hadamards)
+        else:
+            table = np.exp(-1j * KICK_ANGLE * layer)
             table.setflags(write=False)
             program.append(table)
     return tuple(program)
@@ -278,28 +299,70 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
     return StateVector(state.num_sites, amps)
 
 
+@lru_cache(maxsize=None)
+def _dense_form(spec: FloquetSpec) -> tuple:
+    """(left, kernel, right, combine): U[a, b] = left[a] kernel[combine(a, b)] right[b].
+
+    The closed forms of the module docstring, read off the spec's
+    ``_block_program``; an outer phase table the program lacks is all ones.
+    The tables are read-only.
+    """
+    L = spec.num_sites
+    program = _block_program(spec)
+    cuts = [k for k, layer in enumerate(program) if not isinstance(layer, np.ndarray)]
+    if len(cuts) not in (1, 2):
+        raise ValueError(
+            f"{spec.model.value}: no closed-form dense build for a period of "
+            f"{len(cuts)} Hadamard layers, only of 1 or 2"
+        )
+    first, last = cuts[0], cuts[-1]
+    ones = np.ones(2**L, dtype=complex)
+    right = program[0] if first == 1 else ones
+    left = program[-1] if last == len(program) - 2 else ones
+    if first == last:
+        parity = _bit_table(L).sum(axis=1) & 1
+        kernel, combine = (1 - 2 * parity) * 2 ** (-L / 2), np.bitwise_and
+    else:
+        zero = np.zeros(2**L, dtype=complex)
+        zero[0] = 1
+        kernel, combine = _one_period(program[first : last + 1], zero, L), np.bitwise_xor
+    ones.setflags(write=False)
+    kernel.setflags(write=False)
+    return left, kernel, right, combine
+
+
 def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
     """The (d, d) block B^H U B of one period on a sector's basis B.
 
-    One period runs on the columns of B and the rows are gathered back
-    onto B; without ``sector``, B is the trivial sector and the block is U.
-    The block holds all of U B only if U leaves the sector invariant, so
-    the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish. Bases come
-    from ``symmetry_sectors``, which enforces ``DENSE_MAX_SITES``.
+    Each entry is gathered from the closed form of U (``_dense_form``), a
+    chunk of ``_BUILD_CHUNK`` columns at a time; without ``sector``, B is
+    the trivial sector and the block is U. The block holds all of U B only
+    if U leaves the sector invariant, so the leaked weight
+    d - ||B^H U B||_F^2 must vanish. Bases come from ``symmetry_sectors``,
+    which enforces ``DENSE_MAX_SITES``.
     """
     L = spec.num_sites
     sector = sector or symmetry_sectors(L, ())[0]
     if sector.num_sites != L:
         raise ValueError(f"sector is for {sector.num_sites} sites but spec has {L}")
+    left, kernel, right, combine = _dense_form(spec)
+    # Column k of B is sum_p weight[p, k] e_{index[p, k]}, so each pair of
+    # terms (p, q) adds weight[p] left[index[p]] kernel[...] right[index[q]]
+    # weight[q]; a term whose weights are all zero adds nothing.
+    terms = [
+        (index, weight * left[index], weight * right[index])
+        for index, weight in zip(sector.index, sector.weight)
+        if weight.any()
+    ]
     d = sector.dim
-    out = np.empty((d, d), dtype=complex)
-    leak = 0.0
+    out = np.zeros((d, d), dtype=complex)
     for start in range(0, d, _BUILD_CHUNK):
-        stop = min(start + _BUILD_CHUNK, d)
-        image = _one_period(_block_program(spec), sector.columns(start, stop), L)
-        block = sector.project(image)
-        out[:, start:stop] = block
-        leak += np.vdot(image, image).real - np.vdot(block, block).real
+        cols = slice(start, start + _BUILD_CHUNK)
+        for rows, row_factor, _ in terms:
+            for columns, _, column_factor in terms:
+                gathered = kernel[combine(rows[:, None], columns[cols])]
+                out[:, cols] += row_factor[:, None] * gathered * column_factor[cols]
+    leak = d - np.vdot(out, out).real
     if leak > LEAK_TOLERANCE:
         raise ValueError(
             f"sector {sector.label} is not invariant under {spec.model.value}: "

@@ -11,9 +11,11 @@ identity) directly from the spectrum.
 blocks of about 2^L/4; reflection only for U_x, whose x field and y kick
 anticommute with Z parity, two blocks of about 2^L/2. Each block is
 built, checked and diagonalized, and released before the next is built,
-so one block and (2^L, chunk) and (d, chunk) work arrays are alive at a
-time. ``build_dense`` checks each block's sector leak; here each block is
-checked unitary, and its eigenvalues against its traces. The eigensolver
+so one block and (d, chunk) work arrays are alive at a time.
+``build_dense`` checks each block's sector leak as d - ||block||_F^2,
+which holds because U is unitary (every phase-table entry has modulus
+1); here each block is checked unitary, and its eigenvalues against its
+traces. The eigensolver
 costs O(d^3) per block of dimension d: about 1/16 of the whole-matrix
 cost for U_0, 1/4 for U_x.
 """

@@ -24,7 +24,17 @@ from kicked_ising.entanglement import (
     _balanced_cut_tops,
     _initial_product_batch,
 )
-from kicked_ising.floquet import PERIOD_LAYERS, FloquetSpec, Model
+from kicked_ising.floquet import (
+    _BUILD_CHUNK,
+    LEAK_TOLERANCE,
+    PERIOD_LAYERS,
+    FloquetSpec,
+    Model,
+    Sector,
+    _block_program,
+    _one_period,
+    symmetry_sectors,
+)
 from kicked_ising.spectral import PERIOD_TOLERANCE, PeriodReport
 
 
@@ -53,6 +63,57 @@ def dense_floquet_oracle(spec: FloquetSpec) -> np.ndarray:
     if spec.model is Model.U0:
         return expo(hxx) @ expo(field_sum(PAULI_Z))
     return expo(hxx + field_sum(PAULI_X)) @ expo(field_sum(PAULI_Y))
+
+
+def sector_columns(sector: Sector, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Dense (2^L, stop - start) array of basis columns start..stop-1."""
+    index, weight = sector.index[:, start:stop], sector.weight[:, start:stop]
+    cols = np.zeros((2 ** sector.num_sites, index.shape[1]), dtype=complex)
+    k = np.arange(index.shape[1])
+    cols[index[0], k] = weight[0]
+    cols[index[1], k] += weight[1]
+    return cols
+
+
+def sector_project(sector: Sector, amps: np.ndarray) -> np.ndarray:
+    """B^H amps for a (2^L, batch) array: gathers two rows per column of B."""
+    w0, w1 = sector.weight[:, :, None]
+    return w0 * amps[sector.index[0]] + w1 * amps[sector.index[1]]
+
+
+# ``floquet.build_dense`` as it was before it gathered each block from the
+# closed form of U, kept verbatim (only the name and the two ``Sector``
+# methods, now the functions above, differ): one period runs on a chunk of
+# basis columns at a time and the rows are gathered back onto the sector.
+# The arithmetic differs, so the closed form must match it within 1e-13.
+def matrix_free_build_oracle(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
+    """The (d, d) block B^H U B of one period on a sector's basis B.
+
+    One period runs on the columns of B and the rows are gathered back
+    onto B; without ``sector``, B is the trivial sector and the block is U.
+    The block holds all of U B only if U leaves the sector invariant, so
+    the leaked weight ||U B||_F^2 - ||B^H U B||_F^2 must vanish. Bases come
+    from ``symmetry_sectors``, which enforces ``DENSE_MAX_SITES``.
+    """
+    L = spec.num_sites
+    sector = sector or symmetry_sectors(L, ())[0]
+    if sector.num_sites != L:
+        raise ValueError(f"sector is for {sector.num_sites} sites but spec has {L}")
+    d = sector.dim
+    out = np.empty((d, d), dtype=complex)
+    leak = 0.0
+    for start in range(0, d, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, d)
+        image = _one_period(_block_program(spec), sector_columns(sector, start, stop), L)
+        block = sector_project(sector, image)
+        out[:, start:stop] = block
+        leak += np.vdot(image, image).real - np.vdot(block, block).real
+    if leak > LEAK_TOLERANCE:
+        raise ValueError(
+            f"sector {sector.label} is not invariant under {spec.model.value}: "
+            f"leaked weight {leak:.3e}"
+        )
+    return out
 
 
 def split_floquet_oracle(spec: FloquetSpec) -> np.ndarray:

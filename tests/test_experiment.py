@@ -474,6 +474,23 @@ class TestSummary:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "grid, name, value",
+        [
+            ((Model.U0, [4], ["open"], ["y+"]), "model", Model.U0),
+            ((["U0"], 4, ["open"], ["y+"]), "size", 4),
+            ((["U0"], [4], Boundary.OPEN, ["y+"]), "boundary", Boundary.OPEN),
+            ((["U0"], [4], ["open"], Axis("y")), "initial", Axis("y")),
+        ],
+    )
+    def test_rejects_a_bare_value(self, tmp_path, grid, name, value):
+        # a bare value in place of a list once failed in len() with a TypeError
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError) as exc:
+            generate_summary(*grid, out=out)
+        assert str(exc.value) == f"{name}: expected a list of values, got {value!r}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ((["U0", "u0"], [4], ["open"], ["y+"]), "model: ['U0']"),

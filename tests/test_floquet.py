@@ -23,6 +23,7 @@ from kicked_ising.spectral import quasi_energies
 from oracles import (
     conjugate_through_period,
     dense_floquet_oracle,
+    matrix_free_build_oracle,
     pauli,
     pauli_dense,
     random_state,
@@ -136,6 +137,51 @@ class TestPeriodProgram:
             product = dense @ product
         assert np.abs(product - dense_floquet_oracle(spec)).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "model, tables, hadamards", [(Model.U0, 2, 2), (Model.UX, 1, 1)]
+    )
+    def test_normal_form_sizes(self, model, tables, hadamards):
+        # U_0 = H D_I H D_F; the y kick is H Z, so U_x = H D with Z folded into D
+        for spec in self.SPECS:
+            if spec.model is model:
+                program = _block_program(spec)
+                phases = sum(isinstance(layer, np.ndarray) for layer in program)
+                assert (phases, len(program) - phases) == (tables, hadamards)
+
+
+class TestClosedFormBlocks:
+    # the closed-form gathers against one period run on the sector's basis
+    # columns, for the whole operator and every sector block
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_blocks_match_the_matrix_free_build(self, num_sites, model, boundary):
+        spec = FloquetSpec(model, num_sites, boundary)
+        for sector in (None, *spec.sectors()):
+            got = build_dense(spec, sector)
+            assert np.abs(got - matrix_free_build_oracle(spec, sector)).max() < 1e-13
+
+    def test_rejects_three_hadamard_layers(self, monkeypatch):
+        # no closed form is derived past two Hadamards; one period still runs
+        field, ising = ("phase", ("field",)), ("phase", ("ising",))
+        three = (field, "hadamard", ising, "hadamard", field, "hadamard")
+        monkeypatch.setitem(floquet.PERIOD_LAYERS, Model.UX, three)
+        spec = FloquetSpec(Model.UX, 3, Boundary.CLOSED)
+        _block_program.cache_clear()
+        floquet._dense_form.cache_clear()
+        try:
+            psi = make_polarized_state(3, Axis.parse("z+"))
+            assert apply_floquet(spec, psi, 1).num_sites == 3
+            message = (
+                "^Ux: no closed-form dense build for a period of 3 Hadamard layers, "
+                "only of 1 or 2$"
+            )
+            with pytest.raises(ValueError, match=message):
+                build_dense(spec)
+        finally:
+            _block_program.cache_clear()
+            floquet._dense_form.cache_clear()
+
 
 class TestCliffordTable:
     # conjugating by the symbolic layers must match the dense oracle, which
@@ -233,11 +279,9 @@ class TestKernelProperties:
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
     def test_chunk_size_changes_no_bit(self, monkeypatch, model, boundary):
-        # Each column runs through the period on its own. Chunks of 64, 512
-        # and 4096 columns give the same bytes: each is a multiple of the
-        # BLAS kernel's column tile (4 for OpenBLAS zgemm on Haswell). At 1
-        # or 7, some columns go through a narrower kernel that rounds
-        # differently, by a few ulps.
+        # Every entry of a block is gathered and summed on its own, in the
+        # same order whatever the chunk, so every chunk size gives the same
+        # bytes, including widths such as 1 or 7 that divide no column tile.
         for num_sites in range(2, 9):
             spec = FloquetSpec(model, num_sites, boundary)
             sectors = (None, *spec.sectors())
@@ -247,10 +291,7 @@ class TestKernelProperties:
                 built[chunk] = [build_dense(spec, s) for s in sectors]
             for chunk, blocks in built.items():
                 for block, ref in zip(blocks, built[4096]):
-                    if chunk % 64 == 0:
-                        assert block.tobytes() == ref.tobytes(), (num_sites, chunk)
-                    else:
-                        assert np.abs(block - ref).max() < 4e-16, (num_sites, chunk)
+                    assert block.tobytes() == ref.tobytes(), (num_sites, chunk)
 
 
 class TestFactorization:

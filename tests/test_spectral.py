@@ -27,7 +27,13 @@ from kicked_ising.spectral import (
     quasi_energies,
 )
 
-from oracles import scan_period_oracle, schur_thetas, unitarity_deviation
+from oracles import (
+    scan_period_oracle,
+    schur_thetas,
+    sector_columns,
+    sector_project,
+    unitarity_deviation,
+)
 
 
 def ladder(centers, counts):
@@ -187,10 +193,12 @@ class TestSymmetrySectors:
         assert sum(s.dim for s in sectors) == 2**num_sites
         assert all(s.dim > 0 for s in sectors)
         assert len({s.label for s in sectors}) == len(sectors)
-        basis = np.hstack([s.columns() for s in sectors])
+        basis = np.hstack([sector_columns(s) for s in sectors])
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**num_sites), atol=1e-14)
         for s in sectors:
-            np.testing.assert_allclose(s.project(basis[:, :3]), s.columns().T @ basis[:, :3])
+            np.testing.assert_allclose(
+                sector_project(s, basis[:, :3]), sector_columns(s).T @ basis[:, :3]
+            )
 
     def test_sector_dimensions_at_ten_sites(self):
         dims = [s.dim for s in FloquetSpec(Model.U0, 10).sectors()]
