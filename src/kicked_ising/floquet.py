@@ -43,6 +43,10 @@ and so flips the sign of H_x and H_y. ``MODEL_SYMMETRIES`` records this.
 (``FloquetSpec.sectors``) as a plain array, and rejects a sector that U
 does not leave invariant: as U is unitary, ||U B||_F^2 = d, so the
 weight a d-dimensional block leaks is d - ||B^H U B||_F^2.
+
+Time reversal. Both kernels are symmetric in (a, b), so a diagonal
+unitary similarity turns U into a complex symmetric V with the same
+spectrum; ``_symmetric_block`` gives the sector blocks of V.
 """
 
 from __future__ import annotations
@@ -65,10 +69,11 @@ KICK_ANGLE = np.pi / 4
 # symmetry leaks weight of order the sector dimension).
 LEAK_TOLERANCE = 1e-9
 
-# Columns per step of the two dense loops: the block columns ``build_dense``
-# gathers at a time, and the Gram slices of ``spectral._block_thetas``. It
-# bounds their (d, chunk) work arrays. Every entry of a block is computed
-# on its own, so the value moves no bit of any block.
+# Columns per step of the dense loops: the block columns ``build_dense``
+# gathers at a time, and the row slices of the finiteness and symmetry
+# tests in ``spectral._block_thetas``. It bounds their (d, chunk) work
+# arrays. Every entry of a block is computed on its own, so the value
+# moves no bit of any block.
 _BUILD_CHUNK = 64
 
 # Most sites one 2^w x 2^w product of a Hadamard layer acts on.
@@ -369,3 +374,23 @@ def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
             f"leaked weight {leak:.3e}"
         )
     return out
+
+
+def _symmetric_block(spec: FloquetSpec, sector: Sector) -> np.ndarray:
+    """``build_dense``'s block in time-reversal form, B^H P U P^-1 B.
+
+    With U[a, b] = left[a] kernel[combine(a, b)] right[b] (``_dense_form``)
+    and p = sqrt(left * right) / left, V = diag(p) U diag(p)^-1 has the
+    entries s[a] kernel[combine(a, b)] s[b], s = sqrt(left * right), so V is
+    complex symmetric. Both phase tables are mirror symmetric, so p is
+    equal on each mirror pair and B^H P = diag(p[index[0]]) B^H: the block
+    of V is diag(p) (B^H U B) diag(conj(p)), scaled in place, a unitary
+    similarity that keeps the block's eigenvalues.
+    """
+    block = build_dense(spec, sector)
+    left, _, right, _ = _dense_form(spec)
+    j = sector.index[0]
+    p = np.sqrt(left[j] * right[j]) / left[j]
+    block *= p[:, None]
+    block *= p.conj()
+    return block

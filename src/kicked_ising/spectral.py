@@ -14,10 +14,17 @@ built, checked and diagonalized, and released before the next is built,
 so one block and (d, chunk) work arrays are alive at a time.
 ``build_dense`` checks each block's sector leak as d - ||block||_F^2,
 which holds because U is unitary (every phase-table entry has modulus
-1); here each block is checked unitary, and its eigenvalues against its
-traces. The eigensolver
-costs O(d^3) per block of dimension d: about 1/16 of the whole-matrix
-cost for U_0, 1/4 for U_x.
+1); here each block is checked unitary on two probe vectors, and its
+eigenvalues against its traces, both in O(d^2).
+
+Each block is taken in time-reversal form (``floquet._symmetric_block``):
+a diagonal unitary similarity makes it complex symmetric, so its real
+and imaginary parts X and Y are commuting real symmetric matrices. Its
+levels then come from two values-only real ``eigvalsh`` calls, of X and
+of cot(phi) X - Y, about 4/3 d^3 flops each: several times less than the
+general complex QR of ``numpy.linalg.eigvals`` (about 1/16 of the
+whole-matrix cost for U_0, 1/4 for U_x), which stays the route of any
+other block.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .floquet import _BUILD_CHUNK, FloquetSpec, build_dense
+from .core import _as_integer
+from .floquet import _BUILD_CHUNK, FloquetSpec, _symmetric_block
 
 CLUSTER_TOLERANCE = 1e-7
 # Cluster centers closer to zero than this are rounding noise of a level
@@ -36,6 +44,30 @@ CLUSTER_TOLERANCE = 1e-7
 ZERO_SNAP = 1e-12
 SPACING_TOLERANCE = 1e-6
 PERIOD_TOLERANCE = 1e-7
+
+# Largest ||B^H B R - R||_F on the two probe columns R of ``_probes``.
+# Their entries have modulus 1, so over random phases ||(B^H B - I) r||^2
+# averages ||B^H B - I||_F^2: the bound keeps the scale of a Frobenius
+# check on B^H B without forming it. Model blocks read at most 2e-13 at
+# L = 12.
+_UNITARY_TOLERANCE = 1e-10
+# A block with ||B - B^T||_F at most this takes the symmetric route. Its
+# eigensolves read one triangle, so this also bounds their error; the
+# symmetrized model blocks read at most 7e-15 at L = 12.
+_SYMMETRY_TOLERANCE = 1e-13
+# Sorted eigenvalues of X closer than this are one value of cos(theta);
+# model blocks spread by at most 4e-14 at L = 12. The levels of a cluster
+# share its mean, which moves each theta by a few times this, far inside
+# CLUSTER_TOLERANCE.
+_COS_TOLERANCE = 1e-12
+# Least distance between the predictions of two cos clusters. A level
+# lies within about sqrt(2 * _COS_TOLERANCE) = 1.4e-6 of its own
+# prediction (sin(theta) from cos(theta) loses half the digits near
+# theta = 0 and pi), so beyond this gap its nearest prediction is its own.
+_PAIR_GAP = 1e-5
+# Angles phi tried for the second eigensolve: |sin(phi)| >= 0.29, and no
+# phi a rational multiple of pi, where the levels of the models lie.
+_PAIR_ANGLES = 0.3 + np.arange(16) * (np.pi - 0.6) / 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,54 +141,139 @@ def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
 
     ``blocks`` are the square diagonal blocks of one unitary (a whole
     operator is the one-block list); their phases are pooled before
-    sorting and clustering within ``CLUSTER_TOLERANCE``.
+    sorting and clustering within ``CLUSTER_TOLERANCE``. A block holding
+    NaN or inf, or failing the probe check of unitarity, is rejected.
+    A complex symmetric block (||B - B^T||_F <= 1e-13, as
+    ``floquet_spectrum`` makes every sector block) takes the values-only
+    real-symmetric route of ``_symmetric_thetas``; any other block, and a
+    symmetric one whose levels that route cannot pair, takes
+    ``numpy.linalg.eigvals``.
     """
     if len(blocks) == 0:
         raise ValueError("quasi_energies needs at least one block")
     return QuasiSpectrum(np.sort(np.concatenate([_block_thetas(b) for b in blocks])))
 
 
+def _probes(dim: int) -> np.ndarray:
+    """Two fixed (dim, 2) probe columns, entries e^{2 pi i k a} for a the
+    golden ratio and sqrt(2), so every entry has modulus 1."""
+    steps = np.arange(dim)[:, None] * np.array([0.6180339887498949, 0.4142135623730951])
+    return np.exp(2j * np.pi * (steps % 1))
+
+
+def _probe_deviation(mat: np.ndarray) -> float:
+    """||B^H B R - R||_F on the ``_probes`` R, by two products with B."""
+    probes = _probes(len(mat))
+    image = (mat @ probes).conj().T @ mat  # R^H B^H B, with no d x d temporary
+    return float(np.linalg.norm(image.conj().T - probes))
+
+
+def _asymmetry(mat: np.ndarray) -> float:
+    """||B - B^T||_F over row slices of ``_BUILD_CHUNK``, with no d x d temporary."""
+    total = 0.0
+    for start in range(0, len(mat), _BUILD_CHUNK):
+        rows = slice(start, start + _BUILD_CHUNK)
+        diff = mat[rows] - mat[:, rows].T
+        total += np.vdot(diff, diff).real
+    return float(np.sqrt(total))
+
+
 def _block_thetas(block: np.ndarray) -> np.ndarray:
     """Phases of one block B from its eigenvalues alone, checked on the way.
 
-    ||B^H B - I||_F^2 is summed over row slices of the Gram product, its
-    upper triangle only, so no d x d temporary is formed; B is rejected
-    above 1e-10 before the eigensolver runs. A unitary B is normal, so by
-    Bauer-Fike the backward stable QR of ``eigvals`` gives each eigenvalue
-    within about eps*d with no eigenvectors; the power sums sum(lam) = Tr B
-    and sum(lam^2) = Tr B^2, matched within 1e-9 in O(d^2), tie the
-    returned multiset to this block.
+    B must hold finite values only, and ||B^H B R - R||_F on two fixed
+    probe columns R (``_probes``) must be at most 1e-10, in O(d^2) before
+    any eigensolver runs. A symmetric B goes to ``_symmetric_thetas``;
+    otherwise, or when that route cannot pair its levels, the general
+    ``eigvals`` runs. A unitary B is normal, so by Bauer-Fike either
+    backward stable eigensolver gives each eigenvalue within about eps*d
+    with no eigenvectors; the power sums sum(lam) = Tr B and
+    sum(lam^2) = Tr B^2 of lam = e^{-i theta}, matched within 1e-9 in
+    O(d^2), tie the returned multiset to this block.
     """
     mat = np.asarray(block, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    dev2 = 0.0
-    for start in range(0, len(mat), _BUILD_CHUNK):
-        # rows start.. of B^H B - I from the diagonal on; the matrix is
-        # Hermitian, so each entry right of the slice's square stands for two
-        gram = mat[:, start : start + _BUILD_CHUNK].conj().T @ mat[:, start:]
-        rows = np.arange(len(gram))
-        gram[rows, rows] -= 1
-        sq = gram.real**2 + gram.imag**2
-        dev2 += 2 * sq.sum() - sq[:, : len(gram)].sum()
-    dev = float(np.sqrt(dev2))
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not unitary: ||U^H U - I|| = {dev:.3e}")
-    lam = np.linalg.eigvals(mat)
+    # by row slices: a d x d mask would raise the peak RSS of the spectrum
+    rows = range(0, len(mat), _BUILD_CHUNK)
+    if not all(np.isfinite(mat[r : r + _BUILD_CHUNK]).all() for r in rows):
+        raise ValueError("block holds NaN or inf")
+    dev = _probe_deviation(mat)
+    if not dev <= _UNITARY_TOLERANCE:
+        raise ValueError(f"matrix is not unitary: ||(U^H U - I) R|| = {dev:.3e} on the probes")
+    thetas = _symmetric_thetas(mat) if _asymmetry(mat) <= _SYMMETRY_TOLERANCE else None
+    if thetas is None:
+        thetas = -np.angle(np.linalg.eigvals(mat))
+    # unit-modulus lam, so a block with eigenvalues off the circle misses
+    # the traces even where the probes cannot see it
+    lam = np.exp(-1j * thetas)
     trace2 = np.einsum("ij,ji->", mat, mat)  # Tr B^2 with no d x d product
     miss = max(abs(lam.sum() - np.trace(mat)), abs(np.sum(lam**2) - trace2))
-    if miss > 1e-9:
+    if not miss <= 1e-9:
         raise ValueError(f"eigenvalue power sums miss the traces by {miss:.3e}")
-    thetas = -np.angle(lam)
     thetas[thetas <= -np.pi + 1e-15] += 2 * np.pi
     return thetas
 
 
+def _symmetric_thetas(mat: np.ndarray) -> np.ndarray | None:
+    """Phases of a complex symmetric unitary B = X + iY, or None.
+
+    B^H B = I with B = B^T gives X^2 + Y^2 = I and XY = YX, so X and Y
+    share real eigenvectors, with eigenvalues cos(theta) and -sin(theta)
+    on each. ``eigvalsh(X)`` gives cos(theta), clustered within
+    ``_COS_TOLERANCE``; a cluster of mean c holds levels at
+    +-arccos(c). G = cot(phi) X - Y, which is (cos(phi) X - sin(phi) Y)
+    / sin(phi), has eigenvalues g = cot(phi) cos(theta) + sin(theta), and
+    a level at +-arccos(c) predicts g = cot(phi) c +- sqrt(1 - c^2). phi is
+    the ``_PAIR_ANGLES`` entry whose predictions of different clusters lie
+    furthest apart; each value of ``eigvalsh(G)`` is paired with its
+    nearest prediction, which names its cluster only, and then
+    sin(theta) = g - cot(phi) c and theta = atan2(sin(theta), c). The
+    sign comes from g; the prediction, with its arccos error near 0 and
+    pi, never enters a level.
+
+    Returns None, and leaves the block to ``eigvals``, when the
+    predictions of two clusters lie within ``_PAIR_GAP`` for every phi, or
+    when the pairing does not give each cluster its multiplicity.
+    """
+    cos = np.linalg.eigvalsh(mat.real)
+    starts = np.r_[0, np.flatnonzero(np.diff(cos) > _COS_TOLERANCE) + 1]
+    counts = np.diff(np.r_[starts, len(cos)])
+    centers = np.add.reduceat(cos, starts) / counts
+    sines = np.sqrt(1 - np.clip(centers, -1, 1) ** 2)
+    cots = 1 / np.tan(_PAIR_ANGLES)[:, None]
+    predictions = np.hstack([cots * centers + sines, cots * centers - sines])
+    order = np.argsort(predictions, axis=1)
+    predictions = np.take_along_axis(predictions, order, axis=1)
+    labels = np.r_[np.arange(len(centers)), np.arange(len(centers))][order]
+    # the least distance between different clusters' predictions is
+    # always between neighbors in sorted order
+    apart = labels[:, 1:] != labels[:, :-1]
+    gaps = np.where(apart, np.diff(predictions, axis=1), np.inf).min(axis=1)
+    best = int(np.argmax(gaps))
+    if not gaps[best] > _PAIR_GAP:
+        return None
+    cot, predictions, labels = cots[best, 0], predictions[best], labels[best]
+    g = mat.real * cot
+    g -= mat.imag
+    values = np.linalg.eigvalsh(g)
+    right = np.clip(np.searchsorted(predictions, values), 1, len(predictions) - 1)
+    nearer = np.where(
+        values - predictions[right - 1] <= predictions[right] - values, right - 1, right
+    )
+    cluster = labels[nearer]
+    if not np.array_equal(np.bincount(cluster, minlength=len(centers)), counts):
+        return None
+    c = centers[cluster]
+    return np.arctan2(values - cot * c, c)
+
+
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     """Quasi-energies of the operator built from ``spec`` (L <= 12), one
-    symmetry-sector block at a time: each block is dropped once its
-    phases are read, and the pooled phases are clustered once."""
-    parts = [quasi_energies([build_dense(spec, sector=s)]).thetas for s in spec.sectors()]
+    symmetry-sector block at a time, each in time-reversal form
+    (``floquet._symmetric_block``): each block is dropped once its phases
+    are read, and the pooled phases are clustered once."""
+    parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in spec.sectors()]
     return QuasiSpectrum(np.sort(np.concatenate(parts)))
 
 
@@ -196,6 +313,13 @@ def detect_spacing(spectrum: QuasiSpectrum) -> SpacingResult | None:
     return SpacingResult(delta=float(delta), offset=offset, max_residual=max_residual)
 
 
+def _checked_max_n(max_n) -> int:
+    max_n = _as_integer("max_n", max_n)
+    if max_n < 1:
+        raise ValueError(f"max_n must be positive, got {max_n}")
+    return max_n
+
+
 def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     """Find recurrences of a spectrum: U^n = phase*I iff all n*theta_k agree.
 
@@ -205,8 +329,7 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     proportional to I only at multiples of the projective period T, so
     ``exact_period`` is the smallest kT, with k <= max_n, such that U^{kT} = I.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n}")
+    max_n = _checked_max_n(max_n)
     th = np.asarray(thetas, dtype=float)
     for period in range(1, max_n + 1):
         z = np.exp(-1j * period * th)
@@ -227,5 +350,7 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
 
 
 def detect_period(spec: FloquetSpec, max_n: int) -> PeriodReport:
-    """Period detection for a Floquet operator built from ``spec`` (L <= 12)."""
+    """Period detection for a Floquet operator built from ``spec`` (L <= 12);
+    ``max_n`` is checked before the spectrum is paid for."""
+    max_n = _checked_max_n(max_n)
     return detect_period_from_thetas(floquet_spectrum(spec).thetas, max_n)

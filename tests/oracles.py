@@ -28,6 +28,7 @@ from kicked_ising.floquet import (
     _BUILD_CHUNK,
     LEAK_TOLERANCE,
     PERIOD_LAYERS,
+    Boundary,
     FloquetSpec,
     Model,
     Sector,
@@ -192,6 +193,54 @@ def conjugate_through_period(p: tuple, spec: FloquetSpec) -> tuple:
             for s in range(1, L + 1) if "field" in layer[1] else ():
                 p = rotate(p, pauli("z", s, L))
     return p
+
+
+def _trace_slices(model: Model) -> list[tuple[int, int, np.ndarray]]:
+    """One period for ``transfer_trace_oracle``, stated by hand as slices
+    (J, h, G) in the order they act: the z-basis phase
+    exp(-i*pi/4*(J sum z_i z_j + h sum z_s)), then the 2x2 gate G at every
+    site.
+
+    U_0 = E[H_xx] E[H_z] = H E[H_zz] H E[H_z], with H the Hadamard at every
+    site. U_x = H E[H_zz + H_z] H E[H_y]; moving its leading H to the end
+    of the product changes no Tr(U_x^n), and leaves one slice per period:
+    the gate H E[H_y] H, then the phase.
+    """
+    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    if model is Model.U0:
+        return [(0, 1, had), (1, 0, had)]
+    kick = scipy.linalg.expm(-0.25j * np.pi * PAULI_Y)
+    return [(1, 1, had @ kick @ had)]
+
+
+def transfer_trace_oracle(spec: FloquetSpec, n: int) -> complex:
+    """Tr(U^n) of an open chain, transferred along space over columns of spins.
+
+    Tr(U^n) sums over the z-basis spins before each of the m*n slices of n
+    periods, one column of N = m*n spins per site. A column carries the
+    weights of its own site, the field phases and the gate entries
+    G[b_{q+1}, b_q] (cyclic in q), and two neighboring columns the Ising
+    phases exp(-i*pi/4*J_q z_q z'_q) of their bond, slice by slice. So the
+    sum is a product of L site weights and L - 1 bond transfers, each bond
+    a 2x2 matrix on every one of the N column axes: O(L N 2^N), with no
+    2^L array (Akila, Waltner, Gutkin & Guhr, J. Phys. A 49, 375101 (2016)).
+    """
+    assert spec.boundary is Boundary.OPEN, "the transfer runs along an open chain"
+    slices = _trace_slices(spec.model) * n
+    N = len(slices)
+    bits = (np.arange(2**N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    z = 1 - 2 * bits
+    site = np.exp(-0.25j * np.pi * z @ np.array([h for _, h, _ in slices]))
+    for q, (_, _, gate) in enumerate(slices):
+        site = site * gate[bits[:, (q + 1) % N], bits[:, q]]
+    site = site.reshape((2,) * N)
+    bonds = [np.exp(-0.25j * np.pi * J * np.outer([1, -1], [1, -1])) for J, _, _ in slices]
+    column = site
+    for _ in range(spec.num_sites - 1):
+        for q, bond in enumerate(bonds):
+            column = np.moveaxis(np.tensordot(bond, column, axes=([0], [q])), 0, q)
+        column = column * site
+    return complex(column.sum())
 
 
 def random_state(rng: np.random.Generator, num_sites: int) -> np.ndarray:

@@ -1,6 +1,12 @@
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from kicked_ising.floquet import (
     Model,
     Symmetry,
     _block_program,
+    _symmetric_block,
     build_dense,
     symmetry_sectors,
 )
@@ -20,6 +27,7 @@ from kicked_ising.spectral import (
     QuasiSpectrum,
     _block_thetas,
     _cluster_circular,
+    _symmetric_thetas,
     detect_period,
     detect_period_from_thetas,
     detect_spacing,
@@ -28,12 +36,16 @@ from kicked_ising.spectral import (
 )
 
 from oracles import (
+    dense_floquet_oracle,
     scan_period_oracle,
     schur_thetas,
     sector_columns,
     sector_project,
-    unitarity_deviation,
+    transfer_trace_oracle,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def ladder(centers, counts):
@@ -53,6 +65,31 @@ def on_circle(angles):
 
 def circle_distance(a, b):
     return np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))
+
+
+def assert_same_clusters(clusters, expected, atol=1e-12):
+    assert [m for _, m in clusters] == [m for _, m in expected]
+    assert circle_distance([c for c, _ in clusters], [c for c, _ in expected]).max() < atol
+
+
+def symmetric_unitary(rng, thetas):
+    """Q diag(e^{-i theta}) Q^T for a random real orthogonal Q."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(thetas), len(thetas))))
+    v = (q * np.exp(-1j * np.asarray(thetas))) @ q.T
+    return (v + v.T) / 2
+
+
+def level_sets(rng, dim):
+    """Named level sets of ``dim`` levels each: +-theta pairs, 0 and pi,
+    degenerate and near-degenerate levels."""
+    special = [0.0, np.pi, 0.7, -0.7, 1.3, 1.3 + 1e-13, -2.1, -2.1, -2.1]
+    return {
+        # few distinct levels, far apart in cos and in the pairing
+        "ladder": np.r_[special, 2 * np.pi / 9 * rng.integers(-4, 5, size=dim)][:dim],
+        "random": np.r_[special, rng.uniform(-np.pi, np.pi, size=dim)][:dim],
+        # two levels 1e-9 apart (one cluster) and two 1e-6 apart (two)
+        "near": np.r_[[0.4, 0.4 + 1e-9, 2.0, 2.0 + 1e-6], special, rng.uniform(-3, 3, dim)][:dim],
+    }
 
 
 class TestQuasiEnergies:
@@ -91,6 +128,121 @@ class TestQuasiEnergies:
         monkeypatch.setattr(np.linalg, "eigvals", moved)
         with pytest.raises(ValueError, match="power sums"):
             quasi_energies(whole(u))
+
+    @pytest.mark.parametrize("call", [0, 1])
+    @pytest.mark.parametrize("moves", [[1e-6], [1e-6, -1e-6]])
+    def test_rejects_eigvalsh_values_that_miss_the_traces(self, monkeypatch, moves, call):
+        # the twin of the test above on the symmetric route: moving values
+        # of either eigensolve, of Re B (call 0) or of the pairing matrix
+        # (call 1), moves levels off the traces
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def moved(mat):
+            values = eigvalsh(mat)
+            if len(calls) == call:
+                values[: len(moves)] += moves
+            calls.append(call)
+            return values
+
+        spec = FloquetSpec(Model.UX, 3)
+        block = _symmetric_block(spec, spec.sectors()[0])
+        # six simple values of cos(theta), so no move splits a cluster
+        assert np.diff(np.linalg.eigvalsh(block.real)).min() > 0.09
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(ValueError, match="power sums"):
+            quasi_energies([block])
+        assert len(calls) == 2
+
+    def test_a_pairing_that_misses_a_multiplicity_falls_back(self, monkeypatch):
+        # a value of the pairing matrix moved onto another cluster's
+        # prediction leaves one cluster short, so eigvals takes the block
+        spec = FloquetSpec(Model.UX, 3)
+        block = _symmetric_block(spec, spec.sectors()[0])
+        expected = quasi_energies([block]).thetas
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def moved(mat):
+            values = eigvalsh(mat)
+            if calls:
+                values[0] = values[-1]
+            calls.append(mat)
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        assert _symmetric_thetas(block) is None
+        calls.clear()
+        np.testing.assert_allclose(quasi_energies([block]).thetas, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rejects_non_finite_entries(self, value, symmetric):
+        # on either route, before any check runs and with no warning
+        spec = FloquetSpec(Model.UX, 3)
+        block = _symmetric_block(spec, spec.sectors()[0]) if symmetric else build_dense(spec)
+        assert (spectral._asymmetry(block) <= spectral._SYMMETRY_TOLERANCE) == symmetric
+        block[1, 2] = block[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or inf"):
+                quasi_energies([block])
+
+    @pytest.mark.parametrize("mutation", ["pair", "scale"])
+    def test_rejects_a_symmetric_block_that_is_not_unitary(self, mutation):
+        spec = FloquetSpec(Model.U0, 6)
+        block = _symmetric_block(spec, spec.sectors()[0])
+        quasi_energies([block])
+        if mutation == "pair":
+            block[1, 4] += 1e-3
+            block[4, 1] += 1e-3
+        else:
+            block *= 1 + 1e-9
+        assert spectral._asymmetry(block) <= spectral._SYMMETRY_TOLERANCE
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies([block])
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rejects_a_non_unitary_block_the_probes_cannot_see(self, symmetric):
+        # I + 1e-3 z z^H with z orthogonal to both probes passes the probe
+        # check, but its eigenvalue 1.001 is off the circle, so the unit
+        # e^{-i theta} miss Tr B on either route; a real z makes the
+        # block symmetric
+        dim = 8
+        probes = spectral._probes(dim)
+        basis = np.column_stack([probes.real, probes.imag, np.eye(dim)])
+        a, b = np.linalg.qr(basis)[0][:, 4:6].T
+        z = a if symmetric else (a + 1j * b) / np.sqrt(2)
+        block = np.eye(dim) + 1e-3 * np.outer(z, z.conj())
+        assert spectral._probe_deviation(block) < 1e-14
+        assert (spectral._asymmetry(block) <= spectral._SYMMETRY_TOLERANCE) == symmetric
+        with pytest.raises(ValueError, match="power sums"):
+            quasi_energies([block])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 64, 129])
+    def test_random_symmetric_unitaries_give_the_oracle_clusters(self, monkeypatch, dim):
+        # through whichever route each takes, and never raising; a well
+        # spaced ladder pairs on the symmetric route, and a pair of levels
+        # 1e-9 apart falls back to eigvals
+        rng = np.random.default_rng(dim)
+        routes = []
+        pair = spectral._symmetric_thetas
+
+        def recording(mat):
+            thetas = pair(mat)
+            routes.append(thetas is not None)
+            return thetas
+
+        monkeypatch.setattr(spectral, "_symmetric_thetas", recording)
+        for name, thetas in level_sets(rng, dim).items():
+            v = symmetric_unitary(rng, thetas)
+            routes.clear()
+            spectrum = quasi_energies([v])
+            assert_same_clusters(spectrum.clusters, _cluster_circular(np.sort(schur_thetas(v))))
+            if name == "ladder":
+                assert routes == [True]
+            if name == "near" and dim >= 2:
+                assert routes == [False]
 
     def test_rejects_a_stack(self):
         with pytest.raises(ValueError, match="square"):
@@ -178,13 +330,27 @@ class TestSymmetrySectors:
             oracle.append(schur_thetas(block))
             ours = _block_thetas(block)
             assert circle_distance(on_circle(ours), on_circle(oracle[-1])).max() < 1e-12
-        # one block at a time gives the bytes of all blocks at once
+        # one block at a time gives the bytes of all blocks at once, each
+        # in its time-reversal form
         spectrum = floquet_spectrum(spec)
-        assert spectrum.thetas.tobytes() == quasi_energies(blocks).thetas.tobytes()
+        symmetric = [_symmetric_block(spec, sector) for sector in spec.sectors()]
+        assert spectrum.thetas.tobytes() == quasi_energies(symmetric).thetas.tobytes()
         clusters = spectrum.clusters
         expected = _cluster_circular(np.sort(np.concatenate(oracle)))
         assert [m for _, m in clusters] == [m for _, m in expected]
         assert circle_distance([c for c, _ in clusters], [c for c, _ in expected]).max() < 1e-12
+
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
+    def test_values_only_route_matches_the_schur_oracle(self, model, boundary, num_sites):
+        # every sector block pairs on the symmetric route, and its levels
+        # are those of the block before the similarity
+        spec = FloquetSpec(model, num_sites, boundary)
+        for sector in spec.sectors():
+            thetas = _symmetric_thetas(_symmetric_block(spec, sector))
+            assert thetas is not None
+            expected = _cluster_circular(np.sort(schur_thetas(build_dense(spec, sector))))
+            assert_same_clusters(_cluster_circular(np.sort(thetas)), expected)
 
     @pytest.mark.parametrize("num_sites", range(2, 11))
     @pytest.mark.parametrize("model", [Model.U0, Model.UX])
@@ -262,33 +428,92 @@ class TestOneBlockAtATime:
         assert sum(m for _, m in spectrum.clusters) == 2**6
         assert calls.count("_cluster_circular") == 1
 
-    @pytest.mark.parametrize("dim", [63, 64, 65, 129])
-    def test_unitarity_check_across_gram_slices(self, dim):
-        # ||B^H B - I|| is summed over 64-row slices of the upper triangle
-        # of B^H B; a unitary passes, and a change to one column on either
-        # side of a slice edge is rejected whenever the direct deviation is
-        # over the bound
+    def test_spectrum_loads_no_numpy_random(self):
+        # loading numpy.random adds about 6 MB to a fresh process's peak
+        # RSS; NumPy 2 loads it on first use only, and the spectrum path
+        # must not be that use
+        code = (
+            "import sys, numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from kicked_ising.floquet import FloquetSpec, Model\n"
+            "from kicked_ising.spectral import floquet_spectrum\n"
+            "floquet_spectrum(FloquetSpec(Model.UX, 6))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        by_numpy, after = result.stdout.split()
+        assert after == by_numpy
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 129])
+    def test_probe_check_near_its_bound_at_every_column(self, dim):
+        # ||B^H B R - R||_F on the two probe columns R is rejected above
+        # 1e-10; a change to any one column is rejected once the deviation,
+        # formed here from a dense B^H B, is over the bound, and accepted
+        # while it is under
         rng = np.random.default_rng(dim)
 
         def gaussian(cols):
             return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
 
+        def deviation(u):
+            return np.linalg.norm((u.conj().T @ u) @ probes - probes)
+
         q, _ = np.linalg.qr(gaussian(dim))
+        probes = spectral._probes(dim)
+        bound = spectral._UNITARY_TOLERANCE
         quasi_energies([q])
-        outcomes = set()
-        for col in sorted({0, 62, 63, 64, 65, dim - 1} & set(range(dim))):
-            for eps in (2e-12, 4e-12, 8e-12, 1.6e-11):
+        for col in range(dim):
+            direction = gaussian(1)[:, 0]
+            u = q.copy()
+            u[:, col] += 1e-6 * direction
+            slope = deviation(u) / 1e-6
+            outcomes = []
+            for factor in (0.5, 2.0):
                 u = q.copy()
-                u[:, col] += eps * gaussian(1)[:, 0]
-                deviation = unitarity_deviation(u)
-                if deviation > 1.01e-10:
+                u[:, col] += factor * bound / slope * direction
+                if deviation(u) > 1.01 * bound:
                     with pytest.raises(ValueError, match="not unitary"):
                         quasi_energies([u])
-                    outcomes.add("rejected")
-                elif deviation < 0.99e-10:
+                    outcomes.append("rejected")
+                elif deviation(u) < 0.99 * bound:
                     quasi_energies([u])
-                    outcomes.add("accepted")
-        assert outcomes == {"accepted", "rejected"}
+                    outcomes.append("accepted")
+            assert outcomes == ["accepted", "rejected"]
+
+
+class TestSpaceTimeTraces:
+    @pytest.mark.parametrize("num_sites", range(2, 9))
+    @pytest.mark.parametrize("model", list(Model))
+    def test_oracle_matches_dense_powers(self, model, num_sites):
+        spec = FloquetSpec(model, num_sites)
+        u = dense_floquet_oracle(spec)
+        power = np.eye(2**num_sites)
+        for n in range(1, 7):
+            power = u @ power
+            assert abs(transfer_trace_oracle(spec, n) - np.trace(power)) < 1e-12
+
+    @pytest.mark.parametrize("model, num_sites", [(Model.U0, 12), (Model.UX, 11)])
+    def test_spectrum_matches_the_traces(self, monkeypatch, model, num_sites):
+        # sum_k m_k e^{-i n theta_k} = Tr U^n for n = 1..8, with eigvals
+        # barred, so every block took the values-only route
+        def barred(mat):
+            raise AssertionError("eigvals ran")
+
+        monkeypatch.setattr(np.linalg, "eigvals", barred)
+        spec = FloquetSpec(model, num_sites)
+        clusters = floquet_spectrum(spec).clusters
+        centers = np.array([c for c, _ in clusters])
+        counts = np.array([m for _, m in clusters])
+        for n in range(1, 9):
+            traced = np.sum(counts * np.exp(-1j * n * centers))
+            assert abs(traced - transfer_trace_oracle(spec, n)) < 1e-10
 
 
 class TestSpacing:
@@ -378,6 +603,28 @@ class TestPeriods:
     def test_rejects_empty_scan(self):
         with pytest.raises(ValueError):
             detect_period_from_thetas(np.zeros(2), 0)
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(4.0), "4", True, 0])
+    def test_rejects_a_max_n_before_any_spectrum(self, monkeypatch, value):
+        # detect_period rejects it before paying for the spectrum
+        if value == 0:
+            message = "^max_n must be positive, got 0$"
+        else:
+            message = f"^max_n: must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            detect_period_from_thetas(np.zeros(2), value)
+
+        def unpaid(spec):
+            raise AssertionError("the spectrum was built")
+
+        monkeypatch.setattr(spectral, "floquet_spectrum", unpaid)
+        with pytest.raises(ValueError, match=message):
+            detect_period(FloquetSpec(Model.U0, 2), value)
+
+    def test_takes_numpy_integers(self):
+        assert detect_period_from_thetas(np.zeros(2), np.int64(3)).period == 1
+        spec = FloquetSpec(Model.UX, 4)
+        assert detect_period(spec, np.int32(50)) == detect_period(spec, 50)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("model", list(Model))
