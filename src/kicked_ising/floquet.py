@@ -10,20 +10,18 @@ H_a = sum(sa_i) the uniform fields:
 Operator products act right to left, so each period starts with the kick.
 
 ``PERIOD_LAYERS`` states each period once, as symbolic layers in the order
-they act: a Pauli rotation or a Hadamard at every site, or a diagonal
-phase (H_xx and H_x are diagonal in the x basis, H_z in the z basis).
-Every layer is a Clifford gate, and at the kick angle pi/4 each period
-reduces to diagonal phases separated by Hadamard layers H = H_1 (x) ...
-(x) H_L (Dehaene & De Moor, PRA 68, 042318 (2003)). ``_block_program``
-derives this Walsh-Hadamard normal form: a rotation about z is the field
-phase, about x the field phase between two Hadamards, and about y the
-parity phase (-1)^#down followed by a Hadamard, since
-exp(-i*pi/4*s^y) = H Z. Adjacent Hadamards cancel and adjacent phases
-add, so U_0 = H D_I H D_F (two tables, two Hadamards) and
-U_x = H D Z^(x)L with Z^(x)L folded into D (one table, one Hadamard).
-States run through the program matrix-free: a Hadamard layer runs as one
-product per block of up to four sites with its Kronecker power, so one
-period costs O(L * 2^L).
+they act: a y rotation or a Hadamard at every site, or a diagonal phase
+(H_xx and H_x are diagonal in the x basis, H_z in the z basis). All are
+Clifford gates, and at the kick angle pi/4 a period is phase tables
+separated by Hadamard layers H = H_1 (x) ... (x) H_L, U = D_m H ... H D_1
+H D_0 (Dehaene & De Moor, PRA 68, 042318 (2003)). ``_block_program`` folds
+the layers into this normal form (D_0, ..., D_m): a phase adds to the
+current table; a Hadamard starts a new table, or cancels the one before it
+when no phase lies between; the y rotation is the parity phase
+(-1)^#down and a Hadamard, as exp(-i*pi/4*s^y) = H Z. So U_0 = H D_I H D_F
+and U_x = H D, with Z^(x)L folded into D. States run through it
+matrix-free, a Hadamard layer as one product per block of up to four
+sites, so one period costs O(L * 2^L).
 
 ``build_dense`` needs no period run at all. Writing |a & b| for the
 number of sites where both a and b have bit 1, with m Hadamards:
@@ -80,7 +78,12 @@ _BUILD_CHUNK = 64
 _BLOCK_SITES = 4
 
 _HALF = 1 / np.sqrt(2)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# H (x) ... (x) H with w factors at index w, w = 0.._BLOCK_SITES: the
+# products one Hadamard layer runs as.
+_HADAMARD_POWERS = tuple(
+    _kron_power(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), w)
+    for w in range(_BLOCK_SITES + 1)
+)
 
 
 class Model(enum.Enum):
@@ -105,7 +108,7 @@ MODEL_SYMMETRIES = {
 }
 
 # One period of each model, layer by layer in the order the layers act.
-# ("rotate", a) is exp(-i*KICK_ANGLE*s^a) at every site; "hadamard" changes
+# ("rotate", "y") is exp(-i*KICK_ANGLE*s^y) at every site; "hadamard" changes
 # between the z and x bases; ("phase", terms) is the diagonal
 # exp(-i*KICK_ANGLE*E), with E summing the Ising bonds of ``spec.bonds()``
 # ("ising") and/or the uniform field ("field") of the current basis.
@@ -178,15 +181,21 @@ class Sector:
         return " ".join(sym.value + "+-"[charge < 0] for sym, charge in self.charges)
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True must not hit the entries of 2 and 1 before the checks
+@lru_cache(maxsize=None, typed=True)
 def symmetry_sectors(
     num_sites: int, symmetries: tuple[Symmetry, ...]
 ) -> tuple[Sector, ...]:
     """Nonempty sectors of the given symmetries; their dimensions sum to 2^L.
 
     Every dense build starts here, so the dense size cap is checked here,
-    before any 2^L table is built or cached.
+    after the arguments and before any 2^L table is built or cached.
     """
+    num_sites = _as_integer("num_sites", num_sites)
+    if num_sites < 1:
+        raise ValueError(f"num_sites must be at least 1, got {num_sites}")
+    if not all(isinstance(sym, Symmetry) for sym in symmetries):
+        raise ValueError(f"symmetries: must be Symmetry members, got {symmetries!r}")
     if num_sites > DENSE_MAX_SITES:
         raise ValueError(
             f"dense construction is capped at {DENSE_MAX_SITES} sites, got {num_sites}"
@@ -216,76 +225,55 @@ def symmetry_sectors(
     return tuple(out)
 
 
-def _site_powers(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """M (x) ... (x) M with w factors at index w, w = 0.._BLOCK_SITES, of a 2x2 M."""
-    return tuple(_kron_power(matrix, w) for w in range(_BLOCK_SITES + 1))
-
-
 @lru_cache(maxsize=None)
 def _block_program(spec: FloquetSpec) -> tuple:
-    """``PERIOD_LAYERS`` of the spec's model in Walsh-Hadamard normal form.
-
-    The layers, in the order they act, are phase tables separated by
-    Hadamard layers (see the module docstring). A phase is summed in int8
-    energies, in units of KICK_ANGLE, from the sigma^z values (-1)^bit, and
-    becomes the read-only table exp(-i*KICK_ANGLE*E) that multiplies the
-    2^L amplitudes. A Hadamard layer is the ``_site_powers`` of the 2x2
-    Hadamard.
+    """``PERIOD_LAYERS`` of the spec's model in Walsh-Hadamard normal form:
+    the read-only phase tables (D_0, ..., D_m) of U = D_m H ... H D_1 H D_0,
+    None for an identity table (see the module docstring). Energies are
+    summed in int8, in units of KICK_ANGLE, from the sigma^z values (-1)^bit,
+    before one exp. A layer with no rule here raises ``ValueError``.
     """
-    L = spec.num_sites
-    idx = np.arange(2**L)
-    spins = [1 - 2 * ((idx >> (L - s)) & 1).astype(np.int8) for s in range(1, L + 1)]
-    field = sum(spins)
-
-    def steps(layer) -> list:
-        """One symbolic layer as int8 energies and "hadamard", in order."""
-        if layer == "hadamard":
-            return ["hadamard"]
-        if layer[0] == "rotate":
-            if layer[1] == "z":
-                return [field]
-            if layer[1] == "x":
-                return ["hadamard", field, "hadamard"]
-            # Z^(x)L = (-1)^#down, the energy 4 #down = 2 (L - field)
-            return [2 * (L - field), "hadamard"]
-        energy = np.zeros(2**L, dtype=np.int8)
-        if "ising" in layer[1]:
-            energy += sum(spins[i - 1] * spins[j - 1] for i, j in spec.bonds())
-        if "field" in layer[1]:
-            energy += field
-        return [energy]
-
-    layers: list = []
-    for step in (step for layer in PERIOD_LAYERS[spec.model] for step in steps(layer)):
-        same = bool(layers) and isinstance(step, str) == isinstance(layers[-1], str)
-        if same and isinstance(step, str):
-            layers.pop()
-        elif same:
-            layers[-1] = layers[-1] + step
+    bits = _bit_table(spec.num_sites).astype(np.int8)
+    spins = 1 - 2 * bits.T
+    terms = {
+        "ising": sum(spins[i - 1] * spins[j - 1] for i, j in spec.bonds()),
+        "field": spins.sum(axis=0, dtype=np.int8),
+    }
+    steps: list = []  # energies, and None for a Hadamard
+    for layer in PERIOD_LAYERS[spec.model]:
+        match layer:
+            case "hadamard":
+                steps.append(None)
+            case ("rotate", "y"):  # exp(-i*pi/4*s^y) = H Z, Z^(x)L = (-1)^#down
+                steps += [4 * bits.sum(axis=1, dtype=np.int8), None]
+            case ("phase", names) if set(names) <= terms.keys():
+                steps += [terms[name] for name in names]
+            case _:
+                raise ValueError(f"{spec.model.value}: unsupported layer {layer!r}")
+    energies: list = [None]
+    for step in steps:
+        if step is not None:
+            energies[-1] = step if energies[-1] is None else energies[-1] + step
+        elif energies[-1] is None and len(energies) > 1:
+            energies.pop()  # H H = I
         else:
-            layers.append(step)
-    hadamards = _site_powers(_HADAMARD)
-    program = []
-    for layer in layers:
-        if isinstance(layer, str):
-            program.append(hadamards)
-        else:
-            table = np.exp(-1j * KICK_ANGLE * layer)
-            table.setflags(write=False)
-            program.append(table)
-    return tuple(program)
+            energies.append(None)
+    tables = tuple(None if e is None else np.exp(-1j * KICK_ANGLE * e) for e in energies)
+    for table in (t for t in tables if t is not None):
+        table.setflags(write=False)
+    return tables
 
 
 def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:
-    """Advance a (2^L,) or (2^L, batch) amplitude array through a ``_block_program``."""
+    """Advance a (2^L,) or (2^L, batch) amplitude array through a
+    ``_block_program``, with a Hadamard layer between each two tables."""
     shape = amps.shape
-    for layer in program:
-        if isinstance(layer, np.ndarray):
-            amps = amps * (layer if amps.ndim == 1 else layer[:, None])
-            continue
-        for start in range(0, num_sites, _BLOCK_SITES):
-            power = layer[min(_BLOCK_SITES, num_sites - start)]
+    for k, table in enumerate(program):
+        for start in range(0, num_sites, _BLOCK_SITES) if k else ():
+            power = _HADAMARD_POWERS[min(_BLOCK_SITES, num_sites - start)]
             amps = (power @ amps.reshape(2**start, len(power), -1)).reshape(shape)
+        if table is not None:
+            amps = amps * (table if amps.ndim == 1 else table[:, None])
     return amps
 
 
@@ -309,28 +297,26 @@ def _dense_form(spec: FloquetSpec) -> tuple:
     """(left, kernel, right, combine): U[a, b] = left[a] kernel[combine(a, b)] right[b].
 
     The closed forms of the module docstring, read off the spec's
-    ``_block_program``; an outer phase table the program lacks is all ones.
+    ``_block_program``; an identity (None) outer table is all ones.
     The tables are read-only.
     """
     L = spec.num_sites
     program = _block_program(spec)
-    cuts = [k for k, layer in enumerate(program) if not isinstance(layer, np.ndarray)]
-    if len(cuts) not in (1, 2):
+    m = len(program) - 1
+    if m not in (1, 2):
         raise ValueError(
             f"{spec.model.value}: no closed-form dense build for a period of "
-            f"{len(cuts)} Hadamard layers, only of 1 or 2"
+            f"{m} Hadamard layers, only of 1 or 2"
         )
-    first, last = cuts[0], cuts[-1]
     ones = np.ones(2**L, dtype=complex)
-    right = program[0] if first == 1 else ones
-    left = program[-1] if last == len(program) - 2 else ones
-    if first == last:
+    right, left = (ones if t is None else t for t in (program[0], program[-1]))
+    if m == 1:
         parity = _bit_table(L).sum(axis=1) & 1
         kernel, combine = (1 - 2 * parity) * 2 ** (-L / 2), np.bitwise_and
     else:
         zero = np.zeros(2**L, dtype=complex)
         zero[0] = 1
-        kernel, combine = _one_period(program[first : last + 1], zero, L), np.bitwise_xor
+        kernel, combine = _one_period((None, program[1], None), zero, L), np.bitwise_xor
     ones.setflags(write=False)
     kernel.setflags(write=False)
     return left, kernel, right, combine

@@ -74,12 +74,23 @@ _PAIR_ANGLES = 0.3 + np.arange(16) * (np.pi - 0.6) / 15
 class QuasiSpectrum:
     """Sorted quasi-energies with degeneracy clusters.
 
-    ``clusters`` is a list of (center, multiplicity) sorted by center,
-    formed on first read; multiplicities add up to the Hilbert-space
-    dimension 2^L.
+    ``thetas`` must be a nonempty 1-D array of finite values, sorted
+    ascending. ``clusters`` is a list of (center, multiplicity) sorted by
+    center, formed on first read; multiplicities add up to the
+    Hilbert-space dimension 2^L.
     """
 
     thetas: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        thetas = np.asarray(self.thetas, dtype=float)
+        if thetas.ndim != 1 or thetas.size == 0:
+            raise ValueError(f"thetas: expected a nonempty 1-D array, got {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas: holds NaN or inf")
+        if (thetas[1:] < thetas[:-1]).any():
+            raise ValueError("thetas: must be sorted ascending")
+        object.__setattr__(self, "thetas", thetas)
 
     @cached_property
     def clusters(self) -> list[tuple[float, int]]:
@@ -331,6 +342,8 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     """
     max_n = _checked_max_n(max_n)
     th = np.asarray(thetas, dtype=float)
+    if th.size == 0:
+        raise ValueError("detect_period_from_thetas needs at least one quasi-energy")
     for period in range(1, max_n + 1):
         z = np.exp(-1j * period * th)
         mean = z.mean()

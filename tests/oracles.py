@@ -39,6 +39,10 @@ from kicked_ising.floquet import (
 from kicked_ising.spectral import PERIOD_TOLERANCE, PeriodReport
 
 
+# The one-site Hadamard, which changes between the z and x bases.
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
 def site_operator(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for s in range(1, num_sites + 1):

@@ -20,7 +20,7 @@ from kicked_ising.experiment import (
 )
 from kicked_ising.floquet import Boundary, Model
 from kicked_ising.qfi import maximize_qfi
-from oracles import site_operator
+from oracles import HADAMARD, site_operator
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -508,14 +508,13 @@ class TestSummary:
 
 
 def per_site_period(program, amps, num_sites):
-    """``floquet._one_period`` with each 2x2 layer applied site by site as a
-    dense ``site_operator``: the same period, another evaluation order."""
-    for layer in program:
-        if isinstance(layer, np.ndarray):
-            amps = amps * (layer if amps.ndim == 1 else layer[:, None])
-            continue
-        for site in range(1, num_sites + 1):
-            amps = site_operator(layer[1], site, num_sites) @ amps
+    """``floquet._one_period`` with each Hadamard layer applied site by site
+    as a dense ``site_operator``: the same period, another evaluation order."""
+    for k, table in enumerate(program):
+        for site in range(1, num_sites + 1) if k else ():
+            amps = site_operator(HADAMARD, site, num_sites) @ amps
+        if table is not None:
+            amps = amps * (table if amps.ndim == 1 else table[:, None])
     return amps
 
 

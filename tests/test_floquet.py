@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kicked_ising.floquet import (
 from kicked_ising.spectral import quasi_energies
 
 from oracles import (
+    HADAMARD,
     conjugate_through_period,
     dense_floquet_oracle,
     matrix_free_build_oracle,
@@ -124,17 +126,17 @@ class TestPeriodProgram:
         "spec", SPECS, ids=lambda s: f"{s.model.value}-{s.boundary.value}-{s.num_sites}"
     )
     def test_layers_multiply_out_to_the_oracle(self, spec):
-        # a phase table is diagonal; a tuple of site powers holds the 2x2
-        # matrix at index 1, which acts on every site
+        # the tables are diagonals (None is the identity), with H^(x)L
+        # between each two
+        hadamard = np.array([[1.0]])
+        for _ in range(spec.num_sites):
+            hadamard = np.kron(hadamard, HADAMARD)
         product = np.eye(2**spec.num_sites, dtype=complex)
-        for layer in _block_program(spec):
-            if isinstance(layer, np.ndarray):
-                dense = np.diag(layer)
-            else:
-                dense = np.array([[1.0]])
-                for _ in range(spec.num_sites):
-                    dense = np.kron(dense, layer[1])
-            product = dense @ product
+        for k, table in enumerate(_block_program(spec)):
+            if k:
+                product = hadamard @ product
+            if table is not None:
+                product = np.diag(table) @ product
         assert np.abs(product - dense_floquet_oracle(spec)).max() < 1e-12
 
     @pytest.mark.parametrize(
@@ -145,8 +147,48 @@ class TestPeriodProgram:
         for spec in self.SPECS:
             if spec.model is model:
                 program = _block_program(spec)
-                phases = sum(isinstance(layer, np.ndarray) for layer in program)
-                assert (phases, len(program) - phases) == (tables, hadamards)
+                phases = sum(table is not None for table in program)
+                assert (phases, len(program) - 1) == (tables, hadamards)
+                for table in program:
+                    assert table is None or not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            ("rotate", "x"),  # a rotation no model uses
+            ("rotate", "q"),  # no such axis
+            ("phase", ("isin",)),  # a misspelt term
+            ("phase", "ising"),  # letters, not term names
+            ("swap", "z"),
+            "hadamrd",
+        ],
+    )
+    def test_rejects_an_unsupported_layer(self, monkeypatch, layer):
+        monkeypatch.setitem(floquet.PERIOD_LAYERS, Model.UX, (layer, "hadamard"))
+        spec = FloquetSpec(Model.UX, 3)
+        _block_program.cache_clear()
+        try:
+            message = f"^Ux: unsupported layer {re.escape(repr(layer))}$"
+            with pytest.raises(ValueError, match=message):
+                _block_program(spec)
+        finally:
+            _block_program.cache_clear()
+
+    def test_hadamard_pairs_cancel(self, monkeypatch):
+        # H H = I: the phases on either side of a pair share one table, and
+        # a period opening with H has the identity as D_0
+        field, ising = ("phase", ("field",)), ("phase", ("ising",))
+        layers = ("hadamard", field, "hadamard", "hadamard", ising, "hadamard")
+        spec = FloquetSpec(Model.U0, 4, Boundary.CLOSED)
+        d_field, d_ising, _ = _block_program(spec)
+        monkeypatch.setitem(floquet.PERIOD_LAYERS, Model.U0, layers)
+        _block_program.cache_clear()
+        try:
+            program = _block_program(spec)
+        finally:
+            _block_program.cache_clear()
+        assert len(program) == 3 and program[0] is None and program[2] is None
+        assert np.abs(program[1] - d_field * d_ising).max() < 1e-15
 
 
 class TestClosedFormBlocks:

@@ -308,6 +308,32 @@ SECTOR_SPECS = [
 ]
 
 
+class TestQuasiSpectrum:
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [
+            ([1.0, 0.0, 1.0], "^thetas: must be sorted ascending$"),
+            ([0.0, np.nan, 1.0], "^thetas: holds NaN or inf$"),
+            ([np.nan], "^thetas: holds NaN or inf$"),
+            ([0.0, np.inf], "^thetas: holds NaN or inf$"),  # would fold into one cluster
+            ([-np.inf, 0.0], "^thetas: holds NaN or inf$"),
+            ([], r"^thetas: expected a nonempty 1-D array, got \(0,\)$"),
+            (np.zeros((2, 2)), r"^thetas: expected a nonempty 1-D array, got \(2, 2\)$"),
+            (0.0, r"^thetas: expected a nonempty 1-D array, got \(\)$"),
+        ],
+    )
+    def test_rejects_thetas_it_cannot_cluster(self, thetas, message):
+        with pytest.raises(ValueError, match=message):
+            QuasiSpectrum(thetas)
+
+    def test_keeps_sorted_thetas_as_a_float_array(self):
+        spectrum = QuasiSpectrum([-1, 0, 0])
+        assert spectrum.thetas.dtype == float
+        assert spectrum.clusters == [(-1.0, 1), (0.0, 2)]
+        thetas = np.array([0.0, 0.5])
+        assert QuasiSpectrum(thetas).thetas is thetas
+
+
 class TestSymmetrySectors:
     @pytest.mark.parametrize("num_sites", range(2, 11))
     @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
@@ -379,6 +405,37 @@ class TestSymmetrySectors:
         with pytest.raises(ValueError, match="capped"):
             floquet_spectrum(FloquetSpec(Model.U0, DENSE_MAX_SITES + 1))
         assert cached() == before
+
+    @pytest.mark.parametrize(
+        "num_sites, message",
+        [
+            (2.0, "^num_sites: must be an integer, got 2.0$"),
+            (True, "^num_sites: must be an integer, got True$"),
+            ("3", "^num_sites: must be an integer, got '3'$"),
+            (0, "^num_sites must be at least 1, got 0$"),
+            (-1, "^num_sites must be at least 1, got -1$"),
+        ],
+    )
+    def test_rejects_a_bad_site_count(self, num_sites, message):
+        # the cached entries of 2 and 1 must not answer for 2.0 and True
+        symmetry_sectors(2, ()), symmetry_sectors(1, ())
+        with pytest.raises(ValueError, match=message):
+            symmetry_sectors(num_sites, ())
+
+    @pytest.mark.parametrize(
+        "symmetries", [("R",), (Symmetry.REFLECTION, "P"), "R", (None,)]
+    )
+    def test_rejects_a_symmetry_that_is_not_a_member(self, symmetries):
+        message = f"^symmetries: must be Symmetry members, got {re.escape(repr(symmetries))}$"
+        with pytest.raises(ValueError, match=message):
+            symmetry_sectors(3, symmetries)
+        # checked before the size cap
+        with pytest.raises(ValueError, match="^symmetries: "):
+            symmetry_sectors(DENSE_MAX_SITES + 1, symmetries)
+
+    def test_one_site_and_numpy_integers(self):
+        assert [s.dim for s in symmetry_sectors(1, (Symmetry.REFLECTION,))] == [2]
+        assert [s.dim for s in symmetry_sectors(np.int64(3), (Symmetry.REFLECTION,))] == [6, 2]
 
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
     def test_ux_leaks_out_of_parity_sectors(self, boundary):
@@ -599,6 +656,10 @@ class TestPeriods:
         assert report.period is None
         assert report.exact_period is None
         assert report.deviation == float("inf")
+
+    def test_rejects_an_empty_spectrum(self):
+        with pytest.raises(ValueError, match="at least one quasi-energy"):
+            detect_period_from_thetas(np.array([]), 5)
 
     def test_rejects_empty_scan(self):
         with pytest.raises(ValueError):
