@@ -1,4 +1,4 @@
-"""Basis conventions, state construction, single-site rotations, partial trace.
+"""Basis conventions, state construction, partial trace.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -38,9 +38,12 @@ def _as_integer(name: str, value) -> int:
         raise ValueError(f"{name}: must be an integer, got {value!r}") from None
 
 
-def _check_num_sites(num_sites: int) -> None:
+def _check_num_sites(num_sites: int) -> int:
+    """``num_sites`` as an int in [1, ``MAX_SITES``]."""
+    num_sites = _as_integer("num_sites", num_sites)
     if not 1 <= num_sites <= MAX_SITES:
         raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {num_sites}")
+    return num_sites
 
 
 _EIGENVECTORS = {
@@ -51,12 +54,6 @@ _EIGENVECTORS = {
     ("z", +1): np.array([1, 0], dtype=complex),
     ("z", -1): np.array([0, 1], dtype=complex),
 }
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -98,7 +95,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_num_sites(self.num_sites)
+        object.__setattr__(self, "num_sites", _check_num_sites(self.num_sites))
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.num_sites,):
             raise ValueError(
@@ -125,14 +122,18 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_num_sites(self.num_sites)
+        object.__setattr__(self, "num_sites", _check_num_sites(self.num_sites))
         rho = np.asarray(self.elements, dtype=complex)
         d = 2 ** self.num_sites
         if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
             raise ValueError(
                 f"expected a {d}x{d} matrix or a stack of them, got shape {rho.shape}"
             )
-        if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-12:
+        # a non-finite entry fails before inf - inf is ever formed
+        if not (
+            np.isfinite(rho).all()
+            and np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-12
+        ):
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(rho, axis1=-2, axis2=-1).ravel()
         worst = complex(tr[np.abs(tr - 1.0).argmax()])
@@ -154,7 +155,7 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
 
 def make_polarized_state(num_sites: int, axis: Axis) -> StateVector:
     """Product state with every site in the chosen sigma^alpha eigenstate."""
-    _check_num_sites(num_sites)
+    num_sites = _check_num_sites(num_sites)
     return StateVector(num_sites, _kron_power(axis.eigenvector(), num_sites))
 
 
@@ -164,9 +165,9 @@ def make_ghz(num_sites: int, axis: Axis) -> StateVector:
     The sign carried by ``axis`` is irrelevant here; both branches enter
     with a real positive coefficient.
     """
+    num_sites = _check_num_sites(num_sites)
     if num_sites < 2:
         raise ValueError(f"GHZ state needs at least 2 sites, got {num_sites}")
-    _check_num_sites(num_sites)
     plus = _kron_power(Axis(axis.letter, +1).eigenvector(), num_sites)
     minus = _kron_power(Axis(axis.letter, -1).eigenvector(), num_sites)
     return StateVector(num_sites, (plus + minus) / np.sqrt(2))
@@ -174,18 +175,13 @@ def make_ghz(num_sites: int, axis: Axis) -> StateVector:
 
 def make_psi_o(num_sites: int) -> StateVector:
     """Product of two z-basis GHZ blocks on sites 1..L/2 and L/2+1..L."""
+    num_sites = _check_num_sites(num_sites)
     if num_sites % 2 != 0 or num_sites < 4:
         raise ValueError(f"num_sites must be even and >= 4, got {num_sites}")
-    _check_num_sites(num_sites)
     half = num_sites // 2
     block = np.zeros(2 ** half, dtype=complex)
     block[0] = block[-1] = 1 / np.sqrt(2)
     return StateVector(num_sites, np.kron(block, block))
-
-
-def pauli_rotation(letter: str, angle: float) -> np.ndarray:
-    """The 2x2 matrix exp(-i * angle * sigma^letter)."""
-    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * PAULI[letter]
 
 
 def _bit_table(n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
 # a pair is pure, and a site maximally mixed, within this many bits
 BELL_TOLERANCE = 1e-6
-_CUT_CHUNK = 64  # cuts per partial_trace call of the entropy table
+_CUT_CHUNK = 64  # cuts per partial_trace call of a cut scan
 
 
 def entropy(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
@@ -83,25 +83,31 @@ def _cuts(num_sites: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, masks
 
 
+def _reduced_cuts(state: StateVector, k: int):
+    """Yield (bitmasks, stacked reduced states) of the size-k cuts of
+    ``_cuts``, ``_CUT_CHUNK`` cuts per ``partial_trace`` call, so a scan
+    that stops early reduces few cuts."""
+    cuts, masks = _cuts(state.num_sites, k)
+    for start in range(0, len(cuts), _CUT_CHUNK):
+        chunk = slice(start, start + _CUT_CHUNK)
+        yield masks[chunk], partial_trace(state, cuts[chunk])
+
+
 def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
     """S(A) in bits for every site subset A, indexed by the bitmask of A.
 
     Entries with min(|A|, L - |A|) <= ``max_size`` are filled, the rest are
     NaN; the empty set and the whole chain hold 0. A pure state has
     S(A) = S(complement of A), so each bipartition is reduced once, on its
-    smaller side, in batched calls of ``_CUT_CHUNK`` cuts, and fills both
-    entries.
+    smaller side, by ``_reduced_cuts``, and fills both entries.
     """
     num_sites = state.num_sites
     full = (1 << num_sites) - 1
     table = np.full(full + 1, np.nan)
     table[[0, full]] = 0.0
     for k in range(1, min(max_size, num_sites // 2) + 1):
-        cuts, masks = _cuts(num_sites, k)
-        for start in range(0, len(cuts), _CUT_CHUNK):
-            chunk = slice(start, start + _CUT_CHUNK)
-            values = entropy(partial_trace(state, cuts[chunk]))
-            table[masks[chunk]] = table[full ^ masks[chunk]] = values
+        for masks, rho in _reduced_cuts(state, k):
+            table[masks] = table[full ^ masks] = entropy(rho)
     return table
 
 
@@ -195,24 +201,12 @@ def _initial_product_batch(state: StateVector, rng: np.random.Generator) -> np.n
     return phis
 
 
-def _balanced_cut_tops(state: StateVector):
-    """Yield the largest eigenvalue of each balanced cut's reduced state
-    (the squared largest Schmidt coefficient), 32 cuts per reduction, so a
-    scan that finds a witness early reduces few cuts."""
-    cuts, _ = _cuts(state.num_sites, state.num_sites // 2)
-    for start in range(0, len(cuts), 32):
-        yield partial_trace(state, cuts[start : start + 32]).eigenvalues[:, -1]
-
-
-def _sweep(
-    psi: np.ndarray, old: np.ndarray, norms: np.ndarray, guarded: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(psi: np.ndarray, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of every restart in ``old`` (L, B, 2): each site in turn
     becomes the normalized contraction of psi with the other sites' vectors,
-    the new ones before it and the old ones after it. Writes each site's
-    contraction norm into ``norms`` (L, B, 1) and returns the new vectors
-    and each restart's overlap. Unguarded, a zero norm divides by zero;
-    guarded, such a site keeps its old vector.
+    the new ones before it and the old ones after it. A site whose
+    contraction vanishes keeps its old vector. Returns the new vectors and
+    each restart's overlap.
     """
     num_sites, batch = old.shape[:2]
     conj = old.conj()[:, :, :, None, None]
@@ -220,19 +214,15 @@ def _sweep(
     suffix = [np.ones((batch, 1, 1), dtype=complex)] * (num_sites + 1)
     for site in range(num_sites - 1, 0, -1):
         suffix[site] = (conj[site] * suffix[site + 1][:, None]).reshape(batch, -1, 1)
-    new = np.empty_like(old)
+    new = old.copy()
     # psi contracted with the new conj(phi) of the sites already updated
     prefixed = psi
     for site in range(num_sites):
         left = prefixed.reshape(-1, 2, 2 ** (num_sites - site - 1))
         env = (left @ suffix[site + 1])[:, :, 0]
         sq = env.real**2 + env.imag**2
-        norm = np.sqrt(sq[:, :1] + sq[:, 1:], out=norms[site])
-        if guarded:
-            ok = norm > 1e-300
-            new[site] = np.where(ok, env / np.maximum(norm, 1e-300), old[site])
-        else:
-            np.divide(env, norm, out=new[site])
+        norm = np.sqrt(sq[:, :1] + sq[:, 1:])
+        np.divide(env, norm, out=new[site], where=norm > 1e-300)
         prefixed = new[site].conj()[:, None, :] @ left
     return new, prefixed[:, 0, 0].real
 
@@ -250,14 +240,15 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
     returned.
 
     No product overlap exceeds the largest Schmidt coefficient of any cut.
-    So while some restarts still sweep, each rise of the best converged
-    overlap lambda_c is tested against the balanced cuts (floor(L/2) sites),
-    scanned in chunks: the first cut whose top reduced eigenvalue is at most
-    (lambda_c + DEFAULT_TOL)^2 proves lambda_c is the maximum within
-    ``DEFAULT_TOL``, and the ascent stops with the best converged restart as
-    the winner. A balanced cut's top eigenvalue is at least 2^-floor(L/2),
-    so no cut is reduced while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1.
-    An overlap above an examined cut's coefficient is a bug and raises.
+    So while some restarts still sweep, each time one stops the best
+    converged overlap lambda_c is tested against the balanced cuts
+    (floor(L/2) sites). Their scan runs until a cut's top reduced eigenvalue
+    is at most (lambda_c + DEFAULT_TOL)^2, which proves lambda_c is the
+    maximum within ``DEFAULT_TOL`` and stops the ascent with the best
+    converged restart as the winner, or until no cut is left. A balanced
+    cut's top eigenvalue is at least 2^-floor(L/2), so no cut is reduced
+    while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1. An overlap above
+    an examined cut's coefficient is a bug and raises.
     """
     num_sites = state.num_sites
     psi = state.amplitudes
@@ -267,20 +258,12 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
     # the batch of restarts still sweeping, gathered only when it shrinks
     active = np.arange(DEFAULT_RESTARTS)
     local, lam_active = phis[:, active], lam[active]
-    norms = np.empty((num_sites, DEFAULT_RESTARTS, 1))
-    batch_norms = norms
     half = num_sites // 2
-    tops = _balanced_cut_tops(state)
+    balanced = _reduced_cuts(state, half)
     witness = math.inf  # smallest top eigenvalue of the cuts examined so far
-    tested = -math.inf  # lambda_c at the last certificate test
     certified = False
     for sweeps in range(1, DEFAULT_MAX_ITER + 1):
-        # one guard check per sweep: a sweep that met a zero contraction is
-        # run again with a per-site guard that keeps the old vector there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new, new_lam = _sweep(psi, local, batch_norms, guarded=False)
-        if not (batch_norms > 1e-300).all():
-            new, new_lam = _sweep(psi, local, batch_norms, guarded=True)
+        new, new_lam = _sweep(psi, local)
         if (new_lam < lam_active - 1e-9).any():
             raise AssertionError("overlap decreased during an exact local update")
         stalled = new_lam - lam_active < DEFAULT_TOL
@@ -293,21 +276,17 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
         done[active[stalled]] = True
         active = active[~stalled]
         local, lam_active = local[:, ~stalled], lam_active[~stalled]
-        batch_norms = norms[:, : active.size]
         if done.all():
             break
         lam_c = float(lam[done].max())
-        if lam_c <= tested:
-            continue
-        tested = lam_c
         bound = (lam_c + DEFAULT_TOL) ** 2
         if half == 0 or bound * 2**half < 1:
             continue
         while witness > bound:
-            top = next(tops, None)
-            if top is None:
+            _, rho = next(balanced, (None, None))
+            if rho is None:
                 break
-            witness = min(witness, float(top.min()))
+            witness = min(witness, float(rho.eigenvalues[:, -1].min()))
         if lam.max() > math.sqrt(witness) + 1e-9:
             raise AssertionError("overlap exceeds a cut's largest Schmidt coefficient")
         if witness <= bound:

@@ -59,7 +59,8 @@ class CovarianceMatrix:
         dim = means.size
         if gamma.shape != (dim, dim) or dim % 3 != 0:
             raise ValueError(f"inconsistent shapes {gamma.shape} / {means.shape}")
-        if not float(np.abs(gamma - gamma.T).max()) <= 1e-12:
+        # a non-finite entry fails before inf - inf is ever formed
+        if not (np.isfinite(gamma).all() and np.abs(gamma - gamma.T).max() <= 1e-12):
             raise ValueError("covariance matrix is not symmetric")
         for i in range(dim // 3):
             m = means[3 * i : 3 * i + 3]

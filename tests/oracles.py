@@ -16,12 +16,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from kicked_ising.core import DEFAULT_TOL, PAULI_X, PAULI_Y, PAULI_Z, StateVector
+from kicked_ising.core import DEFAULT_TOL, StateVector, partial_trace
 from kicked_ising.entanglement import (
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     GeometricResult,
-    _balanced_cut_tops,
+    _cuts,
     _initial_product_batch,
 )
 from kicked_ising.floquet import (
@@ -41,6 +41,16 @@ from kicked_ising.spectral import PERIOD_TOLERANCE, PeriodReport
 
 # The one-site Hadamard, which changes between the z and x bases.
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+
+def pauli_rotation(letter: str, angle: float) -> np.ndarray:
+    """The 2x2 matrix exp(-i * angle * sigma^letter)."""
+    return np.cos(angle) * np.eye(2, dtype=complex) - 1j * np.sin(angle) * PAULI[letter]
 
 
 def site_operator(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
@@ -511,8 +521,18 @@ def grid_max_qfi(
 
 
 # The ascent of ``entanglement.geometric_measure`` as it was before its sweep
-# was rewritten to issue fewer NumPy calls, kept verbatim (only the name
-# differs): the rewrite must reproduce every field of its result bit for bit.
+# was rewritten to issue fewer NumPy calls, kept verbatim with the cut scan
+# it read (only the ascent's name differs): the rewrite must reproduce every
+# field of its result bit for bit.
+def _balanced_cut_tops(state: StateVector):
+    """Yield the largest eigenvalue of each balanced cut's reduced state
+    (the squared largest Schmidt coefficient), 32 cuts per reduction, so a
+    scan that finds a witness early reduces few cuts."""
+    cuts, _ = _cuts(state.num_sites, state.num_sites // 2)
+    for start in range(0, len(cuts), 32):
+        yield partial_trace(state, cuts[start : start + 32]).eigenvalues[:, -1]
+
+
 def geometric_measure_oracle(state: StateVector, seed: int = 0) -> GeometricResult:
     """Maximize |<Phi|psi>| over product states Phi = phi_1 x ... x phi_L.
 

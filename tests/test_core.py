@@ -5,7 +5,6 @@ import pytest
 
 from kicked_ising import core
 from kicked_ising.core import (
-    PAULI,
     Axis,
     DensityMatrix,
     StateVector,
@@ -14,10 +13,9 @@ from kicked_ising.core import (
     make_polarized_state,
     make_psi_o,
     partial_trace,
-    pauli_rotation,
 )
 
-from oracles import random_state, site_operator
+from oracles import PAULI, pauli_rotation, random_state, site_operator
 
 
 def reduced_by_reshape(amplitudes: np.ndarray, num_sites: int, kept) -> np.ndarray:
@@ -54,6 +52,33 @@ class TestAxis:
         np.testing.assert_allclose(
             Axis("y", +1).eigenvector(), [1 / np.sqrt(2), 1j / np.sqrt(2)]
         )
+
+
+# every taker of a site count, called with the count alone
+SITE_COUNT_TAKERS = {
+    "StateVector": lambda n: StateVector(n, np.eye(16)[0]),
+    "DensityMatrix": lambda n: DensityMatrix(n, np.eye(16) / 16),
+    "make_polarized_state": lambda n: make_polarized_state(n, Axis.parse("z+")),
+    "make_ghz": lambda n: make_ghz(n, Axis.parse("z")),
+    "make_psi_o": make_psi_o,
+}
+
+
+class TestSiteCount:
+    @pytest.mark.parametrize("bad", [2.0, True, "4"], ids=repr)
+    @pytest.mark.parametrize(
+        "make", SITE_COUNT_TAKERS.values(), ids=SITE_COUNT_TAKERS.keys()
+    )
+    def test_rejects_a_non_integer(self, make, bad):
+        with pytest.raises(ValueError, match="num_sites"):
+            make(bad)
+
+    @pytest.mark.parametrize(
+        "make", SITE_COUNT_TAKERS.values(), ids=SITE_COUNT_TAKERS.keys()
+    )
+    def test_stores_a_numpy_integer_as_an_int(self, make):
+        made = make(np.int64(4))
+        assert type(made.num_sites) is int and made.num_sites == 4
 
 
 class TestStateVector:
@@ -108,6 +133,8 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=message):
             DensityMatrix(1, stack)
 
+    # inf - inf would warn before the rejection
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(Ellipsis,), (0, 0), (1, 0)])
     @pytest.mark.parametrize("stacked", [False, True])

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -437,7 +438,7 @@ class TestGeometricMeasure:
 
     def test_a_zero_contraction_keeps_the_old_vector(self, monkeypatch):
         # restart 1 starts orthogonal to |0000> at site 2, so its first site
-        # contracts to zero: the sweep is replayed under the per-site guard
+        # contracts to zero and keeps its old vector
         real = entanglement._initial_product_batch
 
         def orthogonal_at_site_2(state, rng):
@@ -447,34 +448,48 @@ class TestGeometricMeasure:
 
         for module in (entanglement, oracles):
             monkeypatch.setattr(module, "_initial_product_batch", orthogonal_at_site_2)
-        runs = []
-        sweep = entanglement._sweep
-
-        def recording(*args, guarded):
-            runs.append(guarded)
-            return sweep(*args, guarded=guarded)
-
-        monkeypatch.setattr(entanglement, "_sweep", recording)
         state = make_polarized_state(4, Axis.parse("z+"))
         result = geometric_measure(state)
-        assert runs[:3] == [False, True, False]
         assert_same_result(result, oracles.geometric_measure_oracle(state), "z+")
         assert not np.isnan(np.array(result.product_state)).any()
+
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # the cut scan runs until a cut certifies or none is left, so how
+        # many cuts one reduction holds changes no result
+        states = build_up(FloquetSpec(Model.U0, 8), "y+", 16) + build_up(
+            FloquetSpec(Model.UX, 6, Boundary.CLOSED), "z+", 12
+        )
+        runs = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(entanglement, "_CUT_CHUNK", chunk)
+            results = [geometric_measure(state) for state in states]
+            tables = [entanglement._entropy_table(s, 4).tobytes() for s in states]
+            runs.append((results, tables))
+        (want, want_tables), *others = runs
+        assert sum(result.certified for result in want) == 20
+        for results, tables in others:
+            for n, (got, expected) in enumerate(zip(results, want)):
+                assert_same_result(got, expected, f"state {n}")
+            assert tables == want_tables
 
     def test_overlap_above_a_cut_bound_raises(self, monkeypatch):
         # a cut whose Schmidt coefficient lies below a found overlap means
         # the reduced states or the overlaps are wrong
+        fake = SimpleNamespace(eigenvalues=np.array([[0.01]]))
         monkeypatch.setattr(
-            entanglement, "_balanced_cut_tops", lambda state: iter([np.array([0.01])])
+            entanglement, "_reduced_cuts", lambda state, k: iter([(None, fake)])
         )
         with pytest.raises(AssertionError, match="Schmidt"):
             geometric_measure(make_ghz(6, Axis.parse("z")))
 
 
-def build_up(spec: FloquetSpec, axis: str) -> list[StateVector]:
-    """The chain polarized along ``axis``, after n = 0..L periods of ``spec``."""
+def build_up(
+    spec: FloquetSpec, axis: str, periods: int | None = None
+) -> list[StateVector]:
+    """The chain polarized along ``axis``, after n = 0..``periods`` periods
+    of ``spec`` (L by default)."""
     states = [make_polarized_state(spec.num_sites, Axis.parse(axis))]
-    for _ in range(spec.num_sites):
+    for _ in range(spec.num_sites if periods is None else periods):
         states.append(apply_floquet(spec, states[-1], 1))
     return states
 

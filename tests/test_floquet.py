@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from kicked_ising import floquet
-from kicked_ising.core import Axis, PAULI_X, StateVector, fidelity, make_polarized_state
+from kicked_ising.core import Axis, StateVector, fidelity, make_polarized_state
 from kicked_ising.floquet import (
     Boundary,
     DENSE_MAX_SITES,
@@ -23,6 +23,7 @@ from kicked_ising.spectral import quasi_energies
 
 from oracles import (
     HADAMARD,
+    PAULI_X,
     conjugate_through_period,
     dense_floquet_oracle,
     matrix_free_build_oracle,

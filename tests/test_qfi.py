@@ -112,6 +112,8 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             CovarianceMatrix(gamma=bad, means=good.means)
 
+    # inf - inf would warn before the rejection
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 1), (0, 0), (Ellipsis,)])
     def test_construction_rejects_non_finite_entries(self, bad, where):
