@@ -28,22 +28,20 @@ DENSE_MAX_SITES = 12
 DEFAULT_TOL = 1e-12
 
 
-def _as_integer(name: str, value) -> int:
-    """``value`` by ``operator.index`` (NumPy integers pass, bools do not)."""
+def _as_integer(name: str, value, low=None, high=None) -> int:
+    """``value`` by ``operator.index`` (NumPy integers pass, bools do not),
+    within the inclusive bounds given: ``low`` alone, or ``low`` and ``high``."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name}: must be an integer, got {value!r}") from None
-
-
-def _check_num_sites(num_sites: int) -> int:
-    """``num_sites`` as an int in [1, ``MAX_SITES``]."""
-    num_sites = _as_integer("num_sites", num_sites)
-    if not 1 <= num_sites <= MAX_SITES:
-        raise ValueError(f"num_sites must be in [1, {MAX_SITES}], got {num_sites}")
-    return num_sites
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name}: must be in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name}: must be >= {low}, got {value}")
+    return value
 
 
 _EIGENVECTORS = {
@@ -65,6 +63,7 @@ class Axis:
     def __post_init__(self) -> None:
         if self.letter not in ("x", "y", "z"):
             raise ValueError(f"axis letter must be x, y or z, got {self.letter!r}")
+        object.__setattr__(self, "sign", _as_integer("sign", self.sign))
         if self.sign not in (+1, -1):
             raise ValueError(f"axis sign must be +1 or -1, got {self.sign!r}")
 
@@ -95,7 +94,8 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_sites", _check_num_sites(self.num_sites))
+        num_sites = _as_integer("num_sites", self.num_sites, 1, MAX_SITES)
+        object.__setattr__(self, "num_sites", num_sites)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.num_sites,):
             raise ValueError(
@@ -122,7 +122,8 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_sites", _check_num_sites(self.num_sites))
+        num_sites = _as_integer("num_sites", self.num_sites, 1, MAX_SITES)
+        object.__setattr__(self, "num_sites", num_sites)
         rho = np.asarray(self.elements, dtype=complex)
         d = 2 ** self.num_sites
         if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -155,7 +156,7 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
 
 def make_polarized_state(num_sites: int, axis: Axis) -> StateVector:
     """Product state with every site in the chosen sigma^alpha eigenstate."""
-    num_sites = _check_num_sites(num_sites)
+    num_sites = _as_integer("num_sites", num_sites, 1, MAX_SITES)
     return StateVector(num_sites, _kron_power(axis.eigenvector(), num_sites))
 
 
@@ -165,9 +166,7 @@ def make_ghz(num_sites: int, axis: Axis) -> StateVector:
     The sign carried by ``axis`` is irrelevant here; both branches enter
     with a real positive coefficient.
     """
-    num_sites = _check_num_sites(num_sites)
-    if num_sites < 2:
-        raise ValueError(f"GHZ state needs at least 2 sites, got {num_sites}")
+    num_sites = _as_integer("num_sites", num_sites, 2, MAX_SITES)
     plus = _kron_power(Axis(axis.letter, +1).eigenvector(), num_sites)
     minus = _kron_power(Axis(axis.letter, -1).eigenvector(), num_sites)
     return StateVector(num_sites, (plus + minus) / np.sqrt(2))
@@ -175,9 +174,9 @@ def make_ghz(num_sites: int, axis: Axis) -> StateVector:
 
 def make_psi_o(num_sites: int) -> StateVector:
     """Product of two z-basis GHZ blocks on sites 1..L/2 and L/2+1..L."""
-    num_sites = _check_num_sites(num_sites)
-    if num_sites % 2 != 0 or num_sites < 4:
-        raise ValueError(f"num_sites must be even and >= 4, got {num_sites}")
+    num_sites = _as_integer("num_sites", num_sites, 4, MAX_SITES)
+    if num_sites % 2 != 0:
+        raise ValueError(f"num_sites: must be even, got {num_sites}")
     half = num_sites // 2
     block = np.zeros(2 ** half, dtype=complex)
     block[0] = block[-1] = 1 / np.sqrt(2)

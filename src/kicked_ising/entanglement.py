@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityMatrix, StateVector, partial_trace
+from .core import DEFAULT_TOL, DensityMatrix, StateVector, _as_integer, partial_trace
 
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
@@ -121,8 +121,7 @@ def _size_mean(table: np.ndarray, num_sites: int, l: int) -> float:
 def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, float]:
     """Mean entropy over all C(L, l) site subsets of size l: (S(l), S(l)/l)."""
     num_sites = state.num_sites
-    if not 1 <= l <= num_sites - 1:
-        raise ValueError(f"subsystem size {l} not in 1..{num_sites - 1}")
+    l = _as_integer("l", l, 1, num_sites - 1)
     s = _size_mean(_entropy_table(state, min(l, num_sites - l)), num_sites, l)
     return s, s / l
 

@@ -146,10 +146,8 @@ class ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{name}: expected an integer, got {value!r}") from None
             object.__setattr__(self, name, _as_integer(name, value))
-        if not 2 <= self.size <= DENSE_MAX_SITES:
-            raise ValueError(f"size: must be in 2..{DENSE_MAX_SITES}, got {self.size}")
-        if self.periods < 0:
-            raise ValueError(f"periods: must be >= 0, got {self.periods}")
+        _as_integer("size", self.size, 2, DENSE_MAX_SITES)
+        _as_integer("periods", self.periods, 0)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed: must be in 0..2**64-1, got {self.seed}")
         measures = self.measures

@@ -140,9 +140,7 @@ class FloquetSpec:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name}: must be a {kind.__name__}, got {value!r}")
-        object.__setattr__(self, "num_sites", _as_integer("num_sites", self.num_sites))
-        if self.num_sites < 2:
-            raise ValueError(f"num_sites must be at least 2, got {self.num_sites}")
+        object.__setattr__(self, "num_sites", _as_integer("num_sites", self.num_sites, 2))
 
     def bonds(self) -> list[tuple[int, int]]:
         """Ising bond list; closed chains add the wrap-around bond (L, 1)."""
@@ -191,9 +189,7 @@ def symmetry_sectors(
     Every dense build starts here, so the dense size cap is checked here,
     after the arguments and before any 2^L table is built or cached.
     """
-    num_sites = _as_integer("num_sites", num_sites)
-    if num_sites < 1:
-        raise ValueError(f"num_sites must be at least 1, got {num_sites}")
+    num_sites = _as_integer("num_sites", num_sites, 1)
     if not all(isinstance(sym, Symmetry) for sym in symmetries):
         raise ValueError(f"symmetries: must be Symmetry members, got {symmetries!r}")
     if num_sites > DENSE_MAX_SITES:
@@ -283,9 +279,7 @@ def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
         raise ValueError(
             f"spec is for {spec.num_sites} sites but state has {state.num_sites}"
         )
-    n = _as_integer("n", n)
-    if n < 0:
-        raise ValueError(f"period count must be nonnegative, got {n}")
+    n = _as_integer("n", n, 0)
     amps, program = state.amplitudes, _block_program(spec)
     for _ in range(n):
         amps = _one_period(program, amps, spec.num_sites)

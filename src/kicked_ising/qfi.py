@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, StateVector
+from .core import DEFAULT_TOL, StateVector, _as_integer
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 1000
@@ -124,8 +124,8 @@ def covariance_matrix(state: StateVector) -> CovarianceMatrix:
 def producibility_bound(num_sites: int, k: int) -> int:
     """kappa(k) = floor(L/k) k^2 + (L - floor(L/k) k)^2, the max QFI of
     any k-producible state."""
-    if not 1 <= k <= num_sites:
-        raise ValueError(f"cluster size {k} not in 1..{num_sites}")
+    num_sites = _as_integer("num_sites", num_sites, 1)
+    k = _as_integer("k", k, 1, num_sites)
     full = num_sites // k
     rest = num_sites - full * k
     return full * k * k + rest * rest

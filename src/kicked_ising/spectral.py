@@ -324,13 +324,6 @@ def detect_spacing(spectrum: QuasiSpectrum) -> SpacingResult | None:
     return SpacingResult(delta=float(delta), offset=offset, max_residual=max_residual)
 
 
-def _checked_max_n(max_n) -> int:
-    max_n = _as_integer("max_n", max_n)
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n}")
-    return max_n
-
-
 def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     """Find recurrences of a spectrum: U^n = phase*I iff all n*theta_k agree.
 
@@ -340,7 +333,7 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
     proportional to I only at multiples of the projective period T, so
     ``exact_period`` is the smallest kT, with k <= max_n, such that U^{kT} = I.
     """
-    max_n = _checked_max_n(max_n)
+    max_n = _as_integer("max_n", max_n, 1)
     th = np.asarray(thetas, dtype=float)
     if th.size == 0:
         raise ValueError("detect_period_from_thetas needs at least one quasi-energy")
@@ -365,5 +358,5 @@ def detect_period_from_thetas(thetas: np.ndarray, max_n: int) -> PeriodReport:
 def detect_period(spec: FloquetSpec, max_n: int) -> PeriodReport:
     """Period detection for a Floquet operator built from ``spec`` (L <= 12);
     ``max_n`` is checked before the spectrum is paid for."""
-    max_n = _checked_max_n(max_n)
+    max_n = _as_integer("max_n", max_n, 1)
     return detect_period_from_thetas(floquet_spectrum(spec).thetas, max_n)

@@ -41,6 +41,17 @@ class TestAxis:
     def test_str(self):
         assert str(Axis("y", -1)) == "y-"
 
+    # True == 1 and -1.0 == -1, so the +-1 test alone stored them as given
+    @pytest.mark.parametrize("sign", [True, -1.0], ids=repr)
+    def test_sign_must_be_an_integer(self, sign):
+        message = f"^sign: must be an integer, got {sign!r}$"
+        with pytest.raises(ValueError, match=message):
+            Axis("z", sign)
+
+    def test_stores_a_numpy_sign_as_an_int(self):
+        axis = Axis("z", np.int64(-1))
+        assert type(axis.sign) is int and axis == Axis("z", -1)
+
     def test_eigenvectors(self):
         for letter in "xyz":
             for sign in (+1, -1):

@@ -178,6 +178,13 @@ class TestAverageEntropy:
             with pytest.raises(ValueError):
                 average_entanglement_entropy(state, bad)
 
+    # unchecked, 2.0 failed with a TypeError deep inside and True ran as l = 1
+    @pytest.mark.parametrize("l", [2.0, True], ids=repr)
+    def test_rejects_a_non_integer_subsystem_size(self, l):
+        state = make_ghz(4, Axis.parse("z"))
+        with pytest.raises(ValueError, match=f"^l: must be an integer, got {l!r}$"):
+            average_entanglement_entropy(state, l)
+
     def test_report_collects_all_sizes(self):
         state = make_ghz(4, Axis.parse("z"))
         report = aee_report(state)

@@ -187,6 +187,12 @@ class TestBounds:
             with pytest.raises(ValueError):
                 producibility_bound(10, bad)
 
+    # unchecked, 2.5 gave kappa = 8.5 and True the kappa of k = 1
+    @pytest.mark.parametrize("k", [2.5, True], ids=repr)
+    def test_partition_bound_rejects_a_non_integer_k(self, k):
+        with pytest.raises(ValueError, match=f"^k: must be an integer, got {k!r}$"):
+            producibility_bound(4, k)
+
     def test_depth_from_qfi(self):
         assert depth(100.0, 10) == 10
         assert depth(16.0, 4) == 4

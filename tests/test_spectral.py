@@ -412,8 +412,8 @@ class TestSymmetrySectors:
             (2.0, "^num_sites: must be an integer, got 2.0$"),
             (True, "^num_sites: must be an integer, got True$"),
             ("3", "^num_sites: must be an integer, got '3'$"),
-            (0, "^num_sites must be at least 1, got 0$"),
-            (-1, "^num_sites must be at least 1, got -1$"),
+            (0, "^num_sites: must be >= 1, got 0$"),
+            (-1, "^num_sites: must be >= 1, got -1$"),
         ],
     )
     def test_rejects_a_bad_site_count(self, num_sites, message):
@@ -669,7 +669,7 @@ class TestPeriods:
     def test_rejects_a_max_n_before_any_spectrum(self, monkeypatch, value):
         # detect_period rejects it before paying for the spectrum
         if value == 0:
-            message = "^max_n must be positive, got 0$"
+            message = "^max_n: must be >= 1, got 0$"
         else:
             message = f"^max_n: must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
