@@ -249,6 +249,7 @@ def geometric_measure(state: StateVector, seed: int = 0) -> GeometricResult:
     while (lambda_c + DEFAULT_TOL)^2 * 2^floor(L/2) < 1. An overlap above
     an examined cut's coefficient is a bug and raises.
     """
+    seed = _as_integer("seed", seed, 0, 2**64 - 1)
     num_sites = state.num_sites
     psi = state.amplitudes
     phis = _initial_product_batch(state, np.random.default_rng(seed))

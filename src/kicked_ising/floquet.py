@@ -42,6 +42,14 @@ and so flips the sign of H_x and H_y. ``MODEL_SYMMETRIES`` records this.
 does not leave invariant: as U is unitary, ||U B||_F^2 = d, so the
 weight a d-dimensional block leaks is d - ||B^H U B||_F^2.
 
+Free fermions. With m_{2j-1} = (prod_{k<j} Z_k) X_j, m_{2j} = (prod_{k<j} Z_k) Y_j,
+a z-basis field Z_j = -i m_{2j-1} m_{2j} and an x-basis Ising term
+X_i X_{i+1} = -i m_{2i} m_{2i+1} each turn one Majorana plane by pi/2 (Lieb,
+Schultz & Mattis, Ann. Phys. 16, 407 (1961)); ``_majorana_map`` composes them
+into a real orthogonal 2L x 2L R from the z basis, a Hadamard toggling it.
+A y rotation, an x-basis field, a z-basis Ising term, the wrap bond X_L X_1 =
+-P (-i m_{2L} m_1) (P the Z parity) or a period ending in x leaves no R.
+
 Time reversal. Both kernels are symmetric in (a, b), so a diagonal
 unitary similarity turns U into a complex symmetric V with the same
 spectrum; ``_symmetric_block`` gives the sector blocks of V.
@@ -258,6 +266,25 @@ def _block_program(spec: FloquetSpec) -> tuple:
     for table in (t for t in tables if t is not None):
         table.setflags(write=False)
     return tables
+
+
+def _majorana_map(spec: FloquetSpec) -> np.ndarray | None:
+    """One period's map R on the Majoranas, row k for m_{k+1}, or None (see
+    the module docstring). A term on the plane (a, b) sends m_a to -m_b, m_b to m_a."""
+    planes = {("field", "z"): [(2 * j, 2 * j + 1) for j in range(spec.num_sites)]}
+    if all(j == i + 1 for i, j in spec.bonds()):  # no wrap bond
+        planes["ising", "x"] = [(2 * i - 1, 2 * i) for i, _ in spec.bonds()]
+    rot, basis = np.eye(2 * spec.num_sites), "z"
+    for layer in PERIOD_LAYERS[spec.model]:
+        match layer:
+            case "hadamard":
+                basis = "x" if basis == "z" else "z"
+            case ("phase", names) if all((name, basis) in planes for name in names):
+                for a, b in (pair for name in names for pair in planes[name, basis]):
+                    rot[[a, b]] = rot[[b, a]] * [[-1], [1]]
+            case _:
+                return None
+    return rot if basis == "z" else None
 
 
 def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:

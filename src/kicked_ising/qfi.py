@@ -170,6 +170,7 @@ def maximize_qfi(state: StateVector, seed: int = 0) -> QfiResult:
     ``DEFAULT_RESTARTS`` restarts run for at most ``DEFAULT_MAX_ITER``
     sweeps. The best restart wins; converged restarts are preferred.
     """
+    seed = _as_integer("seed", seed, 0, 2**64 - 1)
     num_sites = state.num_sites
     restarts = DEFAULT_RESTARTS
     cov = covariance_matrix(state)

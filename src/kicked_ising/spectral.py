@@ -6,25 +6,26 @@ extracts them, clusters degeneracies, detects a common level spacing, and
 finds stroboscopic periods (smallest n with U^n proportional to the
 identity) directly from the spectrum.
 
-``floquet_spectrum`` diagonalizes one symmetry-sector block at a time
-(``floquet.MODEL_SYMMETRIES``): reflection and Z parity for U_0, four
-blocks of about 2^L/4; reflection only for U_x, whose x field and y kick
-anticommute with Z parity, two blocks of about 2^L/2. Each block is
-built, checked and diagonalized, and released before the next is built,
-so one block and (d, chunk) work arrays are alive at a time.
+``floquet_spectrum`` reads the levels of a period of Majorana pair
+rotations (open U_0) from its single-particle map, with no dense block
+(``_majorana_thetas``). Any other period goes one symmetry-sector block
+at a time (``floquet.MODEL_SYMMETRIES``): reflection and Z parity for
+U_0, four blocks of about 2^L/4; reflection only for U_x, whose x field
+and y kick anticommute with Z parity, two blocks of about 2^L/2. Each
+block is built, checked and diagonalized, and released before the next
+is built, so one block and (d, chunk) work arrays are alive at a time.
 ``build_dense`` checks each block's sector leak as d - ||block||_F^2,
 which holds because U is unitary (every phase-table entry has modulus
-1); here each block is checked unitary on two probe vectors, and its
-eigenvalues against its traces, both in O(d^2).
+1); here each block is checked unitary on two fixed probe vectors and
+one read from its entries, and its eigenvalues against its traces, both
+in O(d^2).
 
-Each block is taken in time-reversal form (``floquet._symmetric_block``):
-a diagonal unitary similarity makes it complex symmetric, so its real
-and imaginary parts X and Y are commuting real symmetric matrices. Its
-levels then come from two values-only real ``eigvalsh`` calls, of X and
-of cot(phi) X - Y, about 4/3 d^3 flops each: several times less than the
-general complex QR of ``numpy.linalg.eigvals`` (about 1/16 of the
-whole-matrix cost for U_0, 1/4 for U_x), which stays the route of any
-other block.
+Each block is taken in time-reversal form (``floquet._symmetric_block``),
+complex symmetric, so its real and imaginary parts X and Y commute. Its
+levels come from two values-only real ``eigvalsh`` calls, of X and of
+cot(phi) X - Y, about 4/3 d^3 flops each: several times less than the
+complex QR of ``numpy.linalg.eigvals`` (about 1/16 of the whole-matrix
+cost for U_0, 1/4 for U_x), which stays the route of any other block.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _as_integer
-from .floquet import _BUILD_CHUNK, FloquetSpec, _symmetric_block
+from .floquet import _BUILD_CHUNK, FloquetSpec, _dense_form, _majorana_map, _symmetric_block
 
 CLUSTER_TOLERANCE = 1e-7
 # Cluster centers closer to zero than this are rounding noise of a level
@@ -45,11 +46,11 @@ ZERO_SNAP = 1e-12
 SPACING_TOLERANCE = 1e-6
 PERIOD_TOLERANCE = 1e-7
 
-# Largest ||B^H B R - R||_F on the two probe columns R of ``_probes``.
-# Their entries have modulus 1, so over random phases ||(B^H B - I) r||^2
-# averages ||B^H B - I||_F^2: the bound keeps the scale of a Frobenius
-# check on B^H B without forming it. Model blocks read at most 2e-13 at
-# L = 12.
+# Largest ||B^H B R - R||_F on the three probe columns R of ``_probes``
+# and ``_entry_probe``. Their entries have modulus 1, so over random
+# phases ||(B^H B - I) r||^2 averages ||B^H B - I||_F^2: the bound keeps
+# the scale of a Frobenius check on B^H B without forming it. Model blocks
+# read at most 2.6e-13 at L = 12.
 _UNITARY_TOLERANCE = 1e-10
 # A block with ||B - B^T||_F at most this takes the symmetric route. Its
 # eigensolves read one triangle, so this also bounds their error; the
@@ -172,9 +173,16 @@ def _probes(dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * (steps % 1))
 
 
+def _entry_probe(mat: np.ndarray) -> np.ndarray:
+    """A third probe e^{2 pi i k s}, s in [0, 1) from the sum of B's entries as
+    64-bit words: not fixed in advance, so a defect shaped for fixed probes shows."""
+    words = int(np.ascontiguousarray(mat).view(np.uint64).sum(dtype=np.uint64))
+    return np.exp(2j * np.pi * (np.arange(len(mat)) * (words % 2**53 / 2**53) % 1))
+
+
 def _probe_deviation(mat: np.ndarray) -> float:
-    """||B^H B R - R||_F on the ``_probes`` R, by two products with B."""
-    probes = _probes(len(mat))
+    """||B^H B R - R||_F on the three probes R, by two products with B."""
+    probes = np.column_stack([_probes(len(mat)), _entry_probe(mat)])
     image = (mat @ probes).conj().T @ mat  # R^H B^H B, with no d x d temporary
     return float(np.linalg.norm(image.conj().T - probes))
 
@@ -193,14 +201,14 @@ def _block_thetas(block: np.ndarray) -> np.ndarray:
     """Phases of one block B from its eigenvalues alone, checked on the way.
 
     B must hold finite values only, and ||B^H B R - R||_F on two fixed
-    probe columns R (``_probes``) must be at most 1e-10, in O(d^2) before
-    any eigensolver runs. A symmetric B goes to ``_symmetric_thetas``;
-    otherwise, or when that route cannot pair its levels, the general
-    ``eigvals`` runs. A unitary B is normal, so by Bauer-Fike either
-    backward stable eigensolver gives each eigenvalue within about eps*d
-    with no eigenvectors; the power sums sum(lam) = Tr B and
-    sum(lam^2) = Tr B^2 of lam = e^{-i theta}, matched within 1e-9 in
-    O(d^2), tie the returned multiset to this block.
+    probe columns and one read from B (``_probes``, ``_entry_probe``) must
+    be at most 1e-10, in O(d^2) before any eigensolver runs. A symmetric B
+    goes to ``_symmetric_thetas``; otherwise, or when that route cannot
+    pair its levels, the general ``eigvals`` runs. A unitary B is normal,
+    so by Bauer-Fike either backward stable eigensolver gives each
+    eigenvalue within about eps*d with no eigenvectors; the power sums
+    sum(lam) = Tr B and sum(lam^2) = Tr B^2 of lam = e^{-i theta}, matched
+    within 1e-9 in O(d^2), tie the returned multiset to this block.
     """
     mat = np.asarray(block, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
@@ -279,12 +287,35 @@ def _symmetric_thetas(mat: np.ndarray) -> np.ndarray | None:
     return np.arctan2(values - cot * c, c)
 
 
+def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray:
+    """Unsorted phases of U from its Majorana map R: each cos(eps_j) of R's
+    eigenvalues e^{+-i eps_j} is a pair of values of ``eigvalsh((R + R^T) / 2)``,
+    U's 2^L levels are phi + sum_j +-eps_j / 2, and the exact
+    Tr U = e^{-i phi} prod_j 2 cos(eps_j / 2) fixes phi."""
+    dev = np.abs(rot.T @ rot - np.eye(len(rot))).max()
+    cos = np.linalg.eigvalsh((rot + rot.T) / 2)
+    spread = np.abs(cos[1::2] - cos[::2]).max()
+    if not (dev <= 1e-12 and spread <= _COS_TOLERANCE):
+        raise ValueError(f"Majorana map: |R^T R - I| {dev:.3e}, cos pairs {spread:.3e} apart")
+    half = np.arccos(np.clip((cos[::2] + cos[1::2]) / 2, -1, 1)) / 2
+    left, kernel, right, _ = _dense_form(spec)
+    trace = kernel[0] * np.dot(left, right)  # two Hadamards: U[a, a] = kernel[0]
+    weight = np.prod(2 * np.cos(half))
+    if not (abs(abs(trace) - weight) <= 1e-9 and weight > 1e-6):
+        raise ValueError(f"|Tr U| = {abs(trace):.3e}, but prod 2cos(eps/2) = {weight:.3e}")
+    levels = np.array([-np.angle(trace)])
+    for h in half:
+        levels = np.r_[levels - h, levels + h]
+    return np.pi - (np.pi - levels) % (2 * np.pi)  # in (-pi, pi]
+
+
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
-    """Quasi-energies of the operator built from ``spec`` (L <= 12), one
-    symmetry-sector block at a time, each in time-reversal form
-    (``floquet._symmetric_block``): each block is dropped once its phases
-    are read, and the pooled phases are clustered once."""
-    parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in spec.sectors()]
+    """Quasi-energies of the operator built from ``spec`` (L <= 12): from its
+    Majorana map if it has one, else from one time-reversal-form block at a time."""
+    sectors = spec.sectors()  # first: it enforces the dense cap
+    if (rot := _majorana_map(spec)) is not None:
+        return QuasiSpectrum(np.sort(_majorana_thetas(spec, rot)))
+    parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in sectors]
     return QuasiSpectrum(np.sort(np.concatenate(parts)))
 
 

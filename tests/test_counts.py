@@ -15,10 +15,10 @@ from kicked_ising.core import (
     make_polarized_state,
     make_psi_o,
 )
-from kicked_ising.entanglement import average_entanglement_entropy
+from kicked_ising.entanglement import average_entanglement_entropy, geometric_measure
 from kicked_ising.experiment import ExperimentConfig
 from kicked_ising.floquet import FloquetSpec, Model, apply_floquet, symmetry_sectors
-from kicked_ising.qfi import producibility_bound
+from kicked_ising.qfi import maximize_qfi, producibility_bound
 from kicked_ising.spectral import detect_period, detect_period_from_thetas
 
 Z = Axis("z", +1)
@@ -80,6 +80,15 @@ COUNT_TAKERS = {
     ),
     "producibility_bound.k": (
         lambda n: producibility_bound(4, n), "k", 1, 4, 2, None,
+    ),
+    # the optimizers' seeds: SeedSequence takes 0..2**64-1 and more, but
+    # the config allows only this range
+    "maximize_qfi.seed": (
+        lambda n: maximize_qfi(make_ghz(4, Z), seed=n), "seed", 0, 2**64 - 1, 3, None,
+    ),
+    "geometric_measure.seed": (
+        lambda n: geometric_measure(make_ghz(4, Z), seed=n), "seed", 0, 2**64 - 1, 3,
+        None,
     ),
     "ExperimentConfig.size": (
         lambda n: ExperimentConfig(Model.U0, n), "size", 2, DENSE_MAX_SITES, 4,

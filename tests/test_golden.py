@@ -22,6 +22,11 @@ RUNS = {
         for model in ("U0", "Ux")
         for boundary in ("open", "closed")
     },
+    # open U0 at larger sizes, where its levels come from the Majorana map
+    **{
+        f"spectrum-U0-open-{size}": ["spectrum", "--model", "U0", "--size", str(size)]
+        for size in (9, 10, 12)
+    },
     "evolve": ["evolve", "--model", "Ux", "--size", "7", "--initial", "z+", "--periods", "120"],
     "measure": [
         "measure", "--model", "Ux", "--size", "6", "--boundary", "closed",

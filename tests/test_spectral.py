@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kicked_ising import spectral
+from kicked_ising import floquet, spectral
 from kicked_ising.core import DENSE_MAX_SITES
 from kicked_ising.floquet import (
     Boundary,
@@ -19,6 +19,7 @@ from kicked_ising.floquet import (
     Model,
     Symmetry,
     _block_program,
+    _majorana_map,
     _symmetric_block,
     build_dense,
     symmetry_sectors,
@@ -27,6 +28,7 @@ from kicked_ising.spectral import (
     QuasiSpectrum,
     _block_thetas,
     _cluster_circular,
+    _majorana_thetas,
     _symmetric_thetas,
     detect_period,
     detect_period_from_thetas,
@@ -203,11 +205,12 @@ class TestQuasiEnergies:
             quasi_energies([block])
 
     @pytest.mark.parametrize("symmetric", [False, True])
-    def test_rejects_a_non_unitary_block_the_probes_cannot_see(self, symmetric):
-        # I + 1e-3 z z^H with z orthogonal to both probes passes the probe
-        # check, but its eigenvalue 1.001 is off the circle, so the unit
-        # e^{-i theta} miss Tr B on either route; a real z makes the
-        # block symmetric
+    def test_rejects_a_non_unitary_block_the_probes_cannot_see(self, monkeypatch, symmetric):
+        # I + 1e-3 z z^H with z orthogonal to both fixed probes passes the
+        # probe check once the probe read from B is one of them, but its
+        # eigenvalue 1.001 is off the circle, so the unit e^{-i theta} miss
+        # Tr B on either route; a real z makes the block symmetric
+        monkeypatch.setattr(spectral, "_entry_probe", lambda mat: spectral._probes(len(mat))[:, 0])
         dim = 8
         probes = spectral._probes(dim)
         basis = np.column_stack([probes.real, probes.imag, np.eye(dim)])
@@ -218,6 +221,39 @@ class TestQuasiEnergies:
         assert (spectral._asymmetry(block) <= spectral._SYMMETRY_TOLERANCE) == symmetric
         with pytest.raises(ValueError, match="power sums"):
             quasi_energies([block])
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rejects_a_defect_the_fixed_probes_cannot_see(self, symmetric):
+        # B = I + 1e-3 N with N = a b^T, or the symmetric c c^T with
+        # c = (a + ib) / sqrt(2), for real unit a ⊥ b ⊥ both fixed probes:
+        # B^H B - I is blind to them, and N^2 = 0 with Tr N = 0, so every
+        # eigenvalue is 1 and both power sums match. The probe read from
+        # B's entries sees it, whichever route B would take.
+        dim = 8
+        probes = spectral._probes(dim)
+        basis = np.column_stack([probes.real, probes.imag, np.eye(dim)])
+        a, b = np.linalg.qr(basis)[0][:, 4:6].T
+        c = (a + 1j * b) / np.sqrt(2)
+        block = np.eye(dim) + 1e-3 * (np.outer(c, c) if symmetric else np.outer(a, b))
+        gram = block.conj().T @ block - np.eye(dim)
+        assert np.linalg.norm(gram) > 1e-3
+        assert np.linalg.norm(gram @ probes) < 1e-14
+        assert abs(np.trace(block) - dim) < 1e-14
+        assert abs(np.trace(block @ block) - dim) < 1e-14
+        assert (spectral._asymmetry(block) <= spectral._SYMMETRY_TOLERANCE) == symmetric
+        with pytest.raises(ValueError, match="not unitary"):
+            quasi_energies([block])
+
+    def test_the_entry_probe_follows_the_entries(self):
+        # unit modulus, the same for the same entries (in either memory
+        # order), and another once one entry moves
+        block = np.eye(8, dtype=complex)
+        block[2, 6] = 0.25j
+        probe = spectral._entry_probe(block)
+        np.testing.assert_allclose(np.abs(probe), 1, atol=1e-15)
+        assert np.array_equal(spectral._entry_probe(np.asfortranarray(block)), probe)
+        block[3, 5] = 1e-3
+        assert np.abs(spectral._entry_probe(block) - probe).max() > 1e-3
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 17, 64, 129])
     def test_random_symmetric_unitaries_give_the_oracle_clusters(self, monkeypatch, dim):
@@ -357,10 +393,15 @@ class TestSymmetrySectors:
             ours = _block_thetas(block)
             assert circle_distance(on_circle(ours), on_circle(oracle[-1])).max() < 1e-12
         # one block at a time gives the bytes of all blocks at once, each
-        # in its time-reversal form
+        # in its time-reversal form; open U0 reads its Majorana map instead,
+        # so closed U0, with the same sectors, stands in for it here
         spectrum = floquet_spectrum(spec)
-        symmetric = [_symmetric_block(spec, sector) for sector in spec.sectors()]
-        assert spectrum.thetas.tobytes() == quasi_energies(symmetric).thetas.tobytes()
+        routed = spec
+        if _majorana_map(spec) is not None:
+            routed = dataclasses.replace(spec, boundary=Boundary.CLOSED)
+        symmetric = [_symmetric_block(routed, sector) for sector in routed.sectors()]
+        by_block = floquet_spectrum(routed).thetas.tobytes()
+        assert by_block == quasi_energies(symmetric).thetas.tobytes()
         clusters = spectrum.clusters
         expected = _cluster_circular(np.sort(np.concatenate(oracle)))
         assert [m for _, m in clusters] == [m for _, m in expected]
@@ -449,8 +490,9 @@ class TestOneBlockAtATime:
     def test_working_set_is_one_block(self):
         # tracemalloc sees numpy's arrays but not the LAPACK workspace inside
         # eigvals, so this bounds the numpy arrays only: about one block and
-        # a few (2^L, 64) work arrays, whatever the chunk constant says
-        spec = FloquetSpec(Model.U0, 10)
+        # a few (2^L, 64) work arrays, whatever the chunk constant says;
+        # closed U0 has open U0's sectors and no Majorana map
+        spec = FloquetSpec(Model.U0, 10, Boundary.CLOSED)
         spec.sectors(), _block_program(spec)  # cached tables are not work
         block_bytes = max(sector.dim for sector in spec.sectors()) ** 2 * 16
         chunk_bytes = 2**spec.num_sites * 64 * 16
@@ -464,8 +506,9 @@ class TestOneBlockAtATime:
 
     def test_one_call_per_block_and_one_clustering(self, monkeypatch):
         # each sector block goes through its own quasi_energies call, and
-        # only the pooled phases are clustered, on first read
-        spec = FloquetSpec(Model.U0, 6)
+        # only the pooled phases are clustered, on first read (closed U0:
+        # open U0's sectors, and no Majorana map)
+        spec = FloquetSpec(Model.U0, 6, Boundary.CLOSED)
         calls = []
 
         def counting(name):
@@ -545,6 +588,119 @@ class TestOneBlockAtATime:
             assert outcomes == ["accepted", "rejected"]
 
 
+def majorana_rotations(num_sites, planes):
+    """R from (a, b, sign) quarter turns in order: m_a -> -sign m_b and
+    m_b -> sign m_a, stated here apart from ``floquet._majorana_map``."""
+    rot = np.eye(2 * num_sites)
+    for a, b, sign in planes:
+        rot[[a, b]] = sign * np.array([-rot[b], rot[a]])
+    return rot
+
+
+def u0_planes(num_sites):
+    """Open U0: a field turn on every site's pair, then one on every bond's."""
+    field = [(2 * j, 2 * j + 1, 1) for j in range(num_sites)]
+    return field + [(2 * i + 1, 2 * i + 2, 1) for i in range(num_sites - 1)]
+
+
+class TestMajoranaRoute:
+    def test_only_open_u0_has_a_map(self):
+        for model, boundary in SECTOR_SPECS:
+            has_map = _majorana_map(FloquetSpec(model, 5, boundary)) is not None
+            assert has_map == ((model, boundary) == (Model.U0, Boundary.OPEN))
+
+    @pytest.mark.parametrize("num_sites", range(2, 13))
+    def test_map_is_the_stated_rotations(self, num_sites):
+        rot = _majorana_map(FloquetSpec(Model.U0, num_sites))
+        assert np.array_equal(rot, majorana_rotations(num_sites, u0_planes(num_sites)))
+
+    @pytest.mark.parametrize("num_sites", range(2, 17))
+    def test_single_particle_phases(self, num_sites):
+        # eps_j = (2j - 1) pi / (2L), each once as a pair e^{+-i eps_j}
+        rot = _majorana_map(FloquetSpec(Model.U0, num_sites))
+        cos = np.linalg.eigvalsh((rot + rot.T) / 2)
+        eps = (2 * np.arange(num_sites, 0, -1) - 1) * np.pi / (2 * num_sites)
+        np.testing.assert_allclose(cos, np.repeat(np.cos(eps), 2), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.arccos(cos[::2]), eps, rtol=0, atol=1e-14)
+
+    def test_no_dense_build_no_eigensolve_and_one_clustering(self, monkeypatch):
+        def barred(*args):
+            raise AssertionError("ran")
+
+        clusterings = []
+
+        def counting(thetas):
+            clusterings.append(len(thetas))
+            return _cluster_circular(thetas)
+
+        monkeypatch.setattr(floquet, "build_dense", barred)
+        monkeypatch.setattr(spectral, "quasi_energies", barred)
+        monkeypatch.setattr(np.linalg, "eigvals", barred)
+        monkeypatch.setattr(spectral, "_cluster_circular", counting)
+        spectrum = floquet_spectrum(FloquetSpec(Model.U0, 8))
+        assert spectrum.clusters is spectrum.clusters
+        assert sum(m for _, m in spectrum.clusters) == 2**8
+        assert clusterings == [2**8]
+
+    @pytest.mark.parametrize("num_sites", range(2, 13))
+    def test_matches_the_sector_blocks(self, num_sites):
+        spec = FloquetSpec(Model.U0, num_sites)
+        spectrum = floquet_spectrum(spec)
+        blocks = quasi_energies([_symmetric_block(spec, s) for s in spec.sectors()])
+        assert len(spectrum.thetas) == 2**num_sites
+        assert_same_clusters(spectrum.clusters, blocks.clusters)
+
+    @pytest.mark.parametrize("mutation", ["shifted-pair", "half-turn", "dropped-term"])
+    @pytest.mark.parametrize("num_sites", [2, 3, 6, 9])
+    def test_a_wrong_map_fails_the_trace_check(self, mutation, num_sites):
+        # term k's pair moved up by one Majorana, turned twice (by pi), or
+        # dropped, for every k; the last field pair would move onto
+        # (m_2L, m_1), which relabels the Majorana chain one step round and
+        # swaps the order of its two layers, and AB has the levels of BA
+        spec = FloquetSpec(Model.U0, num_sites)
+        planes = u0_planes(num_sites)
+        for k, (a, b, sign) in enumerate(planes):
+            if mutation == "shifted-pair" and b + 1 == 2 * num_sites:
+                continue
+            wrong = {
+                "shifted-pair": [*planes[:k], (a + 1, b + 1, sign), *planes[k + 1 :]],
+                "half-turn": [*planes[: k + 1], *planes[k:]],
+                "dropped-term": [*planes[:k], *planes[k + 1 :]],
+            }[mutation]
+            with pytest.raises(ValueError, match="Tr U"):
+                _majorana_thetas(spec, majorana_rotations(num_sites, wrong))
+
+    @pytest.mark.parametrize("num_sites", [2, 3, 6, 9])
+    def test_a_reflected_term_fails_the_pairing(self, num_sites):
+        # m_a <-> m_b on one term: an R of determinant -1, whose cos values
+        # +1 and -1 come unpaired
+        spec = FloquetSpec(Model.U0, num_sites)
+        for k, (a, b, _) in enumerate(u0_planes(num_sites)):
+            wrong = majorana_rotations(num_sites, u0_planes(num_sites)[:k])
+            wrong[[a, b]] = wrong[[b, a]]
+            wrong = majorana_rotations(num_sites, u0_planes(num_sites)[k + 1 :]) @ wrong
+            with pytest.raises(ValueError, match="cos pairs"):
+                _majorana_thetas(spec, wrong)
+
+    @pytest.mark.parametrize("num_sites", [2, 3, 6, 9])
+    def test_a_reversed_quarter_turn_is_a_gauge(self, num_sites):
+        # a -pi/2 turn on one term flips the sign of that term alone, which
+        # conjugation by a Pauli string does too (X_j for a field Z_j,
+        # Z_{i+1}...Z_L for a bond X_i X_{i+1}): the levels are those of U
+        spec = FloquetSpec(Model.U0, num_sites)
+        planes = u0_planes(num_sites)
+        levels = _majorana_thetas(spec, _majorana_map(spec))
+        for k, (a, b, _) in enumerate(planes):
+            flipped = majorana_rotations(num_sites, [*planes[:k], (a, b, -1), *planes[k + 1 :]])
+            ours = on_circle(_majorana_thetas(spec, flipped))
+            assert circle_distance(ours, on_circle(levels)).max() < 1e-12
+
+    def test_a_map_that_is_not_orthogonal_is_rejected(self):
+        spec = FloquetSpec(Model.U0, 4)
+        with pytest.raises(ValueError, match=r"\|R\^T R - I\| 2\.001e-03,"):
+            _majorana_thetas(spec, 1.001 * _majorana_map(spec))
+
+
 class TestSpaceTimeTraces:
     @pytest.mark.parametrize("num_sites", range(2, 9))
     @pytest.mark.parametrize("model", list(Model))
@@ -571,6 +727,18 @@ class TestSpaceTimeTraces:
         for n in range(1, 9):
             traced = np.sum(counts * np.exp(-1j * n * centers))
             assert abs(traced - transfer_trace_oracle(spec, n)) < 1e-10
+
+
+    @pytest.mark.parametrize("num_sites", range(13, 17))
+    def test_majorana_levels_match_the_traces_past_the_cap(self, num_sites):
+        # sum_k e^{-i n theta_k} = Tr U^n for n = 1..6, on the 2^L levels
+        # of the Majorana map, beyond the sizes any dense path runs
+        spec = FloquetSpec(Model.U0, num_sites)
+        thetas = _majorana_thetas(spec, _majorana_map(spec))
+        assert len(thetas) == 2**num_sites
+        for n in range(1, 7):
+            traced = np.sum(np.exp(-1j * n * thetas))
+            assert abs(traced - transfer_trace_oracle(spec, n)) < 1e-9
 
 
 class TestSpacing:
