@@ -96,7 +96,8 @@ def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
     return settings
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with the flags of ``command`` only (of all four if None)."""
     parser = argparse.ArgumentParser(
         prog="kicked-ising",
         description="Kicked Ising chain simulator: spectra, evolution, "
@@ -105,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (about, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
+        if command not in (None, name):
+            continue
         for key in RUN_SETTINGS[name]:
             lists = name == "summary" and key in SUMMARY_GRID
             suffix = " (comma list allowed)" if lists else ""
@@ -114,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     _, run = _COMMANDS[args.command]
     # call through this module's name for the run, so that a wrapper put on
     # it, as perfbench's tracer puts one, sees the call

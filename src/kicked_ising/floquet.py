@@ -269,19 +269,19 @@ def _block_program(spec: FloquetSpec) -> tuple:
 
 
 def _majorana_map(spec: FloquetSpec) -> np.ndarray | None:
-    """One period's map R on the Majoranas, row k for m_{k+1}, or None (see
-    the module docstring). A term on the plane (a, b) sends m_a to -m_b, m_b to m_a."""
-    planes = {("field", "z"): [(2 * j, 2 * j + 1) for j in range(spec.num_sites)]}
+    """One period's map R on the Majoranas, row k for m_{k+1}, or None (see the module
+    docstring). Each term turns its disjoint planes (a, b) at once: m_a to -m_b, m_b to m_a."""
+    firsts = {("field", "z"): np.arange(0, 2 * spec.num_sites, 2)}  # plane (a, a + 1)
     if all(j == i + 1 for i, j in spec.bonds()):  # no wrap bond
-        planes["ising", "x"] = [(2 * i - 1, 2 * i) for i, _ in spec.bonds()]
+        firsts["ising", "x"] = np.arange(1, 2 * spec.num_sites - 1, 2)
     rot, basis = np.eye(2 * spec.num_sites), "z"
     for layer in PERIOD_LAYERS[spec.model]:
         match layer:
             case "hadamard":
                 basis = "x" if basis == "z" else "z"
-            case ("phase", names) if all((name, basis) in planes for name in names):
-                for a, b in (pair for name in names for pair in planes[name, basis]):
-                    rot[[a, b]] = rot[[b, a]] * [[-1], [1]]
+            case ("phase", names) if all((name, basis) in firsts for name in names):
+                for a in (firsts[name, basis] for name in names):
+                    rot[np.r_[a, a + 1]] = np.r_[-rot[a + 1], rot[a]]
             case _:
                 return None
     return rot if basis == "z" else None

@@ -2,9 +2,11 @@
 
 Eigenvalues of a Floquet unitary lie on the unit circle, e^{-i*theta_k};
 the phases theta_k in (-pi, pi] are the quasi-energies. This module
-extracts them, clusters degeneracies, detects a common level spacing, and
-finds stroboscopic periods (smallest n with U^n proportional to the
-identity) directly from the spectrum.
+extracts them, clusters degeneracies in one array pass (``_runs``: split
+the sorted levels at gaps over ``CLUSTER_TOLERANCE``, mean each run by
+``np.add.reduceat``; the run at +pi folds onto the one at -pi), detects a
+common level spacing, and finds stroboscopic periods (smallest n with U^n
+proportional to the identity) directly from the spectrum.
 
 ``floquet_spectrum`` reads the levels of a period of Majorana pair
 rotations (open U_0) from its single-particle map, with no dense block
@@ -124,28 +126,24 @@ class PeriodReport:
     exact_deviation: float
 
 
+def _runs(values: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and means of the runs of sorted ``values`` split at gaps over ``tolerance``."""
+    starts = np.r_[0, np.flatnonzero(np.diff(values) > tolerance) + 1]
+    counts = np.diff(np.r_[starts, len(values)])
+    return counts, np.add.reduceat(values, starts) / counts
+
+
 def _cluster_circular(thetas: np.ndarray) -> list[tuple[float, int]]:
     """Group sorted phases into clusters, merging across the +-pi seam."""
-    groups: list[list[float]] = [[float(thetas[0])]]
-    for t in thetas[1:]:
-        if float(t) - groups[-1][-1] > CLUSTER_TOLERANCE:
-            groups.append([float(t)])
-        else:
-            groups[-1].append(float(t))
+    counts, centers = _runs(thetas, CLUSTER_TOLERANCE)
     # theta is defined mod 2pi, so a level at exactly pi can split into
-    # values near -pi and near +pi; fold the last group onto the first.
-    if len(groups) > 1 and groups[0][0] + 2 * np.pi - groups[-1][-1] <= CLUSTER_TOLERANCE:
-        folded = [t - 2 * np.pi for t in groups.pop()]
-        groups[0] = folded + groups[0]
-    clusters = []
-    for g in groups:
-        center = float(np.mean(g))
-        if center <= -np.pi + CLUSTER_TOLERANCE / 2:
-            center += 2 * np.pi
-        if abs(center) < ZERO_SNAP:
-            center = 0.0
-        clusters.append((center, len(g)))
-    return sorted(clusters)
+    # values near -pi and near +pi; fold the last run onto the first.
+    if len(counts) > 1 and thetas[0] + 2 * np.pi - thetas[-1] <= CLUSTER_TOLERANCE:
+        last = len(thetas) - counts[-1]
+        counts, centers = _runs(np.r_[thetas[last:] - 2 * np.pi, thetas[:last]], CLUSTER_TOLERANCE)
+    centers[centers <= -np.pi + CLUSTER_TOLERANCE / 2] += 2 * np.pi
+    centers[np.abs(centers) < ZERO_SNAP] = 0.0
+    return sorted(zip(centers.tolist(), counts.tolist()))
 
 
 def quasi_energies(blocks: Sequence[np.ndarray]) -> QuasiSpectrum:
@@ -256,9 +254,7 @@ def _symmetric_thetas(mat: np.ndarray) -> np.ndarray | None:
     when the pairing does not give each cluster its multiplicity.
     """
     cos = np.linalg.eigvalsh(mat.real)
-    starts = np.r_[0, np.flatnonzero(np.diff(cos) > _COS_TOLERANCE) + 1]
-    counts = np.diff(np.r_[starts, len(cos)])
-    centers = np.add.reduceat(cos, starts) / counts
+    counts, centers = _runs(cos, _COS_TOLERANCE)
     sines = np.sqrt(1 - np.clip(centers, -1, 1) ** 2)
     cots = 1 / np.tan(_PAIR_ANGLES)[:, None]
     predictions = np.hstack([cots * centers + sines, cots * centers - sines])

@@ -36,7 +36,7 @@ from kicked_ising.floquet import (
     _one_period,
     symmetry_sectors,
 )
-from kicked_ising.spectral import PERIOD_TOLERANCE, PeriodReport
+from kicked_ising.spectral import CLUSTER_TOLERANCE, PERIOD_TOLERANCE, ZERO_SNAP, PeriodReport
 
 
 # The one-site Hadamard, which changes between the z and x bases.
@@ -271,6 +271,31 @@ def schur_thetas(block: np.ndarray) -> np.ndarray:
     """Quasi-energies -arg(lambda) read off the diagonal of the complex
     Schur form of ``block``."""
     return -np.angle(np.diag(scipy.linalg.schur(block, output="complex")[0]))
+
+
+def cluster_circular_oracle(thetas: np.ndarray) -> list[tuple[float, int]]:
+    """``spectral._cluster_circular`` as a loop over the levels, one
+    ``np.mean`` per cluster: its earlier form, kept verbatim."""
+    groups: list[list[float]] = [[float(thetas[0])]]
+    for t in thetas[1:]:
+        if float(t) - groups[-1][-1] > CLUSTER_TOLERANCE:
+            groups.append([float(t)])
+        else:
+            groups[-1].append(float(t))
+    # theta is defined mod 2pi, so a level at exactly pi can split into
+    # values near -pi and near +pi; fold the last group onto the first.
+    if len(groups) > 1 and groups[0][0] + 2 * np.pi - groups[-1][-1] <= CLUSTER_TOLERANCE:
+        folded = [t - 2 * np.pi for t in groups.pop()]
+        groups[0] = folded + groups[0]
+    clusters = []
+    for g in groups:
+        center = float(np.mean(g))
+        if center <= -np.pi + CLUSTER_TOLERANCE / 2:
+            center += 2 * np.pi
+        if abs(center) < ZERO_SNAP:
+            center = 0.0
+        clusters.append((center, len(g)))
+    return sorted(clusters)
 
 
 def scan_period_oracle(thetas: np.ndarray, max_n: int) -> PeriodReport:

@@ -467,6 +467,31 @@ class TestParser:
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv)
 
+    @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in RUN_SETTINGS)])
+    def test_help_through_main_is_the_full_parsers(self, capsys, argv):
+        # main adds flags to the named subcommand only, which no help text may show
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, full.value.code) == (0, 0)
+        assert capsys.readouterr() == want and "usage: kicked-ising" in want.out
+
+    def test_an_unknown_flag_exits_2_with_the_full_parsers_text(self, capsys):
+        argv = ["spectrum", "--periods", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.splitlines() == [
+            "usage: kicked-ising [-h] {spectrum,evolve,measure,summary} ...",
+            "kicked-ising: error: unrecognized arguments: --periods 3",
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr() == got
+
     def test_parser_takes_every_benchmark_argv(self, monkeypatch):
         # perfbench runs these argv with its own --seed and --out appended
         bench = ROOT / "perfbench"

@@ -27,6 +27,11 @@ RUNS = {
         f"spectrum-U0-open-{size}": ["spectrum", "--model", "U0", "--size", str(size)]
         for size in (9, 10, 12)
     },
+    # the sector route where its clusters are largest
+    "spectrum-U0-closed-12": [
+        "spectrum", "--model", "U0", "--size", "12", "--boundary", "closed"
+    ],
+    "spectrum-Ux-open-11": ["spectrum", "--model", "Ux", "--size", "11"],
     "evolve": ["evolve", "--model", "Ux", "--size", "7", "--initial", "z+", "--periods", "120"],
     "measure": [
         "measure", "--model", "Ux", "--size", "6", "--boundary", "closed",

@@ -13,6 +13,7 @@ import pytest
 
 from kicked_ising import floquet, spectral
 from kicked_ising.core import DENSE_MAX_SITES
+from kicked_ising.experiment import _fmt
 from kicked_ising.floquet import (
     Boundary,
     FloquetSpec,
@@ -25,6 +26,7 @@ from kicked_ising.floquet import (
     symmetry_sectors,
 )
 from kicked_ising.spectral import (
+    CLUSTER_TOLERANCE,
     QuasiSpectrum,
     _block_thetas,
     _cluster_circular,
@@ -38,6 +40,7 @@ from kicked_ising.spectral import (
 )
 
 from oracles import (
+    cluster_circular_oracle,
     dense_floquet_oracle,
     scan_period_oracle,
     schur_thetas,
@@ -370,6 +373,59 @@ class TestQuasiSpectrum:
         assert QuasiSpectrum(thetas).thetas is thetas
 
 
+def assert_clusters_match_the_oracle(thetas):
+    """The array clustering against the per-level loop it replaced: equal
+    multiplicities, equal ``spectrum.csv`` text and centers within 1e-15."""
+    got, want = _cluster_circular(thetas), cluster_circular_oracle(thetas)
+    assert [n for _, n in got] == [n for _, n in want]
+    assert [_fmt(c) for c, _ in got] == [_fmt(c) for c, _ in want]
+    assert max(abs(c - w) for (c, _), (w, _) in zip(got, want)) <= 1e-15
+    assert all(type(c) is float and type(n) is int for c, n in got)
+
+
+# 20 gaps of 0.9 CLUSTER_TOLERANCE: each joins, and the run spans 18 tolerances
+CHAIN = np.cumsum(np.r_[0.0, np.full(20, 0.9 * CLUSTER_TOLERANCE)])
+
+HAND_BUILT = {
+    "both sides of the seam": [-np.pi + 3e-8, -1.0, 0.5, np.pi - 2e-8, np.pi - 1e-8],
+    "pi and near -pi": [-np.pi + 1e-9, 0.0, np.pi],
+    "near -pi alone": [-np.pi + 1e-8, -np.pi + 2e-8, 1.0],
+    "a gap of exactly the tolerance": [-1.0, 0.0, CLUSTER_TOLERANCE, 1.0],
+    "chain": np.r_[-2.0, 1.0 + CHAIN, 2.5],
+    "chain across the seam": np.r_[-np.pi + 1e-9 + CHAIN[:8], 0.0, np.pi - CHAIN[8::-1]],
+    "lone level": [0.3],
+    "all equal": np.full(7, 1.1),
+    "zero noise": [-3e-13, -1e-14, 0.0, 2e-13, 5e-13, 0.7],
+    "just past zero snap": [-1.0, 2e-12, 3e-12],
+}
+
+
+class TestClusteringOracle:
+    @pytest.mark.parametrize("num_sites", range(2, 11))
+    @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
+    def test_every_model_spectrum(self, model, boundary, num_sites):
+        spectrum = floquet_spectrum(FloquetSpec(model, num_sites, boundary))
+        assert_clusters_match_the_oracle(spectrum.thetas)
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_levels(self, name):
+        thetas = np.sort(np.asarray(HAND_BUILT[name], dtype=float))
+        assert_clusters_match_the_oracle(thetas)
+
+    def test_the_hand_built_cases_hit_their_branches(self):
+        def clusters(name):
+            return _cluster_circular(np.sort(np.asarray(HAND_BUILT[name], dtype=float)))
+
+        assert [n for _, n in clusters("both sides of the seam")] == [1, 1, 3]
+        assert clusters("pi and near -pi")[-1][1] == 2
+        assert clusters("near -pi alone")[-1] == (pytest.approx(np.pi + 1.5e-8, abs=1e-14), 2)
+        assert [n for _, n in clusters("a gap of exactly the tolerance")] == [1, 2, 1]
+        assert [n for _, n in clusters("chain")] == [1, 21, 1]
+        assert [n for _, n in clusters("chain across the seam")] == [1, 17]
+        assert clusters("zero noise")[0] == (0.0, 5)
+        assert clusters("just past zero snap")[1] == (pytest.approx(2.5e-12, rel=1e-12), 2)
+
+
 class TestSymmetrySectors:
     @pytest.mark.parametrize("num_sites", range(2, 11))
     @pytest.mark.parametrize("model, boundary", SECTOR_SPECS)
@@ -613,6 +669,22 @@ class TestMajoranaRoute:
     def test_map_is_the_stated_rotations(self, num_sites):
         rot = _majorana_map(FloquetSpec(Model.U0, num_sites))
         assert np.array_equal(rot, majorana_rotations(num_sites, u0_planes(num_sites)))
+
+    @pytest.mark.parametrize("num_sites", [*range(2, 40), 64, 128, 257])
+    def test_majorana_mirror(self, num_sites):
+        # R is a signed permutation, R^L sends each m_k to +-m_{2L+1-k} and
+        # R^{2L} = -I, composed exactly on the 2L Majoranas: no 2^L array
+        rot = _majorana_map(FloquetSpec(Model.U0, num_sites))
+        assert np.isin(rot, (-1.0, 0.0, 1.0)).all()
+        assert ((rot != 0).sum(axis=0) == 1).all() and ((rot != 0).sum(axis=1) == 1).all()
+        perm, signs = np.abs(rot).argmax(axis=1), rot.sum(axis=1)
+        # row k of R^n is sign[k] times row image[k] of I
+        image, sign = np.arange(2 * num_sites), np.ones(2 * num_sites)
+        for n in range(1, 2 * num_sites + 1):
+            image, sign = perm[image], sign * signs[image]
+            if n == num_sites:
+                assert np.array_equal(image, np.arange(2 * num_sites)[::-1])
+        assert np.array_equal(image, np.arange(2 * num_sites)) and (sign == -1).all()
 
     @pytest.mark.parametrize("num_sites", range(2, 17))
     def test_single_particle_phases(self, num_sites):
