@@ -10,6 +10,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+__all__ = [
+    "Axis", "DensityMatrix", "StateVector", "fidelity", "make_ghz",
+    "make_polarized_state", "make_psi_o", "partial_trace",
+]
+
 import functools
 import operator
 from dataclasses import dataclass, field

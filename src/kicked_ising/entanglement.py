@@ -11,6 +11,11 @@ Entropies are in bits (log base 2), so one Bell pair contributes exactly
 
 from __future__ import annotations
 
+__all__ = [
+    "GeometricResult", "aee_report", "average_entanglement_entropy",
+    "detect_bell_pairs", "entropy", "geometric_measure", "min_bipartition_entropy",
+]
+
 import functools
 import itertools
 import math
@@ -56,19 +61,6 @@ def _subsets(num_sites: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     masks = (1 << (num_sites - subsets)).sum(axis=1)
     subsets.flags.writeable = masks.flags.writeable = False
     return subsets, masks
-
-
-@dataclass(frozen=True)
-class AeeReport:
-    """AEE for every subsystem size l in 1..L-1.
-
-    ``per_l`` maps l to (S(l) in bits, S(l)/l, number of partitions
-    averaged). The partition count is always C(L, l): the average is an
-    exact enumeration, never a sample.
-    """
-
-    num_sites: int
-    per_l: dict[int, tuple[float, float, int]]
 
 
 @functools.cache
@@ -126,15 +118,20 @@ def average_entanglement_entropy(state: StateVector, l: int) -> tuple[float, flo
     return s, s / l
 
 
-def aee_report(state: StateVector) -> AeeReport:
-    """The AEE at every l, read from one entropy table."""
+def aee_report(state: StateVector) -> dict[int, tuple[float, float, int]]:
+    """The AEE at every subsystem size, read from one entropy table.
+
+    Returns {l: (S(l) in bits, S(l)/l, C(L, l))} for l = 1..L-1 in order;
+    C(L, l) is the number of subsets averaged, since the average is an
+    exact enumeration, never a sample.
+    """
     num_sites = state.num_sites
     table = _entropy_table(state, num_sites // 2)
-    per_l = {}
+    report = {}
     for l in range(1, num_sites):
         s = _size_mean(table, num_sites, l)
-        per_l[l] = (s, s / l, math.comb(num_sites, l))
-    return AeeReport(num_sites=num_sites, per_l=per_l)
+        report[l] = (s, s / l, math.comb(num_sites, l))
+    return report
 
 
 def min_bipartition_entropy(state: StateVector) -> float:

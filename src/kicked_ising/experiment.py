@@ -10,6 +10,11 @@ rows do not depend on which other measures are enabled.
 
 from __future__ import annotations
 
+__all__ = [
+    "ExperimentConfig", "SummaryRow", "generate_summary", "run_experiment",
+    "run_spectrum", "run_trajectory",
+]
+
 import csv
 import enum
 import json
@@ -240,8 +245,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     for n, state in _states(config):
         if "aee" in rows:
             report = aee_report(state)
-            for l in sorted(report.per_l):
-                s, s_norm, _ = report.per_l[l]
+            for l in sorted(report):
+                s, s_norm, _ = report[l]
                 rows["aee"].append([str(n), str(l), _fmt(s), _fmt(s_norm)])
         if "geom" in rows:
             g = geometric_measure(state, seed=_derive_seed(config.seed, "geom", n))

@@ -57,6 +57,11 @@ spectrum; ``_symmetric_block`` gives the sector blocks of V.
 
 from __future__ import annotations
 
+__all__ = [
+    "KICK_ANGLE", "MODEL_SYMMETRIES", "Boundary", "FloquetSpec", "Model", "Sector",
+    "Symmetry", "apply_floquet", "build_dense", "symmetry_sectors",
+]
+
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -200,10 +205,7 @@ def symmetry_sectors(
     num_sites = _as_integer("num_sites", num_sites, 1)
     if not all(isinstance(sym, Symmetry) for sym in symmetries):
         raise ValueError(f"symmetries: must be Symmetry members, got {symmetries!r}")
-    if num_sites > DENSE_MAX_SITES:
-        raise ValueError(
-            f"dense construction is capped at {DENSE_MAX_SITES} sites, got {num_sites}"
-        )
+    _as_integer("num_sites", num_sites, 1, DENSE_MAX_SITES)
     bits = _bit_table(num_sites)
     idx = np.arange(2 ** num_sites)
     reflect = Symmetry.REFLECTION in symmetries

@@ -9,6 +9,11 @@ than k entangled spins.
 
 from __future__ import annotations
 
+__all__ = [
+    "CovarianceMatrix", "DirectionField", "QfiResult", "covariance_matrix",
+    "maximize_qfi", "producibility_bound",
+]
+
 from dataclasses import dataclass, field
 
 import numpy as np

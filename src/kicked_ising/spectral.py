@@ -32,13 +32,18 @@ cost for U_0, 1/4 for U_x), which stays the route of any other block.
 
 from __future__ import annotations
 
+__all__ = [
+    "PeriodReport", "QuasiSpectrum", "SpacingResult", "detect_period",
+    "detect_period_from_thetas", "detect_spacing", "floquet_spectrum", "quasi_energies",
+]
+
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import _as_integer
+from .core import DENSE_MAX_SITES, _as_integer
 from .floquet import _BUILD_CHUNK, FloquetSpec, _dense_form, _majorana_map, _symmetric_block
 
 CLUSTER_TOLERANCE = 1e-7
@@ -308,10 +313,10 @@ def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray:
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
     """Quasi-energies of the operator built from ``spec`` (L <= 12): from its
     Majorana map if it has one, else from one time-reversal-form block at a time."""
-    sectors = spec.sectors()  # first: it enforces the dense cap
+    _as_integer("num_sites", spec.num_sites, 2, DENSE_MAX_SITES)
     if (rot := _majorana_map(spec)) is not None:
         return QuasiSpectrum(np.sort(_majorana_thetas(spec, rot)))
-    parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in sectors]
+    parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in spec.sectors()]
     return QuasiSpectrum(np.sort(np.concatenate(parts)))
 
 

@@ -188,11 +188,11 @@ class TestAverageEntropy:
     def test_report_collects_all_sizes(self):
         state = make_ghz(4, Axis.parse("z"))
         report = aee_report(state)
-        assert sorted(report.per_l) == [1, 2, 3]
-        assert report.per_l[2][2] == 6
+        assert sorted(report) == [1, 2, 3]
+        assert report[2][2] == 6
         s, s_norm = average_entanglement_entropy(state, 2)
-        assert report.per_l[2][0] == pytest.approx(s, abs=1e-12)
-        assert report.per_l[2][1] == pytest.approx(s_norm, abs=1e-12)
+        assert report[2][0] == pytest.approx(s, abs=1e-12)
+        assert report[2][1] == pytest.approx(s_norm, abs=1e-12)
 
     @pytest.mark.parametrize("num_sites, l", [(6, 2), (6, 3), (7, 3)])
     def test_cut_tables_are_built_once_and_read_only(self, num_sites, l):
@@ -222,7 +222,7 @@ class TestAverageEntropy:
         monkeypatch.setattr(entanglement, "partial_trace", counting)
         report = aee_report(state)
         assert len(calls) == num_sites // 2
-        for l, (s, s_norm, count) in report.per_l.items():
+        for l, (s, s_norm, count) in report.items():
             assert (s, s_norm) == average_entanglement_entropy(state, l)
 
 

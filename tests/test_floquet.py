@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from kicked_ising import floquet
-from kicked_ising.core import Axis, StateVector, fidelity, make_polarized_state
+from kicked_ising.core import Axis, StateVector, fidelity, make_ghz, make_polarized_state
 from kicked_ising.floquet import (
     Boundary,
     DENSE_MAX_SITES,
@@ -393,3 +393,45 @@ class TestDynamicsPins:
         # phase -1
         half = apply_floquet(spec, psi, 12)
         assert np.linalg.norm(half.amplitudes + psi.amplitudes) < 1e-8
+
+    @pytest.mark.parametrize("axis", ["x+", "x-", "y+", "y-", "z+", "z-"])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    def test_half_chain_entropy_grows_by_c_bits_a_period(self, model, boundary, axis):
+        # ROADMAP item 21: across the cut between sites L//2 and L//2 + 1,
+        # S(n) = c (n - n0) for n0 <= n <= n0 + (L//2) // c, with c = 1 on
+        # open and 2 on closed chains; only the growth is pinned, not the
+        # saturated value
+        c = 1 if boundary is Boundary.OPEN else 2
+        n0 = 1 if (model, axis[0]) in ((Model.U0, "y"), (Model.UX, "z")) else 0
+        for num_sites in range(4, 15):
+            spec, half = FloquetSpec(model, num_sites, boundary), num_sites // 2
+            state = make_polarized_state(num_sites, Axis.parse(axis))
+            for n in range(n0 + half // c + 1):
+                if n:
+                    state = apply_floquet(spec, state, 1)
+                # site 1 is the most significant bit, so rows are sites 1..L//2
+                weights = np.linalg.svd(
+                    state.amplitudes.reshape(2**half, -1), compute_uv=False
+                ) ** 2
+                weights = weights[weights > 0]
+                s = -np.sum(weights * np.log2(weights))
+                if n >= n0:
+                    assert abs(s - c * (n - n0)) <= 1e-9, (num_sites, n, s)
+
+    @pytest.mark.parametrize("num_sites", range(4, 13))
+    def test_u0_ghz_up_to_one_rotation_on_site_one(self, num_sites):
+        # acceptance criterion 05's verdict: open U0 from y+ after L periods
+        # is the y-GHZ state up to exp(-i pi/4 sigma^y) on site 1, and the
+        # opposite rotation takes it to a state orthogonal to that target
+        ghz = make_ghz(num_sites, Axis("y"))
+        start = make_polarized_state(num_sites, Axis.parse("y+"))
+        state = apply_floquet(FloquetSpec(Model.U0, num_sites), start, num_sites)
+        assert fidelity(state, ghz) == pytest.approx(0.5, abs=1e-12)
+        for sign, target in ((+1, 1.0), (-1, 0.0)):
+            # exp(-i sign pi/4 sigma^y) = (I - i sign sigma^y) / sqrt(2)
+            turn = np.array([[1, -sign], [sign, 1]]) / np.sqrt(2)
+            turned = (turn @ state.amplitudes.reshape(2, -1)).ravel()
+            assert fidelity(StateVector(num_sites, turned), ghz) == pytest.approx(
+                target, abs=1e-12
+            )

@@ -1,5 +1,8 @@
 import ast
 import dataclasses
+import importlib
+import shutil
+import subprocess
 import sys
 import types
 import typing
@@ -32,6 +35,39 @@ def test_all_matches_the_public_namespace():
         for name, value in vars(kicked_ising).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
+    assert sorted(public - set(listed)) == []
+
+
+MODULES = ("core", "entanglement", "experiment", "floquet", "qfi", "spectral")
+
+
+def test_the_package_exports_each_modules_names_in_order():
+    modules = [importlib.import_module(f"kicked_ising.{name}") for name in MODULES]
+    expected = [name for module in modules for name in module.__all__]
+    assert kicked_ising.__all__ == [*expected, "__version__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_lists_exactly_its_public_definitions(name):
+    module = importlib.import_module(f"kicked_ising.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    defined, public, listed = set(), set(), None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        # a literal list, so static tools can read it
+                        listed = ast.literal_eval(node.value)
+    assert listed == module.__all__
+    assert len(set(listed)) == len(listed)
+    assert sorted(set(listed) - defined) == []
     assert sorted(public - set(listed)) == []
 
 
@@ -117,3 +153,28 @@ def test_array_holding_results_compare_by_identity(build):
     assert x == x
     assert (x == y) is False
     assert (x != y) is True
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the repo's pytest settings, hypothesis's failure report must
+    # not abort the session before a later file runs
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(_FAILING_PROPERTY)
+    (tmp_path / "tests" / "test_b.py").write_text("def test_passes():\n    pass\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -499,7 +499,8 @@ class TestSymmetrySectors:
             return [f.cache_info().currsize for f in (symmetry_sectors, _block_program)]
 
         before = cached()
-        with pytest.raises(ValueError, match="capped"):
+        message = f"^num_sites: must be in 2..{DENSE_MAX_SITES}, got {DENSE_MAX_SITES + 1}$"
+        with pytest.raises(ValueError, match=message):
             floquet_spectrum(FloquetSpec(Model.U0, DENSE_MAX_SITES + 1))
         assert cached() == before
 
@@ -529,6 +530,11 @@ class TestSymmetrySectors:
         # checked before the size cap
         with pytest.raises(ValueError, match="^symmetries: "):
             symmetry_sectors(DENSE_MAX_SITES + 1, symmetries)
+
+    def test_the_size_cap_is_the_integer_rule(self):
+        message = f"^num_sites: must be in 1..{DENSE_MAX_SITES}, got {DENSE_MAX_SITES + 1}$"
+        with pytest.raises(ValueError, match=message):
+            symmetry_sectors(DENSE_MAX_SITES + 1, ())
 
     def test_one_site_and_numpy_integers(self):
         assert [s.dim for s in symmetry_sectors(1, (Symmetry.REFLECTION,))] == [2]
@@ -713,6 +719,14 @@ class TestMajoranaRoute:
         assert spectrum.clusters is spectrum.clusters
         assert sum(m for _, m in spectrum.clusters) == 2**8
         assert clusterings == [2**8]
+
+    def test_builds_no_sector_table(self, monkeypatch):
+        def barred(*args):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(floquet, "symmetry_sectors", barred)
+        spectrum = floquet_spectrum(FloquetSpec(Model.U0, DENSE_MAX_SITES))
+        assert len(spectrum.thetas) == 2**DENSE_MAX_SITES
 
     @pytest.mark.parametrize("num_sites", range(2, 13))
     def test_matches_the_sector_blocks(self, num_sites):
