@@ -93,10 +93,18 @@ class Axis:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of an L-site chain as 2^L complex amplitudes (z basis)."""
+    """Pure state of an L-site chain as 2^L complex amplitudes (z basis).
+
+    ``stabilizers``, when given, holds L independent Pauli strings that fix
+    the state up to phase, as the rows (x | z) of a read-only (L, 2L) bit
+    array: X_s is x_s = 1, Z_s is z_s = 1, Y_s both, and signs are dropped.
+    Entropies are then read from them (``entanglement._entropy_table``),
+    which first checks each row against the amplitudes.
+    """
 
     num_sites: int
     amplitudes: np.ndarray = field(repr=False)
+    stabilizers: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         num_sites = _as_integer("num_sites", self.num_sites, 1, MAX_SITES)
@@ -110,6 +118,12 @@ class StateVector:
         if not abs(nrm2 - 1.0) <= 1e-9:  # NaN fails every comparison
             raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", amps)
+        if self.stabilizers is not None:
+            rows = np.array(self.stabilizers, dtype=np.uint8)
+            if rows.shape != (num_sites, 2 * num_sites) or rows.max() > 1:
+                raise ValueError(f"stabilizers: expected {num_sites} rows of 2L bits")
+            rows.flags.writeable = False
+            object.__setattr__(self, "stabilizers", rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +174,12 @@ def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def make_polarized_state(num_sites: int, axis: Axis) -> StateVector:
-    """Product state with every site in the chosen sigma^alpha eigenstate."""
+    """Product state with every site in the chosen sigma^alpha eigenstate,
+    stabilized by sigma^alpha at each site."""
     num_sites = _as_integer("num_sites", num_sites, 1, MAX_SITES)
-    return StateVector(num_sites, _kron_power(axis.eigenvector(), num_sites))
+    bits = {"x": (1, 0), "y": (1, 1), "z": (0, 1)}[axis.letter]  # (x_s, z_s)
+    rows = np.kron(bits, np.eye(num_sites, dtype=np.uint8))
+    return StateVector(num_sites, _kron_power(axis.eigenvector(), num_sites), rows)
 
 
 def make_ghz(num_sites: int, axis: Axis) -> StateVector:

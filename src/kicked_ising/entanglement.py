@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityMatrix, StateVector, _as_integer, partial_trace
+from .core import DEFAULT_TOL, DensityMatrix, StateVector, _as_integer, _bit_table
+from .core import partial_trace
 
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITER = 500
@@ -85,14 +86,60 @@ def _reduced_cuts(state: StateVector, k: int):
         yield masks[chunk], partial_trace(state, cuts[chunk])
 
 
+def _pauli_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bitmasks of each Pauli row (x | z) of an (L, 2L) array;
+    site s is bit L - s, as in the basis labels."""
+    num_sites = rows.shape[0]
+    weights = 1 << np.arange(num_sites - 1, -1, -1)
+    return rows[:, :num_sites] @ weights, rows[:, num_sites:] @ weights
+
+
+def _supports(rows: np.ndarray) -> np.ndarray:
+    """Support bitmask of each of the 2^L products of L Pauli rows, by XOR
+    doubling: product k holds row j when bit j of k is set."""
+    x = z = np.zeros(1, dtype=np.int64)
+    for gx, gz in zip(*_pauli_masks(rows)):
+        x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
+    return x | z
+
+
+def _stabilizer_table(state: StateVector) -> np.ndarray:
+    """S(A) = |A| - log2 #{g in G : supp g within A} for every site subset A
+    of a stabilizer state with group G (Fattal et al., quant-ph/0406168),
+    indexed by bitmask: the counts are a subset-sum transform of the support
+    histogram. Each generator g must have |<psi|g|psi>| = 1 and the identity
+    must occur once in G, which together prove that G is the state's group;
+    otherwise ``ValueError``."""
+    num_sites, amps = state.num_sites, state.amplitudes
+    labels = np.arange(2**num_sites)
+    sizes = _bit_table(num_sites).sum(axis=1)
+    xs, zs = (masks[:, None] for masks in _pauli_masks(state.stabilizers))
+    # X^x Z^z sends amplitude b, with sign (-1)^|z & b|, to label b ^ x
+    signs = 1 - 2 * (sizes[labels & zs] & 1)
+    low = np.abs((amps[labels ^ xs].conj() * signs * amps).sum(axis=1)).min()
+    if not low >= 1 - 1e-9:
+        raise ValueError(f"a stabilizer row has |<psi|g|psi>| = {low:.3e}")
+    counts = np.bincount(_supports(state.stabilizers), minlength=labels.size)
+    if counts[0] != 1:
+        raise ValueError("the stabilizer rows are not independent")
+    for bit in range(num_sites):
+        halves = counts.reshape(-1, 2, 2**bit)
+        halves[:, 1] += halves[:, 0]
+    return sizes - np.log2(counts)
+
+
 def _entropy_table(state: StateVector, max_size: int) -> np.ndarray:
     """S(A) in bits for every site subset A, indexed by the bitmask of A.
 
-    Entries with min(|A|, L - |A|) <= ``max_size`` are filled, the rest are
-    NaN; the empty set and the whole chain hold 0. A pure state has
-    S(A) = S(complement of A), so each bipartition is reduced once, on its
-    smaller side, by ``_reduced_cuts``, and fills both entries.
+    A state that carries stabilizer generators fills every entry from them
+    (``_stabilizer_table``). Otherwise entries with min(|A|, L - |A|) <=
+    ``max_size`` are filled, the rest are NaN; the empty set and the whole
+    chain hold 0. A pure state has S(A) = S(complement of A), so each
+    bipartition is reduced once, on its smaller side, by ``_reduced_cuts``,
+    and fills both entries.
     """
+    if state.stabilizers is not None:
+        return _stabilizer_table(state)
     num_sites = state.num_sites
     full = (1 << num_sites) - 1
     table = np.full(full + 1, np.nan)

@@ -289,6 +289,38 @@ def _majorana_map(spec: FloquetSpec) -> np.ndarray | None:
     return rot if basis == "z" else None
 
 
+@lru_cache(maxsize=None)
+def _pauli_map(spec: FloquetSpec) -> np.ndarray:
+    """One period on unsigned Pauli bit rows (x | z), x_s and z_s in columns
+    s - 1 and L + s - 1: the read-only (2L, 2L) uint8 S with row -> row @ S
+    mod 2 (Aaronson & Gottesman, quant-ph/0406196; signs are dropped). Read
+    off ``PERIOD_LAYERS``: a Hadamard or a y rotation swaps x and z; a phase
+    exp(-i*KICK_ANGLE*Q) multiplies a row that anticommutes with Q by Q, so
+    a bond (i, j) adds x_i + x_j to z_i and z_j, and a field x_s to z_s. A
+    layer with no rule here raises ``ValueError``.
+    """
+    L = spec.num_sites
+    eye = np.eye(L, dtype=np.uint8)
+    bond = np.zeros((L, L), dtype=np.uint8)
+    for i, j in spec.bonds():  # the closed two-site chain's two bonds cancel
+        bond[np.ix_([i - 1, j - 1], [i - 1, j - 1])] += 1
+    terms = {"ising": bond, "field": eye}
+    swap = np.block([[0 * eye, eye], [eye, 0 * eye]])
+    out = np.eye(2 * L, dtype=np.uint8)
+    for layer in PERIOD_LAYERS[spec.model]:
+        match layer:
+            case "hadamard" | ("rotate", "y"):
+                step = swap
+            case ("phase", names) if set(names) <= terms.keys():
+                form = sum(terms[name] for name in names)
+                step = np.block([[eye, form], [0 * eye, eye]])
+            case _:
+                raise ValueError(f"{spec.model.value}: unsupported layer {layer!r}")
+        out = out @ step & 1
+    out.setflags(write=False)
+    return out
+
+
 def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:
     """Advance a (2^L,) or (2^L, batch) amplitude array through a
     ``_block_program``, with a Hadamard layer between each two tables."""
@@ -303,16 +335,19 @@ def _one_period(program: tuple, amps: np.ndarray, num_sites: int) -> np.ndarray:
 
 
 def apply_floquet(spec: FloquetSpec, state: StateVector, n: int) -> StateVector:
-    """State after n Floquet periods."""
+    """State after n Floquet periods. Stabilizer generators, when the state
+    carries them, follow by one bit product per period (``_pauli_map``)."""
     if spec.num_sites != state.num_sites:
         raise ValueError(
             f"spec is for {spec.num_sites} sites but state has {state.num_sites}"
         )
     n = _as_integer("n", n, 0)
-    amps, program = state.amplitudes, _block_program(spec)
+    amps, program, rows = state.amplitudes, _block_program(spec), state.stabilizers
     for _ in range(n):
         amps = _one_period(program, amps, spec.num_sites)
-    return StateVector(state.num_sites, amps)
+        if rows is not None:
+            rows = rows @ _pauli_map(spec) & 1
+    return StateVector(state.num_sites, amps, rows)
 
 
 @lru_cache(maxsize=None)

@@ -64,6 +64,15 @@ class TestSubcommands:
         assert first_line(tmp_path / "qfi.csv") == "n,f_q,depth,violated_ks"
         assert not (tmp_path / "geom.csv").exists()
 
+    @pytest.mark.parametrize("axis", ["x+", "x-", "y+", "y-", "z+", "z-"])
+    def test_product_states_print_zero_entropy_at_twelve_sites(self, tmp_path, axis):
+        # a polarized chain has S = 0 on every cut exactly; summed reduced
+        # spectra left residues above the 1e-13 that prints as 0
+        argv = ["measure", "--model", "U0", "--size", "12", "--initial", axis]
+        assert main([*argv, "--periods", "0", "--measures", "aee", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "aee.csv").read_text().splitlines()[1:]
+        assert rows == [f"0,{l},0,0" for l in range(1, 12)]
+
     def test_summary(self, tmp_path, capsys):
         code = main(
             [

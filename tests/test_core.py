@@ -118,6 +118,31 @@ class TestStateVector:
             StateVector(2, amps)
 
 
+    @pytest.mark.parametrize("rows", [np.zeros((2, 4)), np.zeros((3, 3)), 2 * np.eye(3, 6)])
+    def test_rejects_malformed_stabilizers(self, rows):
+        with pytest.raises(ValueError, match="^stabilizers: expected 3 rows of 2L bits$"):
+            StateVector(3, make_polarized_state(3, Axis("z")).amplitudes, rows)
+
+
+class TestStabilizers:
+    @pytest.mark.parametrize("axis", ["x+", "x-", "y+", "y-", "z+", "z-"])
+    def test_polarized_rows_are_the_axis_at_each_site(self, axis):
+        # row s is sigma^axis at site s, which fixes the state
+        state = make_polarized_state(3, Axis.parse(axis))
+        x, z = {"x": (1, 0), "y": (1, 1), "z": (0, 1)}[axis[0]]
+        eye = np.eye(3, dtype=int)
+        assert state.stabilizers.tolist() == np.hstack([x * eye, z * eye]).tolist()
+        assert not state.stabilizers.flags.writeable
+        for site in range(1, 4):
+            fixed = site_operator(PAULI[axis[0]], site, 3) @ state.amplitudes
+            assert np.allclose(fixed, int(axis[1] + "1") * state.amplitudes)
+
+    def test_other_states_carry_none(self):
+        psi = make_polarized_state(4, Axis("y"))
+        for state in (make_ghz(4, Axis("x")), make_psi_o(4), StateVector(4, psi.amplitudes)):
+            assert state.stabilizers is None
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

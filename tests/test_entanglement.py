@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kicked_ising import entanglement
+from kicked_ising import entanglement, floquet
 from kicked_ising.core import (
     Axis,
     StateVector,
@@ -25,12 +25,14 @@ from kicked_ising.floquet import Boundary, FloquetSpec, Model, apply_floquet
 
 import oracles
 from oracles import (
+    PAULI,
     broken_pair_aee,
     broken_pair_count_mean,
     grid_max_overlap,
     max_schmidt_coefficient,
     nn_bell_product,
     random_state,
+    site_operator,
 )
 
 W3 = StateVector(3, np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))
@@ -92,6 +94,15 @@ def evolved_from_y(model: Model, boundary: Boundary, num_sites: int) -> StateVec
     return apply_floquet(spec, make_polarized_state(num_sites, Axis.parse("y+")), 3)
 
 
+def without_generators(state: StateVector) -> StateVector:
+    """The same amplitudes with no stabilizer rows, so that every entropy
+    comes from reduced states: the oracle of the stabilizer table."""
+    return StateVector(state.num_sites, state.amplitudes)
+
+
+AXES = ["x+", "x-", "y+", "y-", "z+", "z-"]
+
+
 EVOLVED_CASES = [
     (model, boundary, num_sites)
     for model in Model
@@ -121,7 +132,7 @@ class TestStackedPath:
     @pytest.mark.parametrize("model", list(Model))
     def test_chunked_table_matches_one_call_per_size(self, monkeypatch, model):
         # L = 10 reduces up to 210 cuts per size, so 64-cut chunks split it
-        state = evolved_from_y(model, Boundary.OPEN, 10)
+        state = without_generators(evolved_from_y(model, Boundary.OPEN, 10))
         chunked = entanglement._entropy_table(state, 5)
         monkeypatch.setattr(entanglement, "_CUT_CHUNK", 10**9)
         whole = entanglement._entropy_table(state, 5)
@@ -134,6 +145,77 @@ class TestStackedPath:
     def test_rejects_significant_negatives_anywhere_in_a_stack(self):
         with pytest.raises(ValueError):
             entropy(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
+
+
+def checked_periods(num_sites: int, k: int) -> list[int]:
+    """Periods at which the stabilizer table of axis ``AXES[k]`` is compared
+    with the reduced states: every n <= 2L up to L = 8; every n with
+    n = k mod 6 at L = 9, 10, so each period is seen once per model and
+    boundary; and n = L alone, for axis L mod 6, at L = 11, 12, where one
+    oracle table takes 0.1 and 0.5 s."""
+    periods = range(2 * num_sites + 1)
+    if num_sites <= 8:
+        return list(periods)
+    if num_sites <= 10:
+        return [n for n in periods if n % 6 == k]
+    return [num_sites] if num_sites % 6 == k else []
+
+
+class TestStabilizerTable:
+    @pytest.mark.parametrize("num_sites", range(2, 13))
+    def test_matches_the_state_vector_path(self, num_sites):
+        for model, boundary in itertools.product(Model, Boundary):
+            spec = FloquetSpec(model, num_sites, boundary)
+            for k, axis in enumerate(AXES):
+                state = make_polarized_state(num_sites, Axis.parse(axis))
+                done = 0
+                for n in checked_periods(num_sites, k):
+                    state, done = apply_floquet(spec, state, n - done), n
+                    assert state.stabilizers is not None
+                    got = entanglement._entropy_table(state, 1)
+                    want = entanglement._entropy_table(
+                        without_generators(state), num_sites // 2
+                    )
+                    assert np.abs(got - want).max() < 1e-12, (model, boundary, axis, n)
+
+    @pytest.mark.parametrize("model, boundary", itertools.product(Model, Boundary))
+    def test_a_wrong_period_map_raises_at_read_time(self, monkeypatch, model, boundary):
+        # with the identity as the period map the rows stay those of the
+        # start: a read raises unless every site is back in an eigenstate of
+        # the start's Pauli, and then the table is right
+        num_sites = 6
+        identity = np.eye(2 * num_sites, dtype=np.uint8)
+        monkeypatch.setattr(floquet, "_pauli_map", lambda spec: identity)
+        spec = FloquetSpec(model, num_sites, boundary)
+        for axis in AXES:
+            paulis = [
+                site_operator(PAULI[axis[0]], site, num_sites)
+                for site in range(1, num_sites + 1)
+            ]
+            state, kept = make_polarized_state(num_sites, Axis.parse(axis)), []
+            for n in range(1, 2 * num_sites + 1):
+                state = apply_floquet(spec, state, 1)
+                psi = state.amplitudes
+                if min(abs(np.vdot(psi, p @ psi)) for p in paulis) > 1 - 1e-9:
+                    kept.append(n)
+                    assert (entanglement._entropy_table(state, 3) == 0).all()
+                else:
+                    with pytest.raises(ValueError, match="stabilizer row has"):
+                        aee_report(state)
+            assert 1 not in kept and len(kept) <= 4, (axis, kept)
+
+    def test_dependent_rows_raise(self):
+        # every row fixes the state, but the third is the product of the
+        # first two, so the rows span only part of the group
+        state = apply_floquet(
+            FloquetSpec(Model.UX, 5), make_polarized_state(5, Axis.parse("z+")), 3
+        )
+        rows = state.stabilizers.copy()
+        rows[2] = rows[0] ^ rows[1]
+        dependent = StateVector(5, state.amplitudes, rows)
+        for read in (aee_report, min_bipartition_entropy, detect_bell_pairs):
+            with pytest.raises(ValueError, match="not independent"):
+                read(dependent)
 
 
 class TestAverageEntropy:

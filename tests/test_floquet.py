@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kicked_ising import floquet
+from kicked_ising import entanglement, floquet
 from kicked_ising.core import Axis, StateVector, fidelity, make_ghz, make_polarized_state
 from kicked_ising.floquet import (
     Boundary,
@@ -16,6 +16,7 @@ from kicked_ising.floquet import (
     Model,
     Symmetry,
     _block_program,
+    _pauli_map,
     apply_floquet,
     build_dense,
 )
@@ -164,16 +165,17 @@ class TestPeriodProgram:
             "hadamrd",
         ],
     )
-    def test_rejects_an_unsupported_layer(self, monkeypatch, layer):
+    @pytest.mark.parametrize("reader", [_block_program, _pauli_map])
+    def test_rejects_an_unsupported_layer(self, monkeypatch, layer, reader):
         monkeypatch.setitem(floquet.PERIOD_LAYERS, Model.UX, (layer, "hadamard"))
         spec = FloquetSpec(Model.UX, 3)
-        _block_program.cache_clear()
+        reader.cache_clear()
         try:
             message = f"^Ux: unsupported layer {re.escape(repr(layer))}$"
             with pytest.raises(ValueError, match=message):
-                _block_program(spec)
+                reader(spec)
         finally:
-            _block_program.cache_clear()
+            reader.cache_clear()
 
     def test_hadamard_pairs_cancel(self, monkeypatch):
         # H H = I: the phases on either side of a pair share one table, and
@@ -212,6 +214,7 @@ class TestClosedFormBlocks:
         spec = FloquetSpec(Model.UX, 3, Boundary.CLOSED)
         _block_program.cache_clear()
         floquet._dense_form.cache_clear()
+        _pauli_map.cache_clear()
         try:
             psi = make_polarized_state(3, Axis.parse("z+"))
             assert apply_floquet(spec, psi, 1).num_sites == 3
@@ -224,6 +227,7 @@ class TestClosedFormBlocks:
         finally:
             _block_program.cache_clear()
             floquet._dense_form.cache_clear()
+            _pauli_map.cache_clear()
 
 
 class TestCliffordTable:
@@ -240,6 +244,25 @@ class TestCliffordTable:
             want = u @ pauli_dense(p) @ u.conj().T
             got = pauli_dense(conjugate_through_period(p, spec))
             assert np.abs(got - want).max() < 1e-12
+
+    # the bit map against the same Clifford rules, signs dropped; L = 2
+    # includes the closed chain that lists its bond twice
+    @pytest.mark.parametrize("num_sites", range(2, 7))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_pauli_map_sends_rows_as_the_oracle(self, num_sites, model, boundary):
+        spec = FloquetSpec(model, num_sites, boundary)
+        pauli_map = _pauli_map(spec)
+        assert pauli_map.shape == (2 * num_sites, 2 * num_sites)
+        assert not pauli_map.flags.writeable
+        for letter, site in itertools.product("xz", range(1, num_sites + 1)):
+            p = pauli(letter, site, num_sites)
+            _, x, z = conjugate_through_period(p, spec)
+            assert (np.r_[p[1], p[2]] @ pauli_map & 1).tolist() == np.r_[x, z].tolist()
+        # a Clifford map keeps every commutation relation: S Omega S^T = Omega
+        zero, eye = np.zeros((num_sites, num_sites), int), np.eye(num_sites, dtype=int)
+        omega = np.block([[zero, eye], [eye, zero]])
+        assert ((pauli_map @ omega @ pauli_map.T) % 2 == omega).all()
 
 
 class TestModelSymmetries:
@@ -418,6 +441,30 @@ class TestDynamicsPins:
                 s = -np.sum(weights * np.log2(weights))
                 if n >= n0:
                     assert abs(s - c * (n - n0)) <= 1e-9, (num_sites, n, s)
+
+    @pytest.mark.parametrize("num_sites", [16, 20])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    def test_half_chain_law_holds_past_the_state_vector_cap(
+        self, model, boundary, num_sites
+    ):
+        # the law above, read off the stabilizer rows alone: the half cut A
+        # (sites 1..L//2, the high bits) has S = |A| - log2 of the number of
+        # the 2^L group elements supported in A
+        c = 1 if boundary is Boundary.OPEN else 2
+        spec, half = FloquetSpec(model, num_sites, boundary), num_sites // 2
+        outside = (1 << (num_sites - half)) - 1
+        for axis in ("x+", "y+", "z+"):
+            n0 = 1 if (model, axis[0]) in ((Model.U0, "y"), (Model.UX, "z")) else 0
+            rows = np.array(
+                [np.r_[pauli(axis[0], s, num_sites)[1:]] for s in range(1, num_sites + 1)]
+            )
+            for n in range(n0 + half // c + 1):
+                if n:
+                    rows = rows @ _pauli_map(spec) & 1
+                inside = np.count_nonzero((entanglement._supports(rows) & outside) == 0)
+                if n >= n0:
+                    assert half - np.log2(inside) == c * (n - n0), (axis, n, inside)
 
     @pytest.mark.parametrize("num_sites", range(4, 13))
     def test_u0_ghz_up_to_one_rotation_on_site_one(self, num_sites):
