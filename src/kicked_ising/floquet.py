@@ -34,13 +34,13 @@ A sector block B^H U B is then gathered entry by entry.
 
 Symmetry sectors. Both operators commute with the site reflection
 i <-> L+1-i (basis index j <-> its bit reversal), for either boundary.
-U_0 also commutes with the Z parity prod(s^z_i), which commutes with H_xx
-and H_z; U_x does not, because the parity anticommutes with s^x and s^y
-and so flips the sign of H_x and H_y. ``MODEL_SYMMETRIES`` records this.
-``build_dense`` builds the operator one sector block at a time
-(``FloquetSpec.sectors``) as a plain array, and rejects a sector that U
-does not leave invariant: as U is unitary, ||U B||_F^2 = d, so the
-weight a d-dimensional block leaks is d - ||B^H U B||_F^2.
+``FloquetSpec.sectors`` adds the Z parity prod(s^z_i) when one period's
+Pauli map ``_pauli_map`` fixes its row, as for U_0; U_x maps it to
+prod(s^x_i). ``build_dense`` builds the operator one sector block at a
+time as a plain array, and rejects a sector that U does not leave
+invariant: as U is unitary, ||U B||_F^2 = d, so the weight a
+d-dimensional block leaks is d - ||B^H U B||_F^2. The same check rejects
+a period that flipped the parity's sign, which the unsigned map cannot see.
 
 Free fermions. With m_{2j-1} = (prod_{k<j} Z_k) X_j, m_{2j} = (prod_{k<j} Z_k) Y_j,
 a z-basis field Z_j = -i m_{2j-1} m_{2j} and an x-basis Ising term
@@ -51,19 +51,20 @@ A y rotation, an x-basis field, a z-basis Ising term, the wrap bond X_L X_1 =
 -P (-i m_{2L} m_1) (P the Z parity) or a period ending in x leaves no R.
 
 Time reversal. Both kernels are symmetric in (a, b), so a diagonal
-unitary similarity turns U into a complex symmetric V with the same
-spectrum; ``_symmetric_block`` gives the sector blocks of V.
+unitary similarity P turns U into a complex symmetric V = P U P^H with
+the same spectrum; ``_symmetric_block`` gives the sector blocks of V as
+blocks of U on the rotated bases P^H B.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "KICK_ANGLE", "MODEL_SYMMETRIES", "Boundary", "FloquetSpec", "Model", "Sector",
+    "KICK_ANGLE", "Boundary", "FloquetSpec", "Model", "Sector",
     "Symmetry", "apply_floquet", "build_dense", "symmetry_sectors",
 ]
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -113,13 +114,6 @@ class Symmetry(enum.Enum):
     Z_PARITY = "P"  # prod_i sigma^z_i
 
 
-# Symmetries each period operator commutes with, for either boundary (see
-# the module docstring for why U_x has no Z parity).
-MODEL_SYMMETRIES = {
-    Model.U0: (Symmetry.REFLECTION, Symmetry.Z_PARITY),
-    Model.UX: (Symmetry.REFLECTION,),
-}
-
 # One period of each model, layer by layer in the order the layers act.
 # ("rotate", "y") is exp(-i*KICK_ANGLE*s^y) at every site; "hadamard" changes
 # between the z and x bases; ("phase", terms) is the diagonal
@@ -164,8 +158,13 @@ class FloquetSpec:
         return out
 
     def sectors(self) -> tuple[Sector, ...]:
-        """The symmetry sectors of this operator (``MODEL_SYMMETRIES``)."""
-        return symmetry_sectors(self.num_sites, MODEL_SYMMETRIES[self.model])
+        """The symmetry sectors of this operator: the reflection's, split by
+        the Z parity when one period fixes its Pauli row (``_pauli_map``)."""
+        symmetries = (Symmetry.REFLECTION,)
+        parity = np.repeat(np.uint8([0, 1]), self.num_sites)  # x | z of Z^(x)L
+        if (parity @ _pauli_map(self) & 1 == parity).all():
+            symmetries += (Symmetry.Z_PARITY,)
+        return symmetry_sectors(self.num_sites, symmetries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +172,10 @@ class Sector:
     """Orthonormal basis B of one symmetry sector of an L-site chain.
 
     Column k of B is weight[0, k] e_{index[0, k]} + weight[1, k] e_{index[1, k]}:
-    either a basis state e_j (weights 1, 0 and index[1, k] = j) or a
-    mirror pair (e_j +- e_Rj)/sqrt(2). ``charges`` holds the eigenvalue
-    of each symmetry on the sector.
+    in ``symmetry_sectors``, either a basis state e_j (weights 1, 0 and
+    index[1, k] = j) or a mirror pair (e_j +- e_Rj)/sqrt(2). Weights may be
+    complex, as in ``_symmetric_block``'s rotated bases. ``charges`` holds
+    the eigenvalue of each symmetry on the sector.
     """
 
     num_sites: int
@@ -396,10 +396,10 @@ def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
         raise ValueError(f"sector is for {sector.num_sites} sites but spec has {L}")
     left, kernel, right, combine = _dense_form(spec)
     # Column k of B is sum_p weight[p, k] e_{index[p, k]}, so each pair of
-    # terms (p, q) adds weight[p] left[index[p]] kernel[...] right[index[q]]
-    # weight[q]; a term whose weights are all zero adds nothing.
+    # terms (p, q) adds conj(weight[p]) left[index[p]] kernel[...]
+    # right[index[q]] weight[q]; a term whose weights are all zero adds nothing.
     terms = [
-        (index, weight * left[index], weight * right[index])
+        (index, weight.conj() * left[index], weight * right[index])
         for index, weight in zip(sector.index, sector.weight)
         if weight.any()
     ]
@@ -421,20 +421,15 @@ def build_dense(spec: FloquetSpec, sector: Sector | None = None) -> np.ndarray:
 
 
 def _symmetric_block(spec: FloquetSpec, sector: Sector) -> np.ndarray:
-    """``build_dense``'s block in time-reversal form, B^H P U P^-1 B.
+    """``build_dense``'s block in time-reversal form, B^H P U P^H B.
 
     With U[a, b] = left[a] kernel[combine(a, b)] right[b] (``_dense_form``)
-    and p = sqrt(left * right) / left, V = diag(p) U diag(p)^-1 has the
-    entries s[a] kernel[combine(a, b)] s[b], s = sqrt(left * right), so V is
-    complex symmetric. Both phase tables are mirror symmetric, so p is
-    equal on each mirror pair and B^H P = diag(p[index[0]]) B^H: the block
-    of V is diag(p) (B^H U B) diag(conj(p)), scaled in place, a unitary
-    similarity that keeps the block's eigenvalues.
+    and P = diag(p), p = sqrt(left * right) / left, V = P U P^H has the
+    entries s[a] kernel[combine(a, b)] s[b], s = p left = conj(p) right, so
+    V and its block on the real basis B are complex symmetric. That block
+    is U's on the rotated basis P^H B, with weights times conj(p[index]);
+    ``build_dense`` builds it and checks that U leaves its span invariant.
     """
-    block = build_dense(spec, sector)
     left, _, right, _ = _dense_form(spec)
-    j = sector.index[0]
-    p = np.sqrt(left[j] * right[j]) / left[j]
-    block *= p[:, None]
-    block *= p.conj()
-    return block
+    p = np.sqrt(left * right) / left
+    return build_dense(spec, replace(sector, weight=sector.weight * p[sector.index].conj()))

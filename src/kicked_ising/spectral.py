@@ -11,9 +11,9 @@ proportional to the identity) directly from the spectrum.
 ``floquet_spectrum`` reads the levels of a period of Majorana pair
 rotations (open U_0) from its single-particle map, with no dense block
 (``_majorana_thetas``). Any other period goes one symmetry-sector block
-at a time (``floquet.MODEL_SYMMETRIES``): reflection and Z parity for
-U_0, four blocks of about 2^L/4; reflection only for U_x, whose x field
-and y kick anticommute with Z parity, two blocks of about 2^L/2. Each
+at a time (``FloquetSpec.sectors``): reflection and Z parity for U_0,
+four blocks of about 2^L/4; reflection only for U_x, whose period does
+not keep the Z parity, two blocks of about 2^L/2. Each
 block is built, checked and diagonalized, and released before the next
 is built, so one block and (d, chunk) work arrays are alive at a time.
 ``build_dense`` checks each block's sector leak as d - ||block||_F^2,

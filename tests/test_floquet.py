@@ -6,20 +6,23 @@ import pytest
 import scipy.linalg
 
 from kicked_ising import entanglement, floquet
-from kicked_ising.core import Axis, StateVector, fidelity, make_ghz, make_polarized_state
+from kicked_ising.core import (
+    Axis, StateVector, fidelity, make_ghz, make_polarized_state, make_psi_o
+)
 from kicked_ising.floquet import (
     Boundary,
     DENSE_MAX_SITES,
     FloquetSpec,
     KICK_ANGLE,
-    MODEL_SYMMETRIES,
     Model,
+    Sector,
     Symmetry,
     _block_program,
     _pauli_map,
     apply_floquet,
     build_dense,
 )
+from kicked_ising.qfi import maximize_qfi
 from kicked_ising.spectral import quasi_energies
 
 from oracles import (
@@ -31,6 +34,7 @@ from oracles import (
     pauli,
     pauli_dense,
     random_state,
+    sector_columns,
     site_operator,
     split_floquet_oracle,
 )
@@ -206,6 +210,19 @@ class TestClosedFormBlocks:
             got = build_dense(spec, sector)
             assert np.abs(got - matrix_free_build_oracle(spec, sector)).max() < 1e-13
 
+    def test_complex_weights_give_the_conjugate_transpose_block(self):
+        # B^H U B, not B^T U B: phases on a basis's columns, B D, turn the
+        # block into D^H block D, which a sector's leak check cannot see
+        spec = FloquetSpec(Model.UX, 6, Boundary.CLOSED)
+        sector = spec.sectors()[0]
+        phases = np.exp(2j * np.pi * np.random.default_rng(5).random(sector.dim))
+        phased = Sector(6, sector.charges, sector.index, sector.weight * phases)
+        basis = sector_columns(phased)
+        got = build_dense(spec, phased)
+        assert np.abs(got - basis.conj().T @ build_dense(spec) @ basis).max() < 1e-13
+        similar = phases.conj()[:, None] * build_dense(spec, sector) * phases
+        assert np.abs(got - similar).max() < 1e-13
+
     def test_rejects_three_hadamard_layers(self, monkeypatch):
         # no closed form is derived past two Hadamards; one period still runs
         field, ising = ("phase", ("field",)), ("phase", ("ising",))
@@ -273,7 +290,7 @@ class TestModelSymmetries:
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
     def test_listed_exactly_when_the_period_has_them(self, num_sites, model, boundary):
         spec = FloquetSpec(model, num_sites, boundary)
-        listed = MODEL_SYMMETRIES[model]
+        listed = dict(spec.sectors()[0].charges)
         parity = (1, np.zeros(num_sites, dtype=int), np.ones(num_sites, dtype=int))
         coefficient, x, z = conjugate_through_period(parity, spec)
         keeps_parity = coefficient == 1 and not x.any() and z.all()
@@ -416,6 +433,18 @@ class TestDynamicsPins:
         # phase -1
         half = apply_floquet(spec, psi, 12)
         assert np.linalg.norm(half.amplitudes + psi.amplitudes) < 1e-8
+
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_psi_o_keeps_two_ghz_blocks_of_qfi_through_a_ux_period(self, boundary):
+        # acceptance criterion 07 expects F_Q = 2L after one U_x period; the
+        # maximized F_Q is L^2/2 = 2 (L/2)^2 before and after, the QFI of two
+        # independent L/2-site GHZ blocks, and equals 2L at L = 4 only
+        for num_sites in range(4, 13, 2):
+            spec = FloquetSpec(Model.UX, num_sites, boundary)
+            for n in (0, 1):
+                result = maximize_qfi(apply_floquet(spec, make_psi_o(num_sites), n))
+                assert abs(result.f_q - num_sites**2 / 2) <= 1e-6, (num_sites, n)
+                assert result.depth == num_sites // 2
 
     @pytest.mark.parametrize("axis", ["x+", "x-", "y+", "y-", "z+", "z-"])
     @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])

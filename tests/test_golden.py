@@ -32,6 +32,9 @@ RUNS = {
         "spectrum", "--model", "U0", "--size", "12", "--boundary", "closed"
     ],
     "spectrum-Ux-open-11": ["spectrum", "--model", "Ux", "--size", "11"],
+    "spectrum-Ux-closed-10": [
+        "spectrum", "--model", "Ux", "--size", "10", "--boundary", "closed"
+    ],
     "evolve": ["evolve", "--model", "Ux", "--size", "7", "--initial", "z+", "--periods", "120"],
     "measure": [
         "measure", "--model", "Ux", "--size", "6", "--boundary", "closed",

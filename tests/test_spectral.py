@@ -567,25 +567,28 @@ class TestOneBlockAtATime:
         assert peak <= 2 * block_bytes + 4 * chunk_bytes
 
     def test_one_call_per_block_and_one_clustering(self, monkeypatch):
-        # each sector block goes through its own quasi_energies call, and
-        # only the pooled phases are clustered, on first read (closed U0:
-        # open U0's sectors, and no Majorana map)
+        # each sector block is built by its own build_dense call and goes
+        # through its own quasi_energies call, and only the pooled phases
+        # are clustered, on first read (closed U0: open U0's sectors, and no
+        # Majorana map); the benchmark's per-layer metrics of both calls
+        # come from this route
         spec = FloquetSpec(Model.U0, 6, Boundary.CLOSED)
         calls = []
 
-        def counting(name):
-            real = getattr(spectral, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
-            def wrapped(arg):
+            def wrapped(*args):
                 calls.append(name)
-                return real(arg)
+                return real(*args)
 
-            monkeypatch.setattr(spectral, name, wrapped)
+            monkeypatch.setattr(module, name, wrapped)
 
-        counting("quasi_energies")
-        counting("_cluster_circular")
+        counting(floquet, "build_dense")
+        counting(spectral, "quasi_energies")
+        counting(spectral, "_cluster_circular")
         spectrum = floquet_spectrum(spec)
-        assert calls == ["quasi_energies"] * len(spec.sectors())
+        assert calls == ["build_dense", "quasi_energies"] * len(spec.sectors())
         assert spectrum.clusters is spectrum.clusters
         assert sum(m for _, m in spectrum.clusters) == 2**6
         assert calls.count("_cluster_circular") == 1
