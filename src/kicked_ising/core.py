@@ -95,11 +95,11 @@ class Axis:
 class StateVector:
     """Pure state of an L-site chain as 2^L complex amplitudes (z basis).
 
-    ``stabilizers``, when given, holds L independent Pauli strings that fix
-    the state up to phase, as the rows (x | z) of a read-only (L, 2L) bit
-    array: X_s is x_s = 1, Z_s is z_s = 1, Y_s both, and signs are dropped.
-    Entropies are then read from them (``entanglement._entropy_table``),
-    which first checks each row against the amplitudes.
+    ``stabilizers``, when given, holds L independent unsigned Pauli strings
+    that fix the state up to phase, as the rows (x | z) of a read-only (L, 2L)
+    uint8 array of exact bits (bools pass, 1.9 does not): X_s is x_s = 1, Z_s
+    is z_s = 1, Y_s both. ``entanglement._entropy_table`` reads entropies
+    from them after checking each row against the amplitudes.
     """
 
     num_sites: int
@@ -119,9 +119,10 @@ class StateVector:
             raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", amps)
         if self.stabilizers is not None:
-            rows = np.array(self.stabilizers, dtype=np.uint8)
-            if rows.shape != (num_sites, 2 * num_sites) or rows.max() > 1:
+            raw = np.asarray(self.stabilizers)
+            if raw.shape != (num_sites, 2 * num_sites) or not ((raw == 0) | (raw == 1)).all():
                 raise ValueError(f"stabilizers: expected {num_sites} rows of 2L bits")
+            rows = raw.astype(np.uint8)
             rows.flags.writeable = False
             object.__setattr__(self, "stabilizers", rows)
 

@@ -34,21 +34,19 @@ A sector block B^H U B is then gathered entry by entry.
 
 Symmetry sectors. Both operators commute with the site reflection
 i <-> L+1-i (basis index j <-> its bit reversal), for either boundary.
-``FloquetSpec.sectors`` adds the Z parity prod(s^z_i) when one period's
-Pauli map ``_pauli_map`` fixes its row, as for U_0; U_x maps it to
-prod(s^x_i). ``build_dense`` builds the operator one sector block at a
-time as a plain array, and rejects a sector that U does not leave
+``FloquetSpec.sectors`` adds the Z parity prod(s^z_i) when one period
+maps it to itself, sign included (``_conjugate``), as for U_0; U_x maps
+it to prod(s^x_i). ``build_dense`` builds the operator one sector block
+at a time as a plain array, and rejects a sector that U does not leave
 invariant: as U is unitary, ||U B||_F^2 = d, so the weight a
-d-dimensional block leaks is d - ||B^H U B||_F^2. The same check rejects
-a period that flipped the parity's sign, which the unsigned map cannot see.
+d-dimensional block leaks is d - ||B^H U B||_F^2.
 
-Free fermions. With m_{2j-1} = (prod_{k<j} Z_k) X_j, m_{2j} = (prod_{k<j} Z_k) Y_j,
-a z-basis field Z_j = -i m_{2j-1} m_{2j} and an x-basis Ising term
-X_i X_{i+1} = -i m_{2i} m_{2i+1} each turn one Majorana plane by pi/2 (Lieb,
-Schultz & Mattis, Ann. Phys. 16, 407 (1961)); ``_majorana_map`` composes them
-into a real orthogonal 2L x 2L R from the z basis, a Hadamard toggling it.
-A y rotation, an x-basis field, a z-basis Ising term, the wrap bond X_L X_1 =
--P (-i m_{2L} m_1) (P the Z parity) or a period ending in x leaves no R.
+Free fermions. A Clifford period is free-fermion exactly when it sends each
+Majorana m_{2j-1} = (prod_{k<j} Z_k) X_j, m_{2j} = (prod_{k<j} Z_k) Y_j to +-
+one Majorana (Jozsa & Miyake, arXiv:0804.4050): ``_majorana_map``'s signed
+permutation R. Open U_0's field and bonds are bilinears, -i m_{2j-1} m_{2j}
+and -i m_{2i} m_{2i+1} (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961));
+so are the closed two-site U_0's two bonds together, -i X_1 X_2, but Tr U = 0.
 
 Time reversal. Both kernels are symmetric in (a, b), so a diagonal
 unitary similarity P turns U into a complex symmetric V = P U P^H with
@@ -159,10 +157,11 @@ class FloquetSpec:
 
     def sectors(self) -> tuple[Sector, ...]:
         """The symmetry sectors of this operator: the reflection's, split by
-        the Z parity when one period fixes its Pauli row (``_pauli_map``)."""
+        the Z parity when one period fixes it, sign included (``_conjugate``)."""
         symmetries = (Symmetry.REFLECTION,)
-        parity = np.repeat(np.uint8([0, 1]), self.num_sites)  # x | z of Z^(x)L
-        if (parity @ _pauli_map(self) & 1 == parity).all():
+        parity = np.repeat(np.uint8([[0, 1]]), self.num_sites, axis=1)  # x | z of Z^(x)L
+        image, phase = _conjugate(self, parity, 0)
+        if np.array_equal(image, parity) and phase[0] == 0:
             symmetries += (Symmetry.Z_PARITY,)
         return symmetry_sectors(self.num_sites, symmetries)
 
@@ -270,53 +269,50 @@ def _block_program(spec: FloquetSpec) -> tuple:
     return tables
 
 
-def _majorana_map(spec: FloquetSpec) -> np.ndarray | None:
-    """One period's map R on the Majoranas, row k for m_{k+1}, or None (see the module
-    docstring). Each term turns its disjoint planes (a, b) at once: m_a to -m_b, m_b to m_a."""
-    firsts = {("field", "z"): np.arange(0, 2 * spec.num_sites, 2)}  # plane (a, a + 1)
-    if all(j == i + 1 for i, j in spec.bonds()):  # no wrap bond
-        firsts["ising", "x"] = np.arange(1, 2 * spec.num_sites - 1, 2)
-    rot, basis = np.eye(2 * spec.num_sites), "z"
+def _conjugate(spec: FloquetSpec, rows: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+    """U P U^H for one period U and Paulis P = i^q X^x Z^z: (k, 2L) bit rows (x | z),
+    x_s and z_s in columns s - 1 and L + s - 1, and phases q in; uint8 image rows
+    and phases mod 4 out (Aaronson & Gottesman, quant-ph/0406196). A Hadamard swaps
+    x and z and adds 2|x & z| to q, the y rotation H Z also 2|x|; a phase
+    exp(-i*KICK_ANGLE*Q) takes a row that anticommutes with the Z string Q to
+    -i Q P, adding Q to z and 1 to q. Any other layer raises ``ValueError``."""
+    L = spec.num_sites
+    eye = np.eye(L, dtype=np.uint8)  # the Z strings: Z_i Z_j per bond, Z_s per site
+    terms = {"ising": eye[np.array(spec.bonds()) - 1].sum(axis=1, dtype=np.uint8), "field": eye}
+    x, z, q = rows[:, :L], rows[:, L:], np.asarray(phases, dtype=np.uint8)
     for layer in PERIOD_LAYERS[spec.model]:
         match layer:
-            case "hadamard":
-                basis = "x" if basis == "z" else "z"
-            case ("phase", names) if all((name, basis) in firsts for name in names):
-                for a in (firsts[name, basis] for name in names):
-                    rot[np.r_[a, a + 1]] = np.r_[-rot[a + 1], rot[a]]
+            case "hadamard" | ("rotate", "y"):
+                flips = x & z if layer == "hadamard" else x ^ x & z
+                x, z, q = z, x, q + 2 * flips.sum(axis=1, dtype=np.uint8)
+            case ("phase", names) if set(names) <= terms.keys():
+                form = np.concatenate([terms[name] for name in names])
+                hits = x @ form.T & 1  # sums wrap mod 256, which keeps every parity
+                z, q = z ^ hits @ form & 1, q + hits.sum(axis=1, dtype=np.uint8)
             case _:
-                return None
-    return rot if basis == "z" else None
+                raise ValueError(f"{spec.model.value}: unsupported layer {layer!r}")
+    return np.concatenate([x, z], axis=1), q & 3
+
+
+def _majorana_map(spec: FloquetSpec) -> np.ndarray | None:
+    """One period's map R on the Majoranas: R[l, k] = +-1 when U m_{k+1} U^H =
+    +-m_{l+1} (``_conjugate``), or None unless each lands on one Majorana."""
+    L = spec.num_sites
+    k, s = np.arange(2 * L), np.arange(L)[:, None]
+    strings = np.r_[k // 2 == s, 2 * s < k].T.astype(np.uint8)  # m_{2s+2} = i X_s Z_{<=s}
+    images, phases = _conjugate(spec, strings, k & 1)
+    site = images[:, :L].argmax(axis=1)
+    image = 2 * site + images[k, L + site]  # the Majorana each lands on, if any
+    rot = np.zeros((2 * L, 2 * L))
+    rot[image, k] = 1.0 - (phases - (image & 1) & 3)
+    return rot if np.array_equal(images, strings[image]) else None
 
 
 @lru_cache(maxsize=None)
 def _pauli_map(spec: FloquetSpec) -> np.ndarray:
-    """One period on unsigned Pauli bit rows (x | z), x_s and z_s in columns
-    s - 1 and L + s - 1: the read-only (2L, 2L) uint8 S with row -> row @ S
-    mod 2 (Aaronson & Gottesman, quant-ph/0406196; signs are dropped). Read
-    off ``PERIOD_LAYERS``: a Hadamard or a y rotation swaps x and z; a phase
-    exp(-i*KICK_ANGLE*Q) multiplies a row that anticommutes with Q by Q, so
-    a bond (i, j) adds x_i + x_j to z_i and z_j, and a field x_s to z_s. A
-    layer with no rule here raises ``ValueError``.
-    """
-    L = spec.num_sites
-    eye = np.eye(L, dtype=np.uint8)
-    bond = np.zeros((L, L), dtype=np.uint8)
-    for i, j in spec.bonds():  # the closed two-site chain's two bonds cancel
-        bond[np.ix_([i - 1, j - 1], [i - 1, j - 1])] += 1
-    terms = {"ising": bond, "field": eye}
-    swap = np.block([[0 * eye, eye], [eye, 0 * eye]])
-    out = np.eye(2 * L, dtype=np.uint8)
-    for layer in PERIOD_LAYERS[spec.model]:
-        match layer:
-            case "hadamard" | ("rotate", "y"):
-                step = swap
-            case ("phase", names) if set(names) <= terms.keys():
-                form = sum(terms[name] for name in names)
-                step = np.block([[eye, form], [0 * eye, eye]])
-            case _:
-                raise ValueError(f"{spec.model.value}: unsupported layer {layer!r}")
-        out = out @ step & 1
+    """One period on unsigned Pauli bit rows: the read-only (2L, 2L) uint8 S with
+    row -> row @ S mod 2, ``_conjugate``'s images of the unit rows, signs dropped."""
+    out = _conjugate(spec, np.eye(2 * spec.num_sites, dtype=np.uint8), 0)[0]
     out.setflags(write=False)
     return out
 

@@ -8,14 +8,14 @@ the sorted levels at gaps over ``CLUSTER_TOLERANCE``, mean each run by
 common level spacing, and finds stroboscopic periods (smallest n with U^n
 proportional to the identity) directly from the spectrum.
 
-``floquet_spectrum`` reads the levels of a period of Majorana pair
-rotations (open U_0) from its single-particle map, with no dense block
-(``_majorana_thetas``). Any other period goes one symmetry-sector block
-at a time (``FloquetSpec.sectors``): reflection and Z parity for U_0,
-four blocks of about 2^L/4; reflection only for U_x, whose period does
-not keep the Z parity, two blocks of about 2^L/2. Each
-block is built, checked and diagonalized, and released before the next
-is built, so one block and (d, chunk) work arrays are alive at a time.
+``floquet_spectrum`` reads the levels of a free-fermion period (open U_0)
+from its Majorana map, with no dense block (``_majorana_thetas``). Any
+other period, or one with Tr U = 0 (closed U_0 at L = 2), goes one
+symmetry-sector block at a time (``FloquetSpec.sectors``): reflection
+and Z parity for U_0, four blocks of about 2^L/4; reflection only for
+U_x, whose period does not keep the Z parity, two blocks of about 2^L/2.
+Each block is built, checked and diagonalized, and released before the
+next is built, so one block and (d, chunk) work arrays are alive at a time.
 ``build_dense`` checks each block's sector leak as d - ||block||_F^2,
 which holds because U is unitary (every phase-table entry has modulus
 1); here each block is checked unitary on two fixed probe vectors and
@@ -288,11 +288,11 @@ def _symmetric_thetas(mat: np.ndarray) -> np.ndarray | None:
     return np.arctan2(values - cot * c, c)
 
 
-def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray:
+def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray | None:
     """Unsorted phases of U from its Majorana map R: each cos(eps_j) of R's
     eigenvalues e^{+-i eps_j} is a pair of values of ``eigvalsh((R + R^T) / 2)``,
     U's 2^L levels are phi + sum_j +-eps_j / 2, and the exact
-    Tr U = e^{-i phi} prod_j 2 cos(eps_j / 2) fixes phi."""
+    Tr U = e^{-i phi} prod_j 2 cos(eps_j / 2) fixes phi, or None if both vanish."""
     dev = np.abs(rot.T @ rot - np.eye(len(rot))).max()
     cos = np.linalg.eigvalsh((rot + rot.T) / 2)
     spread = np.abs(cos[1::2] - cos[::2]).max()
@@ -302,8 +302,10 @@ def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray:
     left, kernel, right, _ = _dense_form(spec)
     trace = kernel[0] * np.dot(left, right)  # two Hadamards: U[a, a] = kernel[0]
     weight = np.prod(2 * np.cos(half))
-    if not (abs(abs(trace) - weight) <= 1e-9 and weight > 1e-6):
+    if not abs(abs(trace) - weight) <= 1e-9:
         raise ValueError(f"|Tr U| = {abs(trace):.3e}, but prod 2cos(eps/2) = {weight:.3e}")
+    if weight <= 1e-6:
+        return None
     levels = np.array([-np.angle(trace)])
     for h in half:
         levels = np.r_[levels - h, levels + h]
@@ -311,11 +313,12 @@ def _majorana_thetas(spec: FloquetSpec, rot: np.ndarray) -> np.ndarray:
 
 
 def floquet_spectrum(spec: FloquetSpec) -> QuasiSpectrum:
-    """Quasi-energies of the operator built from ``spec`` (L <= 12): from its
-    Majorana map if it has one, else from one time-reversal-form block at a time."""
+    """Quasi-energies of the operator built from ``spec`` (L <= 12): from its Majorana
+    map if that fixes them, else from one time-reversal-form block at a time."""
     _as_integer("num_sites", spec.num_sites, 2, DENSE_MAX_SITES)
-    if (rot := _majorana_map(spec)) is not None:
-        return QuasiSpectrum(np.sort(_majorana_thetas(spec, rot)))
+    rot = _majorana_map(spec)
+    if rot is not None and (thetas := _majorana_thetas(spec, rot)) is not None:
+        return QuasiSpectrum(np.sort(thetas))
     parts = [quasi_energies([_symmetric_block(spec, s)]).thetas for s in spec.sectors()]
     return QuasiSpectrum(np.sort(np.concatenate(parts)))
 

@@ -123,6 +123,30 @@ class TestStateVector:
         with pytest.raises(ValueError, match="^stabilizers: expected 3 rows of 2L bits$"):
             StateVector(3, make_polarized_state(3, Axis("z")).amplitudes, rows)
 
+    # a uint8 cast would keep these as bits: the first as X_1, X_2, which
+    # fix the 2-site x+ state and so pass every later generator check
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.9, 0, 0.4, 0], [0, 1, 0, 0]],
+            [[1, 0, 0, 0], [0, 1.7, 0, 0]],
+            [[0.5, 0, 0, 0], [0, 1, 0, 0]],
+            [[1, 0, 0, 0], [0, 1, 0, -1]],
+            [[1, 0, 0, 0], [0, 1, 0, np.nan]],
+        ],
+    )
+    def test_rejects_entries_that_are_not_bits(self, rows):
+        psi = make_polarized_state(2, Axis.parse("x+"))
+        with pytest.raises(ValueError, match="^stabilizers: expected 2 rows of 2L bits$"):
+            StateVector(2, psi.amplitudes, rows)
+
+    def test_bools_pass_as_bits(self):
+        psi = make_polarized_state(2, Axis.parse("x+"))
+        rows = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+        state = StateVector(2, psi.amplitudes, rows.astype(bool))
+        assert state.stabilizers.dtype == np.uint8
+        assert state.stabilizers.tolist() == rows.tolist()
+
 
 class TestStabilizers:
     @pytest.mark.parametrize("axis", ["x+", "x-", "y+", "y-", "z+", "z-"])

@@ -18,6 +18,8 @@ from kicked_ising.floquet import (
     Sector,
     Symmetry,
     _block_program,
+    _conjugate,
+    _majorana_map,
     _pauli_map,
     apply_floquet,
     build_dense,
@@ -169,17 +171,21 @@ class TestPeriodProgram:
             "hadamrd",
         ],
     )
-    @pytest.mark.parametrize("reader", [_block_program, _pauli_map])
+    # a layer the Majorana reader cannot follow must raise too, not send
+    # the spec to the sector route as a period with no map
+    @pytest.mark.parametrize("reader", [_block_program, _pauli_map, _majorana_map])
     def test_rejects_an_unsupported_layer(self, monkeypatch, layer, reader):
         monkeypatch.setitem(floquet.PERIOD_LAYERS, Model.UX, (layer, "hadamard"))
         spec = FloquetSpec(Model.UX, 3)
-        reader.cache_clear()
+        _block_program.cache_clear()
+        _pauli_map.cache_clear()
         try:
             message = f"^Ux: unsupported layer {re.escape(repr(layer))}$"
             with pytest.raises(ValueError, match=message):
                 reader(spec)
         finally:
-            reader.cache_clear()
+            _block_program.cache_clear()
+            _pauli_map.cache_clear()
 
     def test_hadamard_pairs_cancel(self, monkeypatch):
         # H H = I: the phases on either side of a pair share one table, and
@@ -280,6 +286,30 @@ class TestCliffordTable:
         zero, eye = np.zeros((num_sites, num_sites), int), np.eye(num_sites, dtype=int)
         omega = np.block([[zero, eye], [eye, zero]])
         assert ((pauli_map @ omega @ pauli_map.T) % 2 == omega).all()
+
+    # the signed rules against the same Clifford rules, coefficient included:
+    # every single-site X, Y and Z, and random products with random phases
+    @pytest.mark.parametrize("num_sites", range(2, 8))
+    @pytest.mark.parametrize("model", [Model.U0, Model.UX])
+    @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.CLOSED])
+    def test_signed_images_match_the_oracle(self, num_sites, model, boundary):
+        spec = FloquetSpec(model, num_sites, boundary)
+        powers = (1, 1j, -1, -1j)  # i^q
+        rng = np.random.default_rng(num_sites)
+        paulis = [
+            pauli(letter, site, num_sites)
+            for letter, site in itertools.product("xyz", range(1, num_sites + 1))
+        ]
+        for _ in range(20):
+            x, z = rng.integers(0, 2, (2, num_sites))
+            paulis.append((powers[rng.integers(4)], x, z))
+        rows = np.array([np.r_[x, z] for _, x, z in paulis], dtype=np.uint8)
+        phases = [powers.index(coefficient) for coefficient, _, _ in paulis]
+        images, signed = _conjugate(spec, rows, phases)
+        for p, image, q in zip(paulis, images, signed):
+            coefficient, x, z = conjugate_through_period(p, spec)
+            assert image.tolist() == np.r_[x, z].tolist()
+            assert powers[q] == coefficient
 
 
 class TestModelSymmetries:
@@ -511,3 +541,22 @@ class TestDynamicsPins:
             assert fidelity(StateVector(num_sites, turned), ghz) == pytest.approx(
                 target, abs=1e-12
             )
+
+    def test_ux_flip_pattern_from_the_signs_alone(self):
+        # acceptance criterion 09's evidence: Z_1..Z_L pushed through open U_x
+        # at L = 10 are first all Z-type at n = 30, so z+ has become a z-basis
+        # product state |b>; the images are independent, so their signs fix
+        # b alone, (-1)^(z_k . b) = sign_k, and b is 1101111011, not all ones
+        num_sites, periods = 10, 30
+        spec = FloquetSpec(Model.UX, num_sites)
+        rows = np.eye(2 * num_sites, dtype=np.uint8)[num_sites:]
+        phases = np.zeros(num_sites, dtype=np.uint8)
+        for n in range(1, periods + 1):
+            rows, phases = _conjugate(spec, rows, phases)
+            assert rows[:, :num_sites].any() == (n < periods)
+        pattern = np.array([int(bit) for bit in "1101111011"])
+        assert (phases % 2 == 0).all()
+        assert (rows[:, num_sites:] @ pattern % 2).tolist() == (phases // 2).tolist()
+        start = make_polarized_state(num_sites, Axis.parse("z+"))
+        state = apply_floquet(spec, start, periods)
+        assert abs(state.amplitudes[int("1101111011", 2)]) == pytest.approx(1, abs=1e-12)

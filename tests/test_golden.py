@@ -27,6 +27,10 @@ RUNS = {
         f"spectrum-U0-open-{size}": ["spectrum", "--model", "U0", "--size", str(size)]
         for size in (9, 10, 12)
     },
+    # a free-fermion period whose Tr U = 0 leaves the Majorana route
+    "spectrum-U0-closed-2": [
+        "spectrum", "--model", "U0", "--size", "2", "--boundary", "closed"
+    ],
     # the sector route where its clusters are largest
     "spectrum-U0-closed-12": [
         "spectrum", "--model", "U0", "--size", "12", "--boundary", "closed"

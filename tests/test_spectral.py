@@ -669,10 +669,23 @@ def u0_planes(num_sites):
 
 
 class TestMajoranaRoute:
-    def test_only_open_u0_has_a_map(self):
+    # the closed two-site U0 has one too: its bonds (1, 2) and (2, 1)
+    # compose to the bilinear -i X_1 X_2
+    @pytest.mark.parametrize("num_sites", range(2, 9))
+    def test_only_open_u0_has_a_map(self, num_sites):
         for model, boundary in SECTOR_SPECS:
-            has_map = _majorana_map(FloquetSpec(model, 5, boundary)) is not None
-            assert has_map == ((model, boundary) == (Model.U0, Boundary.OPEN))
+            has_map = _majorana_map(FloquetSpec(model, num_sites, boundary)) is not None
+            closed_pair = (model, boundary, num_sites) == (Model.U0, Boundary.CLOSED, 2)
+            assert has_map == ((model, boundary) == (Model.U0, Boundary.OPEN) or closed_pair)
+
+    def test_closed_two_sites_take_the_sector_route(self):
+        # eps = 0 and pi give Tr U = 0, which fixes no phi, so the levels
+        # come from the sector blocks
+        spec = FloquetSpec(Model.U0, 2, Boundary.CLOSED)
+        assert _majorana_thetas(spec, _majorana_map(spec)) is None
+        blocks = quasi_energies([_symmetric_block(spec, s) for s in spec.sectors()])
+        assert_same_clusters(floquet_spectrum(spec).clusters, blocks.clusters)
+        assert_same_clusters(blocks.clusters, [(-np.pi / 2, 2), (np.pi / 2, 2)])
 
     @pytest.mark.parametrize("num_sites", range(2, 13))
     def test_map_is_the_stated_rotations(self, num_sites):
